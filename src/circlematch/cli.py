@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import random
 import sys
 
 from . import harness, netgen
@@ -34,12 +33,12 @@ def _add_graph_args(parser: argparse.ArgumentParser, *, model_required: bool = T
                         help="nominal average degree (even)")
     parser.add_argument("--p-rewire", type=float, default=0.1,
                         help="rewiring probability for ws (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed, as in match and sweep (default 0)")
 
 
 def _build_graph(args: argparse.Namespace) -> netgen.Graph:
-    rng = random.Random(args.seed)
-    return netgen.generate(args.model, args.n, args.k, p_rewire=args.p_rewire, rng=rng)
+    return harness.cell_graph(args.model, args.n, args.k, args.seed, args.p_rewire)
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:

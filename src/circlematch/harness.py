@@ -115,13 +115,18 @@ class CellRun:
     result: ExperimentResult
 
 
+def cell_graph(model: str, n: int, k: int, seed: int, p_rewire: float) -> Graph:
+    """The network of the replication keyed by master seed ``seed``."""
+    rng = random.Random(derive_seed(seed, f"graph:{model}"))
+    return netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
+
+
 def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
                   p_rewire: float = 0.1) -> CellRun:
     """Run one replication and keep every intermediate object."""
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")))
-    graph_rng = random.Random(derive_seed(seed, f"graph:{model}"))
-    graph = netgen.generate(model, n, k, p_rewire=p_rewire, rng=graph_rng)
+    graph = cell_graph(model, n, k, seed, p_rewire)
     dm = all_pairs_shortest(graph)
     circle = SocialCircle(dm, dep)
     matching = restricted_deferred_acceptance(market, circle)

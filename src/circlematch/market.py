@@ -6,71 +6,130 @@ a score in [1, 10] is a fixed decreasing function of rank position and does
 not depend on any network. A ``SocialCircle`` limits who can actually be
 proposed to: only pairs within graph distance ``dep`` recognize each other,
 so deferred acceptance may leave agents unmatched even in a balanced market.
+
+Preferences are held in side-local form: an agent's local index is its
+position in the sorted id array of its side, and each side has an h x h
+array of rank lists over the other side's local indices plus its inverse,
+the rank position of every candidate. Agent ids appear only at the
+boundary: in method arguments, matchings and the JSON form.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .topology import UNREACHABLE, DistanceMatrix
 
+def _positions_of(prefs: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Inverse of both sides' rank lists, ``prefs`` stacked as (2, h, h):
+    the rank position of every candidate for every agent. Raises ValueError
+    unless every rank list is a permutation of 0..h-1."""
+    h = sides.shape[1]
+    if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
+        raise ValueError("a rank list names an agent outside the other side")
+    pos = np.full(prefs.shape, -1, dtype=np.int32)
+    np.put_along_axis(pos, prefs, np.broadcast_to(np.arange(h, dtype=np.int32), prefs.shape),
+                      axis=2)
+    unfilled = np.argwhere((pos < 0).any(axis=2))
+    if unfilled.size:
+        side, row = unfilled[0]
+        raise ValueError(f"rank list of {('woman', 'man')[side]} {sides[side, row]} "
+                         "is not a permutation of the other side")
+    return pos
 
-@dataclass(frozen=True)
+
+def _score(h: int, r):
+    """Score of rank position ``r`` (a number or an array) among h candidates:
+    10 for the favorite down to 1 for the last, linear in r."""
+    if h == 1:
+        return 10.0 + 0 * r  # the one candidate is the favorite
+    return 1.0 + 9.0 * (h - 1 - r) / (h - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class Market:
     """Balanced bipartition of agents 0..n-1 with strict mutual rankings.
 
-    ``rank[a]`` lists the full opposite side in a's preference order, best
-    first. Construction validates that women and men partition the id space
-    evenly and that every rank list is a permutation of the opposite side.
+    ``women`` and ``men`` are the sorted ids of each side. Row i of
+    ``women_prefs`` is the i-th woman's rank list, best first, as local
+    indices into ``men``; ``men_prefs`` likewise. Construction validates
+    that the sides are equal, sorted and partition the id space, and that
+    every rank list is a permutation of the other side; it derives the id
+    to local index map ``local`` and the position arrays ``women_pos``
+    (``women_pos[i, j]`` is woman i's rank of man j) and ``men_pos``.
     """
 
-    women: tuple[int, ...]
-    men: tuple[int, ...]
-    rank: dict[int, tuple[int, ...]]
+    women: np.ndarray
+    men: np.ndarray
+    women_prefs: np.ndarray
+    men_prefs: np.ndarray
+    local: np.ndarray = field(init=False, repr=False)
+    women_pos: np.ndarray = field(init=False, repr=False)
+    men_pos: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "women", tuple(sorted(self.women)))
-        object.__setattr__(self, "men", tuple(sorted(self.men)))
-        object.__setattr__(self, "rank", {a: tuple(v) for a, v in self.rank.items()})
-        if len(self.women) != len(self.men):
+        women, men = np.asarray(self.women), np.asarray(self.men)
+        if women.ndim != 1 or women.shape != men.shape:
             raise ValueError("women and men must be equally many")
-        n = len(self.women) + len(self.men)
-        if sorted(self.women + self.men) != list(range(n)):
+        h = len(women)
+        sides = np.stack((women, men))
+        if h and sides.dtype.kind not in "iu":
+            raise ValueError("agent ids must be integers")
+        sides = sides.astype(np.intp)
+        women, men = sides
+        if not np.array_equal(np.sort(sides, axis=None), np.arange(2 * h)):
             raise ValueError("women and men must partition ids 0..n-1")
-        for a in self.women:
-            if sorted(self.rank.get(a, ())) != list(self.men):
-                raise ValueError(f"rank list of woman {a} is not a permutation of the men")
-        for a in self.men:
-            if sorted(self.rank.get(a, ())) != list(self.women):
-                raise ValueError(f"rank list of man {a} is not a permutation of the women")
+        if (np.diff(sides, axis=1) < 0).any():
+            raise ValueError("women and men must be listed in increasing id order")
+        women_prefs, men_prefs = np.asarray(self.women_prefs), np.asarray(self.men_prefs)
+        if women_prefs.shape != (h, h) or men_prefs.shape != (h, h):
+            raise ValueError(f"every agent must rank all {h} agents of the other side")
+        prefs = np.stack((women_prefs, men_prefs))
+        pos = _positions_of(prefs, sides)
+        prefs = prefs.astype(np.int32, copy=False)
+        local = np.empty(2 * h, dtype=np.intp)
+        local[women] = local[men] = np.arange(h)
+        for array in (sides, prefs, pos, local):
+            array.flags.writeable = False
+        for name, value in (("women", women), ("men", men), ("local", local),
+                            ("women_prefs", prefs[0]), ("men_prefs", prefs[1]),
+                            ("women_pos", pos[0]), ("men_pos", pos[1])):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Market):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, a), getattr(other, a))
+                   for a in ("women", "men", "women_prefs", "men_prefs"))
 
     @property
     def n(self) -> int:
-        return len(self.women) + len(self.men)
+        return 2 * len(self.women)
 
     @property
     def half(self) -> int:
         return len(self.women)
 
-    @cached_property
-    def woman_set(self) -> frozenset[int]:
-        return frozenset(self.women)
-
-    @cached_property
-    def man_set(self) -> frozenset[int]:
-        return frozenset(self.men)
-
-    @cached_property
-    def _positions(self) -> dict[int, dict[int, int]]:
-        return {a: {b: r for r, b in enumerate(ranked)} for a, ranked in self.rank.items()}
+    def _locate(self, agent: int) -> tuple[bool, int]:
+        """(whether ``agent`` is a woman, its side-local index)."""
+        if not 0 <= agent < self.n:
+            raise ValueError(f"unknown agent id {agent}")
+        i = int(self.local[agent])
+        return bool(self.women[i] == agent), i
 
     def position(self, agent: int, candidate: int) -> int:
         """0-based rank of ``candidate`` in ``agent``'s list (0 = favorite)."""
-        return self._positions[agent][candidate]
+        is_woman, a = self._locate(agent)
+        other_is_woman, b = self._locate(candidate)
+        if is_woman == other_is_woman:
+            raise ValueError(f"agents {agent} and {candidate} are on the same side")
+        return int((self.women_pos if is_woman else self.men_pos)[a, b])
 
     def prefers(self, agent: int, favored: int, other: int) -> bool:
         """True when ``agent`` ranks ``favored`` strictly ahead of ``other``."""
@@ -79,11 +138,7 @@ class Market:
     def score(self, agent: int, candidate: int) -> float:
         """Score agent assigns candidate: 10 for the favorite down to 1 for
         the last of h candidates, linear in rank position."""
-        h = self.half
-        if h == 1:
-            return 10.0
-        r = self.position(agent, candidate)
-        return 1.0 + 9.0 * (h - 1 - r) / (h - 1)
+        return _score(self.half, self.position(agent, candidate))
 
 
 def build_market(n: int, rng: random.Random) -> Market:
@@ -96,15 +151,21 @@ def build_market(n: int, rng: random.Random) -> Market:
     """
     if n < 2 or n % 2:
         raise ValueError(f"agent count must be even and >= 2, got {n}")
-    women = sorted(rng.sample(range(n), n // 2))
-    woman_set = set(women)
-    men = [a for a in range(n) if a not in woman_set]
-    rank: dict[int, tuple[int, ...]] = {}
+    h = n // 2
+    women = sorted(rng.sample(range(n), h))
+    is_woman = np.zeros(n, dtype=bool)
+    is_woman[women] = True
+    # One shuffle per agent in id order. random.shuffle applies the same
+    # permutation whatever the list holds, so shuffling local indices draws
+    # the rank lists that shuffling the ids of the other side would.
+    prefs = np.empty((n, h), dtype=np.int32)
+    base = list(range(h))
     for a in range(n):
-        opposite = list(men) if a in woman_set else list(women)
-        rng.shuffle(opposite)
-        rank[a] = tuple(opposite)
-    return Market(tuple(women), tuple(men), rank)
+        row = base.copy()
+        rng.shuffle(row)
+        prefs[a] = row
+    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman),
+                  prefs[is_woman], prefs[~is_woman])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +182,11 @@ class SocialCircle:
     def contains(self, a: int, b: int) -> bool:
         d = int(self.dm.dist[a, b])
         return d != UNREACHABLE and d <= self.dep
+
+    def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``contains`` for every (row, col) id pair, as a boolean array."""
+        d = self.dm.dist[np.ix_(rows, cols)]
+        return (d != UNREACHABLE) & (d <= self.dep)
 
 
 @dataclass(frozen=True)
@@ -147,49 +213,65 @@ class Matching:
     def by_man(self) -> dict[int, int]:
         return {m: w for w, m in self.pairs}
 
-    def partner_of(self, agent: int) -> Optional[int]:
-        """Partner on either side, or None when unmatched on both."""
-        if agent in self.by_woman:
-            return self.by_woman[agent]
-        return self.by_man.get(agent)
-
     def unmatched_women(self, market: Market) -> list[int]:
-        return [w for w in market.women if w not in self.by_woman]
+        return [w for w in market.women.tolist() if w not in self.by_woman]
 
     def unmatched_men(self, market: Market) -> list[int]:
-        return [m for m in market.men if m not in self.by_man]
+        return [m for m in market.men.tolist() if m not in self.by_man]
 
 
-def _candidate_lists(market: Market, circle: Optional[SocialCircle]) -> dict[int, list[int]]:
-    if circle is None:
-        return {j: list(market.rank[j]) for j in market.men}
-    return {j: [i for i in market.rank[j] if circle.contains(j, i)] for j in market.men}
+def _pair_indices(market: Market, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """Side-local (woman, man) indices of the matched pairs."""
+    ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
+    if ((ids < 0) | (ids >= market.n)).any():
+        raise ValueError("matching names an agent outside the market")
+    wi, mj = market.local[ids[:, 0]], market.local[ids[:, 1]]
+    if not (np.array_equal(market.women[wi], ids[:, 0])
+            and np.array_equal(market.men[mj], ids[:, 1])):
+        raise ValueError("every matched pair must be a (woman, man) pair of the market")
+    return wi, mj
 
 
-def _deferred_acceptance(market: Market, candidates: dict[int, list[int]],
+def _deferred_acceptance(market: Market, known: np.ndarray,
                          proposal_order: Optional[Sequence[int]]) -> Matching:
-    order = list(market.men) if proposal_order is None else list(proposal_order)
-    if sorted(order) != list(market.men):
-        raise ValueError("proposal_order must be a permutation of the men")
-    next_choice = {j: 0 for j in market.men}
-    engaged: dict[int, int] = {}
+    """Man-proposing deferred acceptance; ``known[j, i]`` says whether man j
+    may propose to woman i (side-local indices)."""
+    h = market.half
+    if proposal_order is None:
+        order = range(h)
+    else:
+        order = list(proposal_order)
+        if sorted(order) != market.men.tolist():
+            raise ValueError("proposal_order must be a permutation of the men")
+        order = market.local[np.array(order, dtype=np.intp)].tolist()
+    # Every man's candidate list, best first, concatenated; beside each
+    # candidate, her rank of the man proposing to her.
+    in_order = np.take_along_axis(known, market.men_prefs, axis=1)
+    counts = in_order.sum(axis=1)
+    flat = market.men_prefs[in_order]
+    her_rank = market.women_pos[flat, np.repeat(np.arange(h), counts)]
+    candidates, ranks = flat.tolist(), her_rank.tolist()
+    ends = np.cumsum(counts)
+    next_choice, ends = (ends - counts).tolist(), ends.tolist()
+
+    fiance = [-1] * h
+    fiance_rank = [h] * h  # a free woman accepts any man she knows
     free = deque(order)
     while free:
         j = free.popleft()
-        prefs = candidates[j]
-        while next_choice[j] < len(prefs):
-            i = prefs[next_choice[j]]
-            next_choice[j] += 1
-            current = engaged.get(i)
-            if current is None:
-                engaged[i] = j
+        k, end = next_choice[j], ends[j]
+        while k < end:
+            i, r = candidates[k], ranks[k]
+            k += 1
+            if r < fiance_rank[i]:
+                if fiance[i] >= 0:
+                    free.append(fiance[i])
+                fiance[i], fiance_rank[i] = j, r
                 break
-            if market.prefers(i, j, current):
-                engaged[i] = j
-                free.append(current)
-                break
+        next_choice[j] = k
         # a man who exhausted every woman he knows stays unmatched
-    return Matching.from_pairs(engaged.items())
+    women, men = market.women.tolist(), market.men.tolist()
+    return Matching.from_pairs((women[i], men[j]) for i, j in enumerate(fiance) if j >= 0)
 
 
 def restricted_deferred_acceptance(market: Market, circle: SocialCircle,
@@ -201,22 +283,20 @@ def restricted_deferred_acceptance(market: Market, circle: SocialCircle,
     up exactly when she ranks the proposer strictly ahead of her fiance.
     The outcome does not depend on ``proposal_order`` (exposed for testing).
     """
-    return _deferred_acceptance(market, _candidate_lists(market, circle), proposal_order)
+    return _deferred_acceptance(market, circle.mask(market.men, market.women),
+                                proposal_order)
 
 
 def classical_gs(market: Market, proposal_order: Optional[Sequence[int]] = None) -> Matching:
     """Man-proposing deferred acceptance with complete lists; matches everyone."""
-    return _deferred_acceptance(market, _candidate_lists(market, None), proposal_order)
+    return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool),
+                                proposal_order)
 
 
 def agent_utility(market: Market, matching: Matching, agent: int) -> float:
     """Matched agents earn their score for their partner; unmatched earn 0."""
-    if agent in market.woman_set:
-        partner = matching.by_woman.get(agent)
-    elif agent in market.man_set:
-        partner = matching.by_man.get(agent)
-    else:
-        raise ValueError(f"unknown agent id {agent}")
+    is_woman, _ = market._locate(agent)
+    partner = (matching.by_woman if is_woman else matching.by_man).get(agent)
     if partner is None:
         return 0.0
     return market.score(agent, partner)
@@ -235,8 +315,11 @@ def average_utility(market: Market, matching: Matching) -> float:
     Unmatched agents contribute zero, so sparse matchings are penalized:
     the divisor stays n/2 regardless of how many pairs actually formed.
     """
-    total = sum(pair_utility(market, matching, w, m) for w, m in matching.pairs)
-    return total / market.half
+    h = market.half
+    wi, mj = _pair_indices(market, matching)
+    pair = (_score(h, market.women_pos[wi, mj]) + _score(h, market.men_pos[mj, wi])) / 2.0
+    # Python's sum in pair order: the same float as adding pair_utility up.
+    return sum(pair.tolist()) / h
 
 
 def find_blocking_pair(market: Market, circle: SocialCircle,
@@ -245,17 +328,20 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
     pairing up, scanning women in id order and their lists best-first.
     Returns None when the matching is stable."""
     h = market.half
-    man_position = {}
-    for j in market.men:
-        partner = matching.by_man.get(j)
-        man_position[j] = h if partner is None else market.position(j, partner)
-    for i in market.women:
-        partner = matching.by_woman.get(i)
-        cutoff = h if partner is None else market.position(i, partner)
-        for j in market.rank[i][:cutoff]:
-            if circle.contains(i, j) and market.position(j, i) < man_position[j]:
-                return (i, j)
-    return None
+    wi, mj = _pair_indices(market, matching)
+    her_cutoff = np.full(h, h)  # rank of her partner; h when unmatched
+    his_cutoff = np.full(h, h)
+    her_cutoff[wi] = market.women_pos[wi, mj]
+    his_cutoff[mj] = market.men_pos[mj, wi]
+    blocking = (circle.mask(market.women, market.men)
+                & (market.women_pos < her_cutoff[:, None])
+                & (market.men_pos.T < his_cutoff[None, :]))
+    rows = np.flatnonzero(blocking.any(axis=1))
+    if rows.size == 0:
+        return None
+    i = rows[0]
+    j = np.where(blocking[i], market.women_pos[i], h).argmin()
+    return int(market.women[i]), int(market.men[j])
 
 
 def is_stable(market: Market, circle: SocialCircle, matching: Matching) -> bool:
@@ -264,18 +350,35 @@ def is_stable(market: Market, circle: SocialCircle, matching: Matching) -> bool:
 
 
 def market_to_dict(market: Market) -> dict:
-    """JSON-ready form of a market: genders plus rank lists."""
+    """JSON-ready form of a market: genders plus rank lists of agent ids."""
+    ranked = np.empty((market.n, market.half), dtype=np.intp)
+    ranked[market.women] = market.men[market.women_prefs]
+    ranked[market.men] = market.women[market.men_prefs]
     return {
-        "women": list(market.women),
-        "men": list(market.men),
-        "rank": {str(a): list(ranked) for a, ranked in market.rank.items()},
+        "women": market.women.tolist(),
+        "men": market.men.tolist(),
+        "rank": {str(a): row for a, row in enumerate(ranked.tolist())},
     }
 
 
 def market_from_dict(data: dict) -> Market:
-    """Rebuild a market serialized by ``market_to_dict``."""
-    rank = {int(a): tuple(ranked) for a, ranked in data["rank"].items()}
-    return Market(tuple(data["women"]), tuple(data["men"]), rank)
+    """Rebuild a market serialized by ``market_to_dict``; raises ValueError
+    when the data does not describe a valid market."""
+    women, men = sorted(data["women"]), sorted(data["men"])
+    rank = {int(a): list(ranked) for a, ranked in data["rank"].items()}
+
+    def prefs(own: list[int], other: list[int], side: str) -> np.ndarray:
+        index = {b: j for j, b in enumerate(other)}
+        rows = []
+        for a in own:
+            ranked = rank.get(a, [])
+            if len(ranked) != len(other):
+                raise ValueError(f"rank list of {side} {a} has {len(ranked)} entries, "
+                                 f"expected {len(other)}")
+            rows.append([index.get(b, -1) for b in ranked])
+        return np.array(rows, dtype=np.intp).reshape(len(own), len(other))
+
+    return Market(women, men, prefs(women, men, "woman"), prefs(men, women, "man"))
 
 
 def matching_to_dict(market: Market, circle: SocialCircle, matching: Matching) -> dict:

@@ -259,23 +259,39 @@ def write_edge_list(graph: Graph, target: str | os.PathLike | IO[str]) -> None:
         target.write(f"{u} {v}\n")
 
 
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def read_edge_list(source: str | os.PathLike | IO[str]) -> Graph:
-    """Parse the text edge-list format written by ``write_edge_list``."""
+    """Parse the text edge-list format written by ``write_edge_list``.
+
+    Parse errors name the 1-based line at fault; the header's counts are
+    checked before any edge line is read.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="ascii") as fh:
             return read_edge_list(fh)
     header = source.readline().split()
     if len(header) != 2:
-        raise ValueError("edge list header must be two integers: node and edge counts")
-    n, m = (int(x) for x in header)
+        raise ValueError("line 1: edge list header must be two integers: node and edge counts")
+    n, m = (_parse_int(x, 1) for x in header)
+    if n < 1 or m < 0:
+        raise ValueError(f"line 1: node count must be positive and edge count "
+                         f"non-negative, got {n} and {m}")
     edges = []
-    for line in source:
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(source, start=2):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"line {lineno}: malformed edge line: {line!r}")
+        if len(edges) == m:
+            raise ValueError(f"line {lineno}: more edges than the {m} the header claims")
+        edges.append((_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)))
     if len(edges) != m:
-        raise ValueError(f"header claims {m} edges, found {len(edges)}")
+        raise ValueError(f"line 1: header claims {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)

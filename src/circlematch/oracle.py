@@ -27,8 +27,9 @@ def enumerate_stable_matchings(market: Market, circle: SocialCircle) -> list[Mat
     if market.n > MAX_ORACLE_AGENTS:
         raise ValueError(
             f"exhaustive enumeration is capped at {MAX_ORACLE_AGENTS} agents, got {market.n}")
-    recognized = {i: [j for j in market.men if circle.contains(i, j)] for i in market.women}
-    women = list(market.women)
+    men = market.men.tolist()
+    women = market.women.tolist()
+    recognized = {i: [j for j in men if circle.contains(i, j)] for i in women}
     stable: list[Matching] = []
     used: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -67,7 +68,7 @@ def man_optimal(candidates: Sequence[Matching], market: Market) -> Matching:
     def outcome(matching: Matching) -> tuple[int, ...]:
         return tuple(
             market.position(j, matching.by_man[j]) if j in matching.by_man else worst
-            for j in market.men)
+            for j in market.men.tolist())
 
     vectors = [outcome(c) for c in candidates]
     best = tuple(min(column) for column in zip(*vectors))

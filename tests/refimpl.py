@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from circlematch.harness import derive_seed
-from circlematch.market import Market, SocialCircle, build_market
+from circlematch.market import Market, Matching, SocialCircle, build_market, market_from_dict
 from circlematch.netgen import MODELS, Graph, generate
 from circlematch.topology import UNREACHABLE, DistanceMatrix, all_pairs_shortest
 
@@ -33,6 +33,58 @@ def naive_distances(graph: Graph) -> DistanceMatrix:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
     return DistanceMatrix(n, dist)
+
+
+def make_market(women: Sequence[int], men: Sequence[int],
+                rank: dict[int, Sequence[int]]) -> Market:
+    """Market from rank lists of agent ids, read through the JSON form."""
+    return market_from_dict({"women": list(women), "men": list(men), "rank": rank})
+
+
+def ranking(market: Market, agent: int) -> list[int]:
+    """``agent``'s rank list as agent ids, best first, read off ``position``."""
+    women = market.women.tolist()
+    other = market.men.tolist() if agent in women else women
+    return sorted(other, key=lambda b: market.position(agent, b))
+
+
+def naive_deferred_acceptance(market: Market, circle: SocialCircle) -> Matching:
+    """Man-proposing deferred acceptance over dicts, asking the circle and
+    the market about one pair at a time."""
+    men = market.men.tolist()
+    candidates = {j: [i for i in ranking(market, j) if circle.contains(j, i)] for j in men}
+    next_choice = {j: 0 for j in men}
+    engaged: dict[int, int] = {}
+    free = deque(men)
+    while free:
+        j = free.popleft()
+        prefs = candidates[j]
+        while next_choice[j] < len(prefs):
+            i = prefs[next_choice[j]]
+            next_choice[j] += 1
+            current = engaged.get(i)
+            if current is None:
+                engaged[i] = j
+                break
+            if market.prefers(i, j, current):
+                engaged[i] = j
+                free.append(current)
+                break
+    return Matching.from_pairs(engaged.items())
+
+
+def naive_blocking_pair(market: Market, circle: SocialCircle,
+                        matching: Matching) -> Optional[tuple[int, int]]:
+    """First in-circle pair that would both rather be together: women in id
+    order, each woman's list best-first."""
+    for i in market.women.tolist():
+        for j in ranking(market, i):
+            if matching.by_woman.get(i) == j:
+                break  # she prefers her partner to everyone further down
+            his = matching.by_man.get(j)
+            if circle.contains(i, j) and (his is None or market.prefers(j, i, his)):
+                return (i, j)
+    return None
 
 
 def full_circle(n: int) -> SocialCircle:

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from circlematch import harness
 from circlematch.cli import main
+from circlematch.netgen import read_edge_list
+from circlematch.topology import analyze
 
 CYCLE6_TEXT = "6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -44,6 +47,16 @@ def test_generate_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("model", ["er", "ws", "ba"])
+def test_generate_and_metrics_draw_the_graph_match_uses(capsys, model):
+    args = ("--model", model, "--n", "10", "--k", "2", "--seed", "1")
+    run = harness.run_cell_full(model, 10, 2, seed=1)
+    _, out, _ = run_cli(capsys, "generate", *args)
+    assert read_edge_list(io.StringIO(out)).edges == run.graph.edges
+    _, out, _ = run_cli(capsys, "metrics", *args)
+    assert json.loads(out) == json.loads(json.dumps(analyze(run.graph).to_dict()))
+
+
 # ------------------------------------------------------------------- metrics
 
 def test_metrics_from_file(tmp_path, capsys):
@@ -71,6 +84,14 @@ def test_metrics_without_source_fails(capsys):
     code, _, err = run_cli(capsys, "metrics")
     assert code == 2
     assert "error" in err
+
+
+def test_metrics_parse_error_names_the_line(tmp_path, capsys):
+    source = tmp_path / "bad.txt"
+    source.write_text("3 1\n0 x\n")
+    code, _, err = run_cli(capsys, "metrics", "--in", str(source))
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_metrics_missing_file_gives_io_exit_code(capsys):

@@ -4,6 +4,7 @@ import json
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,14 +26,15 @@ from circlematch.market import (
     pair_utility,
     restricted_deferred_acceptance,
 )
-from circlematch.netgen import Graph
+from circlematch.netgen import MODELS, Graph
 from circlematch.topology import all_pairs_shortest
 
-from refimpl import full_circle, random_instance
+from refimpl import (full_circle, make_market, naive_blocking_pair,
+                     naive_deferred_acceptance, random_instance, ranking)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
-PATH_MARKET = Market(
+PATH_MARKET = make_market(
     women=(0, 2), men=(1, 3),
     rank={0: (1, 3), 1: (2, 0), 2: (1, 3), 3: (2, 0)},
 )
@@ -40,7 +42,7 @@ PATH_CIRCLE = SocialCircle(
     all_pairs_shortest(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])), 1)
 
 # Two women, two men, everyone agrees on the ranking.
-UNANIMOUS = Market(
+UNANIMOUS = make_market(
     women=(0, 1), men=(2, 3),
     rank={0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)},
 )
@@ -49,11 +51,14 @@ UNANIMOUS = Market(
 # -------------------------------------------------------------------- market
 
 def test_market_normalizes_input():
-    m = Market(women=(1, 0), men=(3, 2),
-               rank={0: [2, 3], 1: [3, 2], 2: [0, 1], 3: [1, 0]})
-    assert m.women == (0, 1)
-    assert m.men == (2, 3)
-    assert m.rank[0] == (2, 3)
+    m = market_from_dict({"women": [1, 0], "men": [3, 2],
+                          "rank": {"0": [2, 3], "1": [3, 2], "2": [0, 1], "3": [1, 0]}})
+    assert m.women.tolist() == [0, 1]
+    assert m.men.tolist() == [2, 3]
+    assert m.local.tolist() == [0, 1, 0, 1]
+    assert m.women_prefs.tolist() == [[0, 1], [1, 0]]
+    assert m.men_pos.tolist() == [[0, 1], [1, 0]]
+    assert ranking(m, 0) == [2, 3]
     assert m.n == 4 and m.half == 2
 
 
@@ -66,17 +71,42 @@ def test_market_normalizes_input():
 ])
 def test_market_rejects_malformed(women, men, rank):
     with pytest.raises(ValueError):
-        Market(women=women, men=men, rank=rank)
+        make_market(women, men, rank)
+
+
+@pytest.mark.parametrize("women,men,women_prefs,men_prefs", [
+    ((1, 0), (2, 3), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # sides not sorted
+    ((0, 1), (2, 3), [[0, 2], [0, 1]], [[0, 1], [0, 1]]),  # entry out of range
+    ((0, 1), (2, 3), [[0, -1], [0, 1]], [[0, 1], [0, 1]]),  # negative entry
+    ((0, 1), (2, 3), [[0, 1], [0, 1]], [[1, 1], [0, 1]]),  # repeat
+    ((0, 1), (2, 3), [[0, 1]], [[0, 1], [0, 1]]),          # missing row
+    ((0, 1), (2, 3), [[0.0, 1.0], [0, 1]], [[0, 1], [0, 1]]),  # not integers
+    ((0.5, 1), (2, 3), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # id not an integer
+])
+def test_market_rejects_malformed_arrays(women, men, women_prefs, men_prefs):
+    with pytest.raises(ValueError):
+        Market(women, men, np.array(women_prefs), np.array(men_prefs))
+
+
+def test_market_arrays_are_read_only():
+    market = build_market(6, random.Random(0))
+    with pytest.raises(ValueError):
+        market.women_prefs[0, 0] = 1
 
 
 def test_build_market_structure():
     market = build_market(12, random.Random(3))
     assert len(market.women) == 6 and len(market.men) == 6
-    assert sorted(market.women + market.men) == list(range(12))
-    for w in market.women:
-        assert sorted(market.rank[w]) == sorted(market.men)
-    for m in market.men:
-        assert sorted(market.rank[m]) == sorted(market.women)
+    assert sorted(market.women.tolist() + market.men.tolist()) == list(range(12))
+    for i, w in enumerate(market.women.tolist()):
+        assert market.local[w] == i
+        assert sorted(ranking(market, w)) == market.men.tolist()
+    for j, m in enumerate(market.men.tolist()):
+        assert market.local[m] == j
+        assert sorted(ranking(market, m)) == market.women.tolist()
+    rows = np.arange(6)[:, None]
+    assert (market.women_pos[rows, market.women_prefs] == np.arange(6)).all()
+    assert (market.men_pos[rows, market.men_prefs] == np.arange(6)).all()
 
 
 def test_build_market_deterministic():
@@ -94,7 +124,7 @@ def test_build_market_rejects_odd():
 def test_score_endpoints_and_midpoint():
     market = build_market(20, random.Random(1))
     w = market.women[0]
-    ranked = market.rank[w]
+    ranked = ranking(market, w)
     assert market.score(w, ranked[0]) == pytest.approx(10.0)
     assert market.score(w, ranked[-1]) == pytest.approx(1.0)
     assert market.score(w, ranked[4]) == pytest.approx(6.0)
@@ -102,7 +132,7 @@ def test_score_endpoints_and_midpoint():
 
 def test_score_single_candidate_gets_top_score():
     assert UNANIMOUS.score(0, 2) == 10.0
-    tiny = Market(women=(0,), men=(1,), rank={0: (1,), 1: (0,)})
+    tiny = make_market(women=(0,), men=(1,), rank={0: (1,), 1: (0,)})
     assert tiny.score(0, 1) == 10.0
     assert tiny.score(1, 0) == 10.0
 
@@ -111,7 +141,7 @@ def test_score_single_candidate_gets_top_score():
 def test_score_strictly_decreasing_down_the_list(seed):
     market = build_market(8, random.Random(seed))
     agent = market.women[0]
-    scores = [market.score(agent, other) for other in market.rank[agent]]
+    scores = [market.score(agent, other) for other in ranking(market, agent)]
     assert all(a > b for a, b in zip(scores, scores[1:]))
     assert scores[0] == 10.0 and scores[-1] == 1.0
 
@@ -120,6 +150,10 @@ def test_prefers_follows_rank():
     assert UNANIMOUS.prefers(0, 2, 3)
     assert not UNANIMOUS.prefers(0, 3, 2)
     assert not UNANIMOUS.prefers(0, 2, 2)
+    with pytest.raises(ValueError):
+        UNANIMOUS.position(0, 1)  # both women
+    with pytest.raises(ValueError):
+        UNANIMOUS.position(0, 4)  # no such agent
 
 
 # ----------------------------------------------------------------- matchings
@@ -134,9 +168,12 @@ def test_matching_rejects_double_booking():
 def test_matching_lookups():
     m = Matching.from_pairs([(1, 4), (0, 5)])
     assert m.pairs == ((0, 5), (1, 4))
-    assert m.partner_of(0) == 5
-    assert m.partner_of(4) == 1
-    assert m.partner_of(9) is None
+    assert m.by_woman == {0: 5, 1: 4}
+    assert m.by_man == {5: 0, 4: 1}
+    market = make_market((0, 1, 2), (3, 4, 5), {a: (3, 4, 5) if a < 3 else (0, 1, 2)
+                                                for a in range(6)})
+    assert m.unmatched_women(market) == [2]
+    assert m.unmatched_men(market) == [3]
 
 
 # --------------------------------------------------- deferred acceptance, 2x2
@@ -208,6 +245,21 @@ def test_da_matches_only_recognized_pairs(seed):
         assert inst.circle.contains(w, m)
 
 
+@given(st.integers(0, 10 ** 6), st.sampled_from(MODELS), st.sampled_from((1, 2, 3, 4)))
+def test_da_matches_naive_reference(seed, model, dep):
+    inst = random_instance(seed, models=(model,), dep_pool=(dep,))
+    matching = restricted_deferred_acceptance(inst.market, inst.circle)
+    assert matching.pairs == naive_deferred_acceptance(inst.market, inst.circle).pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_da_matches_naive_reference_at_n200(seed):
+    inst = random_instance(seed, n_pool=(200,), models=(MODELS[seed],))
+    matching = restricted_deferred_acceptance(inst.market, inst.circle)
+    assert matching.pairs == naive_deferred_acceptance(inst.market, inst.circle).pairs
+    assert find_blocking_pair(inst.market, inst.circle, matching) is None
+
+
 @given(st.integers(0, 200))
 def test_full_circle_reduces_to_classical(seed):
     market = build_market(random.Random(seed).choice((4, 6, 8, 10)),
@@ -243,6 +295,9 @@ def test_average_utility_equals_mean_agent_utility(seed):
     per_agent = statistics.fmean(
         agent_utility(inst.market, matching, a) for a in range(inst.market.n))
     assert average_utility(inst.market, matching) == pytest.approx(per_agent)
+    # bit for bit the sum of pair utilities in pair order
+    total = sum(pair_utility(inst.market, matching, w, m) for w, m in matching.pairs)
+    assert average_utility(inst.market, matching) == total / inst.market.half
 
 
 @given(st.integers(0, 200))
@@ -258,6 +313,7 @@ def test_blocking_pair_reports_mutual_gain(seed):
     keep = scrambled_rng.randrange(len(women) + 1)
     arbitrary = Matching.from_pairs(list(zip(women, men))[:keep])
     witness = find_blocking_pair(inst.market, inst.circle, arbitrary)
+    assert witness == naive_blocking_pair(inst.market, inst.circle, arbitrary)
     if witness is None:
         assert is_stable(inst.market, inst.circle, arbitrary)
     else:

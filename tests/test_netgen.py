@@ -235,5 +235,22 @@ def test_edge_list_rejects_count_mismatch():
         read_edge_list(io.StringIO("3 2\n0 1\n"))
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("", 1, id="no-header"),
+    pytest.param("3\n", 1, id="one-count"),
+    pytest.param("3 x\n", 1, id="count-not-an-integer"),
+    pytest.param("-1 0\n0 x\n", 1, id="negative-node-count"),
+    pytest.param("3 -2\n0 1\n", 1, id="negative-edge-count"),
+    pytest.param("3 1\n0 x\n", 2, id="endpoint-not-an-integer"),
+    pytest.param("3 1\n0 1 2\n", 2, id="three-fields"),
+    pytest.param("3 2\n0 1\n\n1 y\n", 4, id="blank-lines-still-count"),
+    pytest.param("3 1\n0 1\n1 2\n", 3, id="more-edges-than-claimed"),
+    pytest.param("3 2\n0 1\n", 1, id="fewer-edges-than-claimed"),
+])
+def test_edge_list_parse_errors_name_the_line(text, line):
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        read_edge_list(io.StringIO(text))
+
+
 def test_models_constant():
     assert MODELS == ("ncn", "er", "ws", "ba")
