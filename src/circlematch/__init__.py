@@ -14,9 +14,8 @@ from .market import (Market, Matching, SocialCircle, agent_utility, average_util
                      build_market, classical_gs, find_blocking_pair, is_stable,
                      market_from_dict, market_to_dict, matching_to_dict,
                      pair_utility, restricted_deferred_acceptance)
-from .netgen import (MODELS, Graph, generate, generate_ba, generate_er,
-                     generate_er_gnp, generate_ncn, generate_ws, read_edge_list,
-                     write_edge_list)
+from .netgen import (MODELS, Graph, generate, generate_ba, generate_er, generate_ncn,
+                     generate_ws, read_edge_list, write_edge_list)
 from .oracle import OracleViolation, enumerate_stable_matchings, man_optimal
 from .topology import (UNREACHABLE, DistanceMatrix, TopologyReport, all_pairs_shortest,
                        analyze, average_degree, average_path_length, connectivity,

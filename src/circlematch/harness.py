@@ -127,7 +127,7 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")))
     graph = cell_graph(model, n, k, seed, p_rewire)
-    dm = all_pairs_shortest(graph)
+    dm = all_pairs_shortest(graph, dep)
     circle = SocialCircle(dm, dep)
     matching = restricted_deferred_acceptance(market, circle)
     runtime_ms = (time.perf_counter() - start) * 1000.0

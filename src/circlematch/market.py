@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .topology import UNREACHABLE, DistanceMatrix
+from .topology import DistanceMatrix
 
 def _positions_of(prefs: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Inverse of both sides' rank lists, ``prefs`` stacked as (2, h, h):
@@ -180,13 +180,11 @@ class SocialCircle:
             raise ValueError(f"recognition depth must be >= 1, got {self.dep}")
 
     def contains(self, a: int, b: int) -> bool:
-        d = int(self.dm.dist[a, b])
-        return d != UNREACHABLE and d <= self.dep
+        return self.dm.pair_within(self.dep, a, b)
 
     def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``contains`` for every (row, col) id pair, as a boolean array."""
-        d = self.dm.dist[np.ix_(rows, cols)]
-        return (d != UNREACHABLE) & (d <= self.dep)
+        return self.dm.within(self.dep, rows, cols)
 
 
 @dataclass(frozen=True)

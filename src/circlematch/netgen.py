@@ -63,18 +63,11 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
 
     def degrees(self) -> list[int]:
         return [len(ns) for ns in self.adjacency]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
 
 
 def _check_ring_params(n: int, k: int) -> None:
@@ -133,15 +126,6 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
     starts = _row_starts(n)
     chosen = rng.sample(range(total), m)
     return Graph.from_edges(n, (_pair_at(starts, t) for t in chosen))
-
-
-def generate_er_gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """Convenience wrapper: draw the edge count from Binomial(n*(n-1)/2, p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    total = n * (n - 1) // 2
-    m = sum(1 for _ in range(total) if rng.random() < p)
-    return generate_er(n, m, rng)
 
 
 def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:

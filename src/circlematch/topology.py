@@ -2,64 +2,227 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .netgen import Graph
 
 UNREACHABLE = -1
 
+# Graphs up to this many nodes always take the bit-parallel path.
+_SMALL_N = 128
+# A graph whose double-sweep depth bound exceeds this many levels takes the
+# scipy path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
+# scipy's per-source traversal costs O(n * (n + m)) whatever the depth.
+_LEVEL_BUDGET = 64
+# Rows of an n x n matrix handled at a time on the dense path.
+_ROWS = 128
+_WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """Boolean form of packed bitset rows of n bits: column b is bit b % 64 of word b // 64."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_unpack``: boolean rows as rows of 64-bit words."""
+    n = bits.shape[1]
+    packed = np.zeros((bits.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(_WORD)
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs hop counts; entries of UNREACHABLE mark disconnected pairs."""
+    """All-pairs hop distances of one graph, kept as a level histogram.
+
+    ``levels[d - 1]`` is the number of ordered node pairs at hop distance d,
+    for d = 1..D with D the largest finite distance. ``circle`` is the packed
+    set of pairs within ``dep`` hops (every node within 0 hops of itself):
+    row a holds bit b % 64 of word b // 64 for every b in reach; it is None
+    when no depth was given. The dense int32 matrix ``dist`` (UNREACHABLE
+    for pairs in different components) is built on first access, from the
+    per-level bitsets the bit-parallel pass keeps, or given outright by
+    ``from_dense``.
+    """
 
     n: int
-    dist: np.ndarray
+    levels: tuple[int, ...]
+    dep: Optional[int] = None
+    circle: Optional[np.ndarray] = field(default=None, repr=False)
+    _level_bits: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    _dense: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def distance(self, i: int, j: int) -> int:
-        return int(self.dist[i, j])
+    @staticmethod
+    def from_dense(dist: np.ndarray, dep: Optional[int] = None) -> "DistanceMatrix":
+        """Summary of a dense hop-count matrix; ``dist`` is kept as ``.dist``."""
+        dist = np.asarray(dist, dtype=np.int32)
+        n = len(dist)
+        # Shifted by one, UNREACHABLE counts in bin 0 and the diagonal in bin 1.
+        counts = sum(np.bincount(rows.ravel() + 1, minlength=n + 1)
+                     for rows in np.split(dist, range(_ROWS, n, _ROWS)))
+        levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
+        # UNREACHABLE wraps to the largest uint32, beyond any depth.
+        circle = None if dep is None else _pack(dist.view(np.uint32) <= dep)
+        return DistanceMatrix(n, levels, dep, circle, _dense=dist)
 
-    def reachable(self, i: int, j: int) -> bool:
-        return self.dist[i, j] != UNREACHABLE
+    @property
+    def dist(self) -> np.ndarray:
+        """The dense n x n hop counts, built and kept on first access."""
+        if self._dense is None:
+            dist = np.full((self.n, self.n), UNREACHABLE, dtype=np.int32)
+            np.fill_diagonal(dist, 0)
+            for d, bits in enumerate(self._level_bits, 1):
+                dist[_unpack(bits, self.n)] = d
+            object.__setattr__(self, "_dense", dist)
+        return self._dense
 
     def diameter(self) -> Optional[int]:
         """Largest finite distance between distinct nodes, or None if every
         pair is disconnected (or there are no pairs at all)."""
-        off_diagonal = ~np.eye(self.n, dtype=bool)
-        finite = self.dist[(self.dist != UNREACHABLE) & off_diagonal]
-        if finite.size == 0:
+        return len(self.levels) or None
+
+    def _circle_at(self, dep: int) -> Optional[np.ndarray]:
+        """The packed circle when it is the set of pairs within ``dep`` hops,
+        else None. Every depth at or past the diameter gives the same set."""
+        if self.circle is None:
             return None
-        return int(finite.max())
+        deepest = len(self.levels)
+        return self.circle if min(dep, deepest) == min(self.dep, deepest) else None
 
-    def _upper_triangle(self) -> np.ndarray:
-        iu = np.triu_indices(self.n, k=1)
-        return self.dist[iu]
+    def within(self, dep: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether each (row, col) node pair is at most ``dep`` hops apart,
+        as a boolean array. Unpacks only the requested rows of the packed
+        circle when it serves ``dep``; reads the dense matrix otherwise."""
+        packed = self._circle_at(dep)
+        if packed is None:
+            d = self.dist[np.ix_(rows, cols)]
+            return (d != UNREACHABLE) & (d <= dep)
+        return _unpack(packed[rows], self.n)[:, cols]
+
+    def pair_within(self, dep: int, a: int, b: int) -> bool:
+        """``within`` for the one pair (a, b)."""
+        packed = self._circle_at(dep)
+        if packed is None:
+            d = int(self.dist[a, b])
+            return d != UNREACHABLE and d <= dep
+        return bool(packed[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
 
 
-def all_pairs_shortest(graph: Graph) -> DistanceMatrix:
-    """Minimum hop count between every node pair.
+def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR neighbour arrays: node v's neighbours are
+    ``indices[indptr[v]:indptr[v + 1]]``."""
+    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), dtype=np.intp,
+                       count=2 * graph.m).reshape(-1, 2)
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    indptr = np.zeros(graph.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=graph.n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows)]
 
-    Unweighted breadth-first traversal from every node, delegated to scipy's
-    compiled routines; pairs in different components come back UNREACHABLE.
+
+def _csgraph(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    n = len(indptr) - 1
+    return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+
+
+def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether a double sweep proves some shortest path longer than the
+    level budget. In every component at once, the sweep runs one BFS from
+    some node and a second from the node farthest from it; the second's
+    depth is a lower bound on that component's diameter."""
+    n = len(indptr) - 1
+    if n <= _SMALL_N:
+        return False
+    adj = _csgraph(indptr, indices)
+    _, component = connected_components(adj, directed=False)
+    _, first = np.unique(component, return_index=True)
+    depth = dijkstra(adj, indices=first, unweighted=True, min_only=True)
+    # the farthest node of each component comes last in (component, depth) order
+    order = np.lexsort((depth, component))
+    far = order[np.append(np.flatnonzero(np.diff(component[order])), n - 1)]
+    return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > _LEVEL_BUDGET
+
+
+def _bit_parallel(indptr: np.ndarray, indices: np.ndarray,
+                  dep: Optional[int]) -> DistanceMatrix:
+    """Breadth-first search from every node at once over packed bitsets
+    (Then et al., "The More the Merrier: Efficient Multi-Source Graph
+    Traversal", VLDB 2014): row v of the frontier holds the sources that
+    reached v at the last level, one OR over each node's neighbour rows
+    gives the next level, and a popcount of its new bits gives the number
+    of ordered pairs at that distance."""
+    n = len(indptr) - 1
+    nodes = np.arange(n)
+    frontier = np.zeros((n, -(-n // 64)), dtype=_WORD)
+    frontier[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    unseen = ~frontier
+    # reduceat mis-handles empty segments, so only nodes with neighbours reduce.
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    levels, level_bits, circle = [], [], None
+    pairs = n * (n - 1)
+    while pairs and linked.size:
+        if len(levels) == dep:
+            circle = ~unseen
+        gathered = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        if linked.size == n:
+            reached = gathered
+        else:  # isolated nodes reach nobody
+            reached = np.zeros_like(frontier)
+            reached[linked] = gathered
+        reached &= unseen
+        count = int(np.bitwise_count(reached).sum())
+        if count == 0:
+            break
+        levels.append(count)
+        level_bits.append(reached)
+        unseen ^= reached
+        frontier = reached
+        pairs -= count  # at 0 every pair is reached and the next level is empty
+    if dep is not None and circle is None:
+        circle = ~unseen
+    return DistanceMatrix(n, tuple(levels), dep, circle, tuple(level_bits))
+
+
+def _scipy_paths(indptr: np.ndarray, indices: np.ndarray,
+                 dep: Optional[int]) -> DistanceMatrix:
+    """Per-source traversal in scipy's compiled routines, for deep graphs.
+    Sources go in blocks of rows, so the float64 distances scipy returns
+    never take more than a block."""
+    adj = _csgraph(indptr, indices)
+    n = len(indptr) - 1
+    dist = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, _ROWS):
+        raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
+        raw[np.isinf(raw)] = UNREACHABLE
+        dist[lo:lo + _ROWS] = raw
+    return DistanceMatrix.from_dense(dist, dep)
+
+
+def all_pairs_shortest(graph: Graph, dep: Optional[int] = None) -> DistanceMatrix:
+    """Minimum hop count between every node pair, summarized in one pass:
+    the level histogram and, when ``dep`` is given, the packed circle of
+    pairs within ``dep`` hops.
+
+    Graphs whose depth bound fits the level budget go through one
+    bit-parallel multi-source BFS and never hold an n x n matrix; deeper
+    graphs go through scipy's per-source traversal. Both give the same
+    summary, and pairs in different components count as UNREACHABLE.
     """
-    n = graph.n
-    if graph.edges:
-        rows = [u for u, _ in graph.edges]
-        cols = [v for _, v in graph.edges]
-        data = np.ones(len(rows), dtype=np.int8)
-        mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        mat = csr_matrix((n, n), dtype=np.int8)
-    raw = shortest_path(mat, directed=False, unweighted=True)
-    dist = np.where(np.isinf(raw), float(UNREACHABLE), raw).astype(np.int32)
-    return DistanceMatrix(n, dist)
+    if dep is not None and dep < 1:
+        raise ValueError(f"recognition depth must be >= 1, got {dep}")
+    adjacency = _neighbours(graph)
+    return (_scipy_paths if _too_deep(*adjacency) else _bit_parallel)(*adjacency, dep)
 
 
 def average_degree(graph: Graph) -> float:
@@ -74,8 +237,7 @@ def degree_distribution(graph: Graph) -> dict[int, int]:
 
 def reachable_pairs(dm: DistanceMatrix) -> int:
     """Number of unordered node pairs connected by some path."""
-    upper = dm._upper_triangle()
-    return int((upper != UNREACHABLE).sum())
+    return sum(dm.levels) // 2
 
 
 def average_path_length(dm: DistanceMatrix) -> Optional[float]:
@@ -85,11 +247,12 @@ def average_path_length(dm: DistanceMatrix) -> Optional[float]:
     denominator. Returns None when no pair is reachable, which callers
     should treat as undefined rather than zero.
     """
-    upper = dm._upper_triangle()
-    finite = upper[upper != UNREACHABLE]
-    if finite.size == 0:
+    pairs = reachable_pairs(dm)
+    if pairs == 0:
         return None
-    return float(finite.mean())
+    # An exact integer sum over a count: the float numpy's mean of the
+    # int32 distances gives.
+    return sum(d * count for d, count in enumerate(dm.levels, 1)) // 2 / pairs
 
 
 def connectivity(dm: DistanceMatrix, dep: int) -> float:
@@ -98,9 +261,7 @@ def connectivity(dm: DistanceMatrix, dep: int) -> float:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")
     if dm.n < 2:
         raise ValueError("connectivity needs at least 2 nodes")
-    upper = dm._upper_triangle()
-    close = (upper != UNREACHABLE) & (upper <= dep)
-    return float(close.sum()) / (dm.n * (dm.n - 1) // 2)
+    return sum(dm.levels[:dep]) // 2 / (dm.n * (dm.n - 1) // 2)
 
 
 def poisson_connectivity(lam: float, dep: int) -> float:
@@ -127,7 +288,7 @@ class TopologyReport:
     degree_histogram: dict[int, int]
     apl: Optional[float]
     reachable_pairs: int
-    connectivity: float
+    connectivity: Optional[float]
     dep: int
 
     def to_dict(self) -> dict:
@@ -144,8 +305,9 @@ class TopologyReport:
 
 
 def analyze(graph: Graph, dep: int = 3) -> TopologyReport:
-    """Compute the full metric bundle for one graph."""
-    dm = all_pairs_shortest(graph)
+    """Compute the full metric bundle for one graph. A 1-node graph has no
+    pairs, so its path length and connectivity are None."""
+    dm = all_pairs_shortest(graph, dep)
     return TopologyReport(
         n=graph.n,
         m=graph.m,
@@ -153,6 +315,6 @@ def analyze(graph: Graph, dep: int = 3) -> TopologyReport:
         degree_histogram=degree_distribution(graph),
         apl=average_path_length(dm),
         reachable_pairs=reachable_pairs(dm),
-        connectivity=connectivity(dm, dep),
+        connectivity=connectivity(dm, dep) if graph.n >= 2 else None,
         dep=dep,
     )

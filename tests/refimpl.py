@@ -15,7 +15,7 @@ import numpy as np
 
 from circlematch.harness import derive_seed
 from circlematch.market import Market, Matching, SocialCircle, build_market, market_from_dict
-from circlematch.netgen import MODELS, Graph, generate
+from circlematch.netgen import MODELS, Graph, generate, generate_er
 from circlematch.topology import UNREACHABLE, DistanceMatrix, all_pairs_shortest
 
 
@@ -32,7 +32,7 @@ def naive_distances(graph: Graph) -> DistanceMatrix:
                 if dist[source, v] == UNREACHABLE:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
-    return DistanceMatrix(n, dist)
+    return DistanceMatrix.from_dense(dist)
 
 
 def make_market(women: Sequence[int], men: Sequence[int],
@@ -91,7 +91,7 @@ def full_circle(n: int) -> SocialCircle:
     """A circle in which everyone recognizes everyone else."""
     dist = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    return SocialCircle(DistanceMatrix(n, dist), 1)
+    return SocialCircle(DistanceMatrix.from_dense(dist, 1), 1)
 
 
 def valid_degrees(n: int) -> list[int]:
@@ -125,8 +125,18 @@ def random_instance(seed: int,
     market = build_market(n, random.Random(derive_seed(seed, "market")))
     graph = generate(model, n, k, p_rewire=p_rewire,
                      rng=random.Random(derive_seed(seed, f"graph:{model}")))
-    dm = all_pairs_shortest(graph)
+    dm = all_pairs_shortest(graph, dep)
     return Instance(model, n, k, dep, graph, dm, SocialCircle(dm, dep), market)
+
+
+def generate_er_gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """Random graph with a Binomial(n*(n-1)/2, p) edge count, drawn by one
+    Bernoulli trial per node pair."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    total = n * (n - 1) // 2
+    m = sum(1 for _ in range(total) if rng.random() < p)
+    return generate_er(n, m, rng)
 
 
 def assert_valid_graph(graph: Graph, n: int, m: Optional[int] = None) -> None:

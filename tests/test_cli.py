@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import networkx as nx
 import pytest
 
 from circlematch import harness
@@ -73,6 +74,18 @@ def test_metrics_from_file(tmp_path, capsys):
     assert report["dep"] == 3
 
 
+def test_metrics_on_a_single_node_has_no_pairs(tmp_path, capsys):
+    source = tmp_path / "one.txt"
+    source.write_text("1 0\n")
+    code, out, err = run_cli(capsys, "metrics", "--in", str(source))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["n"] == 1
+    assert report["apl"] is None
+    assert report["connectivity"] is None
+    assert report["reachable_pairs"] == 0
+
+
 def test_metrics_generated_with_depth_flag(capsys):
     code, out, _ = run_cli(capsys, "metrics", "--model", "ncn", "--n", "6",
                            "--k", "2", "--dep", "1")
@@ -114,6 +127,19 @@ def test_match_reports_a_stable_assignment(capsys):
         assert pair["distance"] <= 3
     matched = 2 * len(payload["pairs"])
     assert matched + len(payload["unmatched_women"]) + len(payload["unmatched_men"]) == 12
+
+
+@pytest.mark.parametrize("model, k", [("ncn", 2), ("er", 4)])
+def test_match_distances_agree_with_networkx(capsys, model, k):
+    # ncn at k=2 is deep enough for the scipy path; er takes the bit-parallel one
+    code, out, _ = run_cli(capsys, "match", "--model", model, "--n", "300", "--k", str(k))
+    assert code == 0
+    pairs = json.loads(out)["pairs"]
+    assert pairs
+    graph = nx.Graph(harness.cell_graph(model, 300, k, 0, 0.1).edges)
+    for pair in pairs:
+        expected = nx.shortest_path_length(graph, pair["woman"], pair["man"])
+        assert pair["distance"] == expected <= 3
 
 
 def test_match_deterministic(capsys):

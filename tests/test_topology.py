@@ -1,16 +1,19 @@
 """Distance computation and topology metrics, cross-checked against a
-naive per-source BFS and scipy.stats for the Poisson series."""
+naive per-source BFS, networkx, and scipy.stats for the Poisson series."""
 
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circlematch.netgen import Graph, generate, generate_er, generate_ncn
+from circlematch import topology
+from circlematch.market import SocialCircle
+from circlematch.netgen import Graph, generate, generate_ba, generate_er, generate_ncn
 from circlematch.topology import (
     UNREACHABLE,
     all_pairs_shortest,
@@ -41,18 +44,107 @@ def test_shortest_paths_match_naive_bfs(seed):
 
 def test_disconnected_pairs_marked():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    dm = all_pairs_shortest(g)
-    assert dm.distance(0, 1) == 1
-    assert dm.distance(0, 2) == UNREACHABLE
-    assert not dm.reachable(4, 0)
-    assert dm.reachable(3, 2)
+    dist = all_pairs_shortest(g).dist
+    assert dist[0, 1] == 1
+    assert dist[0, 2] == UNREACHABLE
+    assert dist[4, 0] == UNREACHABLE
+    assert dist[3, 2] == 1
 
 
 def test_cycle_distances_frozen():
     dm = all_pairs_shortest(CYCLE6)
-    assert dm.distance(0, 3) == 3
-    assert dm.distance(1, 5) == 2
+    assert dm.dist[0, 3] == 3
+    assert dm.dist[1, 5] == 2
     assert dm.diameter() == 3
+    assert dm.levels == (12, 12, 6)
+
+
+def assert_summary_matches(dm, dist, deps):
+    """Every summary ``dm`` gives equals the value derived from the dense
+    reference ``dist``: the histogram, the metrics, and each circle bit."""
+    n = len(dist)
+    finite = dist[(dist != UNREACHABLE) & ~np.eye(n, dtype=bool)]
+    diameter = int(finite.max()) if finite.size else None
+    assert dm.levels == tuple(int((finite == d).sum()) for d in range(1, (diameter or 0) + 1))
+    assert dm.diameter() == diameter
+    upper = dist[np.triu_indices(n, k=1)]
+    reach = upper[upper != UNREACHABLE]
+    assert reachable_pairs(dm) == reach.size
+    # exact: the histogram gives the same float as numpy's mean
+    assert average_path_length(dm) == (float(reach.mean()) if reach.size else None)
+    for dep in deps:
+        if n >= 2:
+            assert connectivity(dm, dep) == float((reach <= dep).sum()) / (n * (n - 1) // 2)
+        within = (dist != UNREACHABLE) & (dist <= dep)
+        circle = SocialCircle(dm, dep)
+        nodes = np.arange(n)
+        assert np.array_equal(circle.mask(nodes, nodes), within)
+        assert [circle.contains(a, b) for a in range(n) for b in range(n)] == within.ravel().tolist()
+        if dm._circle_at(dep) is not None:
+            assert np.array_equal(topology._unpack(dm._circle_at(dep), n), within)
+
+
+@given(st.integers(0, 300))
+def test_summary_matches_naive_bfs_on_both_paths(seed):
+    inst = random_instance(seed)
+    slow = naive_distances(inst.graph).dist
+    adjacency = topology._neighbours(inst.graph)
+    for dm in (inst.dm, topology._bit_parallel(*adjacency, inst.dep),
+               topology._scipy_paths(*adjacency, inst.dep)):
+        assert dm.dep == inst.dep
+        assert dm._circle_at(inst.dep) is not None
+        assert np.array_equal(dm.dist, slow)
+        assert_summary_matches(dm, slow, (1, 2, 3, 4))
+
+
+def networkx_distances(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges)
+    dist = np.full((graph.n, graph.n), UNREACHABLE, dtype=np.int32)
+    for a, lengths in nx.all_pairs_shortest_path_length(g):
+        for b, d in lengths.items():
+            dist[a, b] = d
+    return dist
+
+
+def sparse_evens(n):
+    """A random graph on the even nodes of 0..n-1: every odd node is isolated."""
+    g = generate_er(n // 2, n, random.Random(3))
+    return Graph.from_edges(n, [(2 * u, 2 * v) for u, v in g.edges])
+
+
+def ring_beside_clump():
+    """A 200-node ring (diameter 100) beside a dense 100-node random graph
+    that holds every node of top degree."""
+    clump = generate_er(100, 2000, random.Random(4))
+    return Graph.from_edges(300, list(generate_ncn(200, 2).edges)
+                            + [(200 + u, 200 + v) for u, v in clump.edges])
+
+
+@pytest.mark.parametrize("name, graph, deep", [
+    ("ncn ring", generate_ncn(300, 2), True),
+    ("ring beside a clump", ring_beside_clump(), True),
+    ("er", generate_er(300, 600, random.Random(1)), False),
+    ("ba", generate_ba(300, 2, random.Random(2)), False),
+    ("isolated nodes", sparse_evens(300), False),
+    ("edgeless", Graph.from_edges(300, []), False),
+])
+def test_both_paths_match_networkx_at_n300(name, graph, deep):
+    assert topology._too_deep(*topology._neighbours(graph)) == deep
+    dist = networkx_distances(graph)
+    diameter = int(dist.max())
+    deps = sorted({1, 3, max(diameter, 1), diameter + 2})
+    for dep in deps:
+        dm = all_pairs_shortest(graph, dep)
+        assert np.array_equal(topology._unpack(dm.circle, graph.n),
+                              (dist != UNREACHABLE) & (dist <= dep))
+    dm = all_pairs_shortest(graph, 3)
+    assert (dm._circle_at(2) is None) == (diameter > 2)
+    assert np.array_equal(dm.dist, dist)
+    # circles at the other depths read the dense distances, or the packed
+    # circle when both depths are at or past the diameter
+    assert_summary_matches(dm, dist, deps)
 
 
 def test_diameter_of_edgeless_graph_is_none():
