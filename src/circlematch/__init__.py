@@ -10,15 +10,16 @@ from .harness import (CellRun, ExperimentConfig, ExperimentResult, derive_seed,
                       fig1_config, fig2_config, fig36_config, results_to_csv,
                       results_to_json, run_cell, run_cell_full, summarize, sweep,
                       table2_config)
-from .market import (Market, Matching, SocialCircle, agent_utility, average_utility,
+from .market import (Market, Matching, agent_utility, average_utility,
                      build_market, classical_gs, find_blocking_pair, is_stable,
                      market_from_dict, market_to_dict, matching_to_dict,
                      pair_utility, restricted_deferred_acceptance)
 from .netgen import (MODELS, Graph, generate, generate_ba, generate_er, generate_ncn,
                      generate_ws, read_edge_list, write_edge_list)
 from .oracle import OracleViolation, enumerate_stable_matchings, man_optimal
-from .topology import (UNREACHABLE, DistanceMatrix, TopologyReport, all_pairs_shortest,
-                       analyze, average_degree, average_path_length, connectivity,
-                       degree_distribution, poisson_connectivity, reachable_pairs)
+from .topology import (UNREACHABLE, DistanceMatrix, SocialCircle, TopologyReport,
+                       all_pairs_shortest, analyze, average_degree, average_path_length,
+                       connectivity, degree_distribution, poisson_connectivity,
+                       reachable_pairs)
 
 __version__ = "0.1.0"

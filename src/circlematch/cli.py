@@ -62,7 +62,7 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 def _cmd_match(args: argparse.Namespace) -> None:
     run = harness.run_cell_full(args.model, args.n, args.k, args.dep,
                                 args.seed, args.p_rewire)
-    payload = matching_to_dict(run.market, run.circle, run.matching)
+    payload = matching_to_dict(run.market, run.dm, run.matching)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
 
 

@@ -13,15 +13,15 @@ import hashlib
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 from . import netgen
-from .market import (Market, Matching, SocialCircle, average_utility, build_market,
+from .market import (Market, Matching, average_utility, build_market,
                      restricted_deferred_acceptance)
 from .netgen import MODELS, Graph
-from .topology import (DistanceMatrix, all_pairs_shortest, average_path_length,
-                       connectivity)
+from .topology import (DistanceMatrix, SocialCircle, all_pairs_shortest,
+                       average_path_length, connectivity)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -128,8 +128,7 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
     market = build_market(n, random.Random(derive_seed(seed, "market")))
     graph = cell_graph(model, n, k, seed, p_rewire)
     dm = all_pairs_shortest(graph, dep)
-    circle = SocialCircle(dm, dep)
-    matching = restricted_deferred_acceptance(market, circle)
+    matching = restricted_deferred_acceptance(market, dm.circle)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     result = ExperimentResult(
         model=model, n=n, k=k, dep=dep, p_rewire=p_rewire, seed=seed,
@@ -139,7 +138,7 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
         matched_pairs=len(matching.pairs),
         runtime_ms=runtime_ms,
     )
-    return CellRun(graph=graph, dm=dm, circle=circle, market=market,
+    return CellRun(graph=graph, dm=dm, circle=dm.circle, market=market,
                    matching=matching, result=result)
 
 
@@ -204,25 +203,12 @@ def results_to_csv(results: Iterable[ExperimentResult], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for r in results:
-        writer.writerow([
-            r.model, r.n, r.k, r.dep, r.p_rewire, r.seed,
-            r.average_utility, "" if r.apl is None else r.apl,
-            r.connectivity, r.matched_pairs,
-        ])
+        writer.writerow([getattr(r, f) for f in CSV_FIELDS])
 
 
 def results_to_json(results: Iterable[ExperimentResult]) -> list[dict]:
     """Results as JSON-ready dicts, runtime included."""
-    return [
-        {
-            "model": r.model, "n": r.n, "k": r.k, "dep": r.dep,
-            "p_rewire": r.p_rewire, "seed": r.seed,
-            "average_utility": r.average_utility, "apl": r.apl,
-            "connectivity": r.connectivity, "matched_pairs": r.matched_pairs,
-            "runtime_ms": r.runtime_ms,
-        }
-        for r in results
-    ]
+    return [asdict(r) for r in results]
 
 
 def table2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,

@@ -3,9 +3,10 @@
 Agents sit on the nodes of a graph and are split into equal sets of women
 and men. Each agent holds a strict ranking over the entire opposite side;
 a score in [1, 10] is a fixed decreasing function of rank position and does
-not depend on any network. A ``SocialCircle`` limits who can actually be
-proposed to: only pairs within graph distance ``dep`` recognize each other,
-so deferred acceptance may leave agents unmatched even in a balanced market.
+not depend on any network. A ``topology.SocialCircle`` limits who can
+actually be proposed to: only pairs within graph distance ``dep`` recognize
+each other, so deferred acceptance may leave agents unmatched even in a
+balanced market.
 
 Preferences are held in side-local form: an agent's local index is its
 position in the sorted id array of its side, and each side has an h x h
@@ -20,11 +21,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .topology import DistanceMatrix
+from .topology import DistanceMatrix, SocialCircle
 
 def _positions_of(prefs: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Inverse of both sides' rank lists, ``prefs`` stacked as (2, h, h):
@@ -168,25 +169,6 @@ def build_market(n: int, rng: random.Random) -> Market:
                   prefs[is_woman], prefs[~is_woman])
 
 
-@dataclass(frozen=True, eq=False)
-class SocialCircle:
-    """Mutual-recognition predicate: pairs within ``dep`` hops know each other."""
-
-    dm: DistanceMatrix
-    dep: int
-
-    def __post_init__(self):
-        if self.dep < 1:
-            raise ValueError(f"recognition depth must be >= 1, got {self.dep}")
-
-    def contains(self, a: int, b: int) -> bool:
-        return self.dm.pair_within(self.dep, a, b)
-
-    def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``contains`` for every (row, col) id pair, as a boolean array."""
-        return self.dm.within(self.dep, rows, cols)
-
-
 @dataclass(frozen=True)
 class Matching:
     """Partial one-to-one assignment of women to men, stored as sorted
@@ -230,18 +212,10 @@ def _pair_indices(market: Market, matching: Matching) -> tuple[np.ndarray, np.nd
     return wi, mj
 
 
-def _deferred_acceptance(market: Market, known: np.ndarray,
-                         proposal_order: Optional[Sequence[int]]) -> Matching:
+def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
     """Man-proposing deferred acceptance; ``known[j, i]`` says whether man j
     may propose to woman i (side-local indices)."""
     h = market.half
-    if proposal_order is None:
-        order = range(h)
-    else:
-        order = list(proposal_order)
-        if sorted(order) != market.men.tolist():
-            raise ValueError("proposal_order must be a permutation of the men")
-        order = market.local[np.array(order, dtype=np.intp)].tolist()
     # Every man's candidate list, best first, concatenated; beside each
     # candidate, her rank of the man proposing to her.
     in_order = np.take_along_axis(known, market.men_prefs, axis=1)
@@ -254,7 +228,7 @@ def _deferred_acceptance(market: Market, known: np.ndarray,
 
     fiance = [-1] * h
     fiance_rank = [h] * h  # a free woman accepts any man she knows
-    free = deque(order)
+    free = deque(range(h))
     while free:
         j = free.popleft()
         k, end = next_choice[j], ends[j]
@@ -272,23 +246,20 @@ def _deferred_acceptance(market: Market, known: np.ndarray,
     return Matching.from_pairs((women[i], men[j]) for i, j in enumerate(fiance) if j >= 0)
 
 
-def restricted_deferred_acceptance(market: Market, circle: SocialCircle,
-                                   proposal_order: Optional[Sequence[int]] = None) -> Matching:
+def restricted_deferred_acceptance(market: Market, circle: SocialCircle) -> Matching:
     """Man-proposing deferred acceptance over circle-restricted lists.
 
     Men propose down their rank lists filtered to women they recognize; a
     free woman accepts any proposer she recognizes, an engaged woman trades
     up exactly when she ranks the proposer strictly ahead of her fiance.
-    The outcome does not depend on ``proposal_order`` (exposed for testing).
+    The outcome does not depend on the order in which free men propose.
     """
-    return _deferred_acceptance(market, circle.mask(market.men, market.women),
-                                proposal_order)
+    return _deferred_acceptance(market, circle.mask(market.men, market.women))
 
 
-def classical_gs(market: Market, proposal_order: Optional[Sequence[int]] = None) -> Matching:
+def classical_gs(market: Market) -> Matching:
     """Man-proposing deferred acceptance with complete lists; matches everyone."""
-    return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool),
-                                proposal_order)
+    return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool))
 
 
 def agent_utility(market: Market, matching: Matching, agent: int) -> float:
@@ -379,13 +350,14 @@ def market_from_dict(data: dict) -> Market:
     return Market(women, men, prefs(women, men, "woman"), prefs(men, women, "man"))
 
 
-def matching_to_dict(market: Market, circle: SocialCircle, matching: Matching) -> dict:
-    """JSON-ready form of a matching with per-pair distance and utility."""
+def matching_to_dict(market: Market, dm: DistanceMatrix, matching: Matching) -> dict:
+    """JSON-ready form of a matching with per-pair distance, read from the
+    graph's distance summary ``dm``, and utility."""
     pairs = [
         {
             "woman": w,
             "man": m,
-            "distance": int(circle.dm.dist[w, m]),
+            "distance": int(dm.dist[w, m]),
             "pair_utility": pair_utility(market, matching, w, m),
         }
         for w, m in matching.pairs

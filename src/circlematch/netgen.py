@@ -244,10 +244,11 @@ def write_edge_list(graph: Graph, target: str | os.PathLike | IO[str]) -> None:
 
 
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+    # int() also reads non-ASCII digits, "+" and "_", which the format does not allow.
+    digits = token[token.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
+    return int(token)
 
 
 def read_edge_list(source: str | os.PathLike | IO[str]) -> Graph:

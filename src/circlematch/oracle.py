@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .market import Market, Matching, SocialCircle, is_stable
+from .market import Market, Matching, is_stable
+from .topology import SocialCircle
 
 MAX_ORACLE_AGENTS = 12
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,28 +42,46 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SocialCircle:
+    """Mutual-recognition predicate: pairs within ``dep`` hops know each other.
+
+    ``bits`` packs the circle row by row: row a holds bit b % 64 of word
+    b // 64 for every node b within ``dep`` hops of a, a itself included.
+    """
+
+    n: int
+    dep: int
+    bits: np.ndarray = field(repr=False)
+
+    def contains(self, a: int, b: int) -> bool:
+        return bool(self.bits[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
+
+    def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``contains`` for every (row, col) node pair, as a boolean array;
+        unpacks only the requested rows."""
+        return _unpack(self.bits[rows], self.n)[:, cols]
+
+
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop distances of one graph, kept as a level histogram.
 
     ``levels[d - 1]`` is the number of ordered node pairs at hop distance d,
-    for d = 1..D with D the largest finite distance. ``circle`` is the packed
-    set of pairs within ``dep`` hops (every node within 0 hops of itself):
-    row a holds bit b % 64 of word b // 64 for every b in reach; it is None
-    when no depth was given. The dense int32 matrix ``dist`` (UNREACHABLE
-    for pairs in different components) is built on first access, from the
-    per-level bitsets the bit-parallel pass keeps, or given outright by
-    ``from_dense``.
+    for d = 1..D with D the largest finite distance. ``circle`` is the
+    social circle at the depth the summary was built for. The dense int32
+    matrix ``dist`` (UNREACHABLE for pairs in different components) is
+    built on first access, from the per-level bitsets the bit-parallel pass
+    keeps, or given outright by ``from_dense``.
     """
 
     n: int
     levels: tuple[int, ...]
-    dep: Optional[int] = None
-    circle: Optional[np.ndarray] = field(default=None, repr=False)
+    circle: SocialCircle
     _level_bits: tuple[np.ndarray, ...] = field(default=(), repr=False)
     _dense: Optional[np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
-    def from_dense(dist: np.ndarray, dep: Optional[int] = None) -> "DistanceMatrix":
+    def from_dense(dist: np.ndarray, dep: int) -> "DistanceMatrix":
         """Summary of a dense hop-count matrix; ``dist`` is kept as ``.dist``."""
         dist = np.asarray(dist, dtype=np.int32)
         n = len(dist)
@@ -72,8 +90,8 @@ class DistanceMatrix:
                      for rows in np.split(dist, range(_ROWS, n, _ROWS)))
         levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
         # UNREACHABLE wraps to the largest uint32, beyond any depth.
-        circle = None if dep is None else _pack(dist.view(np.uint32) <= dep)
-        return DistanceMatrix(n, levels, dep, circle, _dense=dist)
+        circle = SocialCircle(n, dep, _pack(dist.view(np.uint32) <= dep))
+        return DistanceMatrix(n, levels, circle, _dense=dist)
 
     @property
     def dist(self) -> np.ndarray:
@@ -90,32 +108,6 @@ class DistanceMatrix:
         """Largest finite distance between distinct nodes, or None if every
         pair is disconnected (or there are no pairs at all)."""
         return len(self.levels) or None
-
-    def _circle_at(self, dep: int) -> Optional[np.ndarray]:
-        """The packed circle when it is the set of pairs within ``dep`` hops,
-        else None. Every depth at or past the diameter gives the same set."""
-        if self.circle is None:
-            return None
-        deepest = len(self.levels)
-        return self.circle if min(dep, deepest) == min(self.dep, deepest) else None
-
-    def within(self, dep: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Whether each (row, col) node pair is at most ``dep`` hops apart,
-        as a boolean array. Unpacks only the requested rows of the packed
-        circle when it serves ``dep``; reads the dense matrix otherwise."""
-        packed = self._circle_at(dep)
-        if packed is None:
-            d = self.dist[np.ix_(rows, cols)]
-            return (d != UNREACHABLE) & (d <= dep)
-        return _unpack(packed[rows], self.n)[:, cols]
-
-    def pair_within(self, dep: int, a: int, b: int) -> bool:
-        """``within`` for the one pair (a, b)."""
-        packed = self._circle_at(dep)
-        if packed is None:
-            d = int(self.dist[a, b])
-            return d != UNREACHABLE and d <= dep
-        return bool(packed[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
 
 
 def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +145,7 @@ def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > _LEVEL_BUDGET
 
 
-def _bit_parallel(indptr: np.ndarray, indices: np.ndarray,
-                  dep: Optional[int]) -> DistanceMatrix:
+def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
     """Breadth-first search from every node at once over packed bitsets
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
     Traversal", VLDB 2014): row v of the frontier holds the sources that
@@ -189,13 +180,12 @@ def _bit_parallel(indptr: np.ndarray, indices: np.ndarray,
         unseen ^= reached
         frontier = reached
         pairs -= count  # at 0 every pair is reached and the next level is empty
-    if dep is not None and circle is None:
+    if circle is None:
         circle = ~unseen
-    return DistanceMatrix(n, tuple(levels), dep, circle, tuple(level_bits))
+    return DistanceMatrix(n, tuple(levels), SocialCircle(n, dep, circle), tuple(level_bits))
 
 
-def _scipy_paths(indptr: np.ndarray, indices: np.ndarray,
-                 dep: Optional[int]) -> DistanceMatrix:
+def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
     """Per-source traversal in scipy's compiled routines, for deep graphs.
     Sources go in blocks of rows, so the float64 distances scipy returns
     never take more than a block."""
@@ -209,17 +199,16 @@ def _scipy_paths(indptr: np.ndarray, indices: np.ndarray,
     return DistanceMatrix.from_dense(dist, dep)
 
 
-def all_pairs_shortest(graph: Graph, dep: Optional[int] = None) -> DistanceMatrix:
+def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """Minimum hop count between every node pair, summarized in one pass:
-    the level histogram and, when ``dep`` is given, the packed circle of
-    pairs within ``dep`` hops.
+    the level histogram and the social circle of pairs within ``dep`` hops.
 
     Graphs whose depth bound fits the level budget go through one
     bit-parallel multi-source BFS and never hold an n x n matrix; deeper
     graphs go through scipy's per-source traversal. Both give the same
     summary, and pairs in different components count as UNREACHABLE.
     """
-    if dep is not None and dep < 1:
+    if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")
     adjacency = _neighbours(graph)
     return (_scipy_paths if _too_deep(*adjacency) else _bit_parallel)(*adjacency, dep)
@@ -292,16 +281,7 @@ class TopologyReport:
     dep: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "average_degree": self.average_degree,
-            "degree_histogram": dict(self.degree_histogram),
-            "apl": self.apl,
-            "reachable_pairs": self.reachable_pairs,
-            "connectivity": self.connectivity,
-            "dep": self.dep,
-        }
+        return asdict(self)
 
 
 def analyze(graph: Graph, dep: int = 3) -> TopologyReport:

@@ -14,13 +14,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from circlematch.harness import derive_seed
-from circlematch.market import Market, Matching, SocialCircle, build_market, market_from_dict
+from circlematch.market import Market, Matching, build_market, market_from_dict
 from circlematch.netgen import MODELS, Graph, generate, generate_er
-from circlematch.topology import UNREACHABLE, DistanceMatrix, all_pairs_shortest
+from circlematch.topology import UNREACHABLE, DistanceMatrix, SocialCircle, all_pairs_shortest
 
 
-def naive_distances(graph: Graph) -> DistanceMatrix:
-    """Per-source breadth-first search with a plain Python queue."""
+def naive_distances(graph: Graph) -> np.ndarray:
+    """Dense hop counts by per-source breadth-first search with a plain
+    Python queue; UNREACHABLE between components."""
     n = graph.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
     for source in range(n):
@@ -32,7 +33,7 @@ def naive_distances(graph: Graph) -> DistanceMatrix:
                 if dist[source, v] == UNREACHABLE:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
-    return DistanceMatrix.from_dense(dist)
+    return dist
 
 
 def make_market(women: Sequence[int], men: Sequence[int],
@@ -48,14 +49,16 @@ def ranking(market: Market, agent: int) -> list[int]:
     return sorted(other, key=lambda b: market.position(agent, b))
 
 
-def naive_deferred_acceptance(market: Market, circle: SocialCircle) -> Matching:
+def naive_deferred_acceptance(market: Market, circle: SocialCircle,
+                              order: Optional[Sequence[int]] = None) -> Matching:
     """Man-proposing deferred acceptance over dicts, asking the circle and
-    the market about one pair at a time."""
+    the market about one pair at a time. Free men wait in a queue that
+    starts in ``order`` (default: increasing id)."""
     men = market.men.tolist()
     candidates = {j: [i for i in ranking(market, j) if circle.contains(j, i)] for j in men}
     next_choice = {j: 0 for j in men}
     engaged: dict[int, int] = {}
-    free = deque(men)
+    free = deque(men if order is None else order)
     while free:
         j = free.popleft()
         prefs = candidates[j]
@@ -91,7 +94,7 @@ def full_circle(n: int) -> SocialCircle:
     """A circle in which everyone recognizes everyone else."""
     dist = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    return SocialCircle(DistanceMatrix.from_dense(dist, 1), 1)
+    return DistanceMatrix.from_dense(dist, 1).circle
 
 
 def valid_degrees(n: int) -> list[int]:
@@ -126,7 +129,7 @@ def random_instance(seed: int,
     graph = generate(model, n, k, p_rewire=p_rewire,
                      rng=random.Random(derive_seed(seed, f"graph:{model}")))
     dm = all_pairs_shortest(graph, dep)
-    return Instance(model, n, k, dep, graph, dm, SocialCircle(dm, dep), market)
+    return Instance(model, n, k, dep, graph, dm, dm.circle, market)
 
 
 def generate_er_gnp(n: int, p: float, rng: random.Random) -> Graph:

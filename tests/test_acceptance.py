@@ -21,7 +21,6 @@ from circlematch.harness import (
     sweep,
 )
 from circlematch.market import (
-    SocialCircle,
     average_utility,
     build_market,
     classical_gs,
@@ -118,7 +117,7 @@ def test_03_full_recognition_recovers_complete_information(capsys):
         diameter = inst.dm.diameter()
         if diameter is None or (inst.dm.dist == UNREACHABLE).any():
             continue
-        wide = SocialCircle(inst.dm, diameter)
+        wide = all_pairs_shortest(inst.graph, diameter).circle
         matching = restricted_deferred_acceptance(inst.market, wide)
         classical = classical_gs(inst.market)
         assert matching.pairs == classical.pairs, f"seed {seed - 1}"
@@ -228,14 +227,14 @@ def test_07_path_length_anticorrelates_with_connectivity(capsys):
 
 def test_08_path_length_scaling_laws(capsys):
     ring_ratio = (
-        average_path_length(all_pairs_shortest(generate_ncn(100, 2)))
-        / average_path_length(all_pairs_shortest(generate_ncn(50, 2))))
+        average_path_length(all_pairs_shortest(generate_ncn(100, 2), 3))
+        / average_path_length(all_pairs_shortest(generate_ncn(50, 2), 3)))
     ring_ok = abs(ring_ratio - 2.0) <= 0.1
 
     apls = []
     for seed in range(20):
         g = generate_er(1000, 5000, random.Random(seed))
-        apls.append(average_path_length(all_pairs_shortest(g)))
+        apls.append(average_path_length(all_pairs_shortest(g, 3)))
     er_apl = statistics.fmean(apls)
     er_expected = math.log(1000) / math.log(10)
     er_ok = abs(er_apl - er_expected) <= 0.3 * er_expected

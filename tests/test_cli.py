@@ -107,6 +107,20 @@ def test_metrics_parse_error_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b"3 1\n-1 2\n", id="negative-id"),
+    pytest.param(b"3 1\n0 1 2\n", id="extra-field"),
+    pytest.param("3 1\n0 \u00e9\n".encode("utf-8"), id="non-ascii-bytes"),
+    pytest.param(b"3 1\n0 \xff\n", id="not-utf-8"),
+])
+def test_metrics_rejects_adversarial_edge_lists(tmp_path, capsys, data):
+    source = tmp_path / "bad.txt"
+    source.write_bytes(data)
+    code, out, err = run_cli(capsys, "metrics", "--in", str(source))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_metrics_missing_file_gives_io_exit_code(capsys):
     code, _, err = run_cli(capsys, "metrics", "--in", "/no/such/file.txt")
     assert code == 3

@@ -1,6 +1,7 @@
 """Graph generators: frozen small cases, structural invariants, determinism."""
 
 import io
+import itertools
 import math
 import random
 
@@ -229,6 +230,23 @@ def test_edge_list_round_trip_via_stream():
     assert read_edge_list(io.StringIO(buf.getvalue())).edges == g.edges
 
 
+@st.composite
+def graphs(draw):
+    """Any simple graph on 1..30 nodes, isolated nodes and no edges included."""
+    n = draw(st.integers(1, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else ()
+    return Graph.from_edges(n, edges)
+
+
+@given(graphs())
+def test_edge_list_round_trip_of_any_graph(graph):
+    buf = io.StringIO()
+    write_edge_list(graph, buf)
+    back = read_edge_list(io.StringIO(buf.getvalue()))
+    assert (back.n, back.edges) == (graph.n, graph.edges)
+
+
 def test_edge_list_rejects_count_mismatch():
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO("3 2\n0 1\n"))
@@ -242,6 +260,8 @@ def test_edge_list_rejects_count_mismatch():
     pytest.param("3 -2\n0 1\n", 1, id="negative-edge-count"),
     pytest.param("3 1\n0 x\n", 2, id="endpoint-not-an-integer"),
     pytest.param("3 1\n0 1 2\n", 2, id="three-fields"),
+    pytest.param("3 1\n0 \uff11\n", 2, id="non-ascii-digit"),
+    pytest.param("12 1\n0 1_0\n", 2, id="digit-separator"),
     pytest.param("3 2\n0 1\n\n1 y\n", 4, id="blank-lines-still-count"),
     pytest.param("3 1\n0 1\n1 2\n", 3, id="more-edges-than-claimed"),
     pytest.param("3 2\n0 1\n", 1, id="fewer-edges-than-claimed"),

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circlematch import topology
-from circlematch.market import SocialCircle
 from circlematch.netgen import Graph, generate, generate_ba, generate_er, generate_ncn
 from circlematch.topology import (
     UNREACHABLE,
@@ -37,14 +36,13 @@ CYCLE6 = generate_ncn(6, 2)
 @given(st.integers(0, 500))
 def test_shortest_paths_match_naive_bfs(seed):
     inst = random_instance(seed)
-    fast = all_pairs_shortest(inst.graph)
-    slow = naive_distances(inst.graph)
-    assert np.array_equal(fast.dist, slow.dist)
+    fast = all_pairs_shortest(inst.graph, inst.dep)
+    assert np.array_equal(fast.dist, naive_distances(inst.graph))
 
 
 def test_disconnected_pairs_marked():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    dist = all_pairs_shortest(g).dist
+    dist = all_pairs_shortest(g, 3).dist
     assert dist[0, 1] == 1
     assert dist[0, 2] == UNREACHABLE
     assert dist[4, 0] == UNREACHABLE
@@ -52,49 +50,52 @@ def test_disconnected_pairs_marked():
 
 
 def test_cycle_distances_frozen():
-    dm = all_pairs_shortest(CYCLE6)
+    dm = all_pairs_shortest(CYCLE6, 3)
     assert dm.dist[0, 3] == 3
     assert dm.dist[1, 5] == 2
     assert dm.diameter() == 3
     assert dm.levels == (12, 12, 6)
 
 
-def assert_summary_matches(dm, dist, deps):
-    """Every summary ``dm`` gives equals the value derived from the dense
-    reference ``dist``: the histogram, the metrics, and each circle bit."""
+def assert_summary_matches(summarize, dist, deps):
+    """Every summary ``summarize(dep)`` builds, one per depth in ``deps``,
+    equals the value derived from the dense reference ``dist``: the
+    distances, the histogram, the metrics, and each circle bit."""
     n = len(dist)
     finite = dist[(dist != UNREACHABLE) & ~np.eye(n, dtype=bool)]
     diameter = int(finite.max()) if finite.size else None
-    assert dm.levels == tuple(int((finite == d).sum()) for d in range(1, (diameter or 0) + 1))
-    assert dm.diameter() == diameter
     upper = dist[np.triu_indices(n, k=1)]
     reach = upper[upper != UNREACHABLE]
-    assert reachable_pairs(dm) == reach.size
-    # exact: the histogram gives the same float as numpy's mean
-    assert average_path_length(dm) == (float(reach.mean()) if reach.size else None)
+    nodes = np.arange(n)
     for dep in deps:
+        dm = summarize(dep)
+        assert np.array_equal(dm.dist, dist)
+        assert dm.levels == tuple(int((finite == d).sum())
+                                  for d in range(1, (diameter or 0) + 1))
+        assert dm.diameter() == diameter
+        assert reachable_pairs(dm) == reach.size
+        # exact: the histogram gives the same float as numpy's mean
+        assert average_path_length(dm) == (float(reach.mean()) if reach.size else None)
         if n >= 2:
             assert connectivity(dm, dep) == float((reach <= dep).sum()) / (n * (n - 1) // 2)
         within = (dist != UNREACHABLE) & (dist <= dep)
-        circle = SocialCircle(dm, dep)
-        nodes = np.arange(n)
+        circle = dm.circle
+        assert (circle.n, circle.dep) == (n, dep)
+        assert np.array_equal(topology._unpack(circle.bits, n), within)
         assert np.array_equal(circle.mask(nodes, nodes), within)
         assert [circle.contains(a, b) for a in range(n) for b in range(n)] == within.ravel().tolist()
-        if dm._circle_at(dep) is not None:
-            assert np.array_equal(topology._unpack(dm._circle_at(dep), n), within)
 
 
 @given(st.integers(0, 300))
 def test_summary_matches_naive_bfs_on_both_paths(seed):
     inst = random_instance(seed)
-    slow = naive_distances(inst.graph).dist
+    slow = naive_distances(inst.graph)
+    assert inst.dm.circle.dep == inst.dep
     adjacency = topology._neighbours(inst.graph)
-    for dm in (inst.dm, topology._bit_parallel(*adjacency, inst.dep),
-               topology._scipy_paths(*adjacency, inst.dep)):
-        assert dm.dep == inst.dep
-        assert dm._circle_at(inst.dep) is not None
-        assert np.array_equal(dm.dist, slow)
-        assert_summary_matches(dm, slow, (1, 2, 3, 4))
+    for summarize in (lambda dep: all_pairs_shortest(inst.graph, dep),
+                      lambda dep: topology._bit_parallel(*adjacency, dep),
+                      lambda dep: topology._scipy_paths(*adjacency, dep)):
+        assert_summary_matches(summarize, slow, (1, 2, 3, 4))
 
 
 def networkx_distances(graph):
@@ -135,26 +136,17 @@ def test_both_paths_match_networkx_at_n300(name, graph, deep):
     dist = networkx_distances(graph)
     diameter = int(dist.max())
     deps = sorted({1, 3, max(diameter, 1), diameter + 2})
-    for dep in deps:
-        dm = all_pairs_shortest(graph, dep)
-        assert np.array_equal(topology._unpack(dm.circle, graph.n),
-                              (dist != UNREACHABLE) & (dist <= dep))
-    dm = all_pairs_shortest(graph, 3)
-    assert (dm._circle_at(2) is None) == (diameter > 2)
-    assert np.array_equal(dm.dist, dist)
-    # circles at the other depths read the dense distances, or the packed
-    # circle when both depths are at or past the diameter
-    assert_summary_matches(dm, dist, deps)
+    assert_summary_matches(lambda dep: all_pairs_shortest(graph, dep), dist, deps)
 
 
 def test_diameter_of_edgeless_graph_is_none():
-    assert all_pairs_shortest(Graph.from_edges(4, [])).diameter() is None
+    assert all_pairs_shortest(Graph.from_edges(4, []), 3).diameter() is None
 
 
 # ------------------------------------------------------------------- metrics
 
 def test_cycle_metrics_frozen():
-    dm = all_pairs_shortest(CYCLE6)
+    dm = all_pairs_shortest(CYCLE6, 3)
     assert average_degree(CYCLE6) == 2.0
     assert degree_distribution(CYCLE6) == {2: 6}
     assert reachable_pairs(dm) == 15
@@ -167,7 +159,7 @@ def test_cycle_metrics_frozen():
 
 def test_two_triangles_metrics():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    dm = all_pairs_shortest(g)
+    dm = all_pairs_shortest(g, 3)
     assert reachable_pairs(dm) == 6
     assert average_path_length(dm) == pytest.approx(1.0)
     assert connectivity(dm, 3) == pytest.approx(6 / 15)
@@ -175,7 +167,7 @@ def test_two_triangles_metrics():
 
 
 def test_edgeless_graph_metrics():
-    dm = all_pairs_shortest(Graph.from_edges(4, []))
+    dm = all_pairs_shortest(Graph.from_edges(4, []), 3)
     assert average_path_length(dm) is None
     assert reachable_pairs(dm) == 0
     assert connectivity(dm, 3) == 0.0
@@ -190,11 +182,11 @@ def test_connectivity_monotone_in_dep(seed):
 
 
 def test_connectivity_validation():
-    dm = all_pairs_shortest(CYCLE6)
+    dm = all_pairs_shortest(CYCLE6, 3)
     with pytest.raises(ValueError):
         connectivity(dm, 0)
     with pytest.raises(ValueError):
-        connectivity(all_pairs_shortest(Graph.from_edges(1, [])), 3)
+        connectivity(all_pairs_shortest(Graph.from_edges(1, []), 3), 3)
 
 
 # ------------------------------------------------------------------- poisson
@@ -260,6 +252,6 @@ def test_analyze_cycle_report():
 def test_analyze_matches_parts():
     g = generate_er(40, 80, random.Random(6))
     report = analyze(g, dep=3)
-    dm = all_pairs_shortest(g)
+    dm = all_pairs_shortest(g, 3)
     assert report.apl == average_path_length(dm)
     assert report.connectivity == connectivity(dm, 3)
