@@ -144,7 +144,9 @@ class Market:
 
 def build_market(n: int, rng: random.Random) -> Market:
     """Draw a random market: genders by a uniform balanced partition, every
-    rank list an independent uniform permutation of the opposite side.
+    rank list an independent uniform permutation of the opposite side, drawn
+    bit for bit as ``rng.shuffle`` would, through ``rng.getrandbits``, the
+    primitive ``Random.shuffle`` uses.
 
     Args:
         n: total number of agents; must be even and at least 2.
@@ -156,14 +158,18 @@ def build_market(n: int, rng: random.Random) -> Market:
     women = sorted(rng.sample(range(n), h))
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
-    # One shuffle per agent in id order. random.shuffle applies the same
-    # permutation whatever the list holds, so shuffling local indices draws
-    # the rank lists that shuffling the ids of the other side would.
+    # One shuffle per agent in id order. A shuffle's permutation does not depend
+    # on what the list holds, so local indices give the rank lists ids would.
     prefs = np.empty((n, h), dtype=np.int32)
-    base = list(range(h))
+    getrandbits, base = rng.getrandbits, list(range(h))
+    steps = [(i, (i + 1).bit_length()) for i in range(h - 1, 0, -1)]
     for a in range(n):
         row = base.copy()
-        rng.shuffle(row)
+        for i, k in steps:  # j uniform in 0..i, drawn as Random._randbelow(i + 1) does
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            row[i], row[j] = row[j], row[i]
         prefs[a] = row
     return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman),
                   prefs[is_woman], prefs[~is_woman])
@@ -333,8 +339,13 @@ def market_to_dict(market: Market) -> dict:
 def market_from_dict(data: dict) -> Market:
     """Rebuild a market serialized by ``market_to_dict``; raises ValueError
     when the data does not describe a valid market."""
-    women, men = sorted(data["women"]), sorted(data["men"])
-    rank = {int(a): list(ranked) for a, ranked in data["rank"].items()}
+    try:
+        women, men = sorted(data["women"]), sorted(data["men"])
+        rank = {int(a): list(ranked) for a, ranked in data["rank"].items()}
+    except KeyError as missing:
+        raise ValueError(f"market data has no {missing} field") from None
+    except (TypeError, AttributeError):
+        raise ValueError("'women', 'men' and each 'rank' entry must list agent ids") from None
 
     def prefs(own: list[int], other: list[int], side: str) -> np.ndarray:
         index = {b: j for j, b in enumerate(other)}
@@ -357,7 +368,7 @@ def matching_to_dict(market: Market, dm: DistanceMatrix, matching: Matching) -> 
         {
             "woman": w,
             "man": m,
-            "distance": int(dm.dist[w, m]),
+            "distance": dm.distance(w, m),
             "pair_utility": pair_utility(market, matching, w, m),
         }
         for w, m in matching.pairs

@@ -9,8 +9,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .netgen import Graph
 
@@ -104,6 +102,14 @@ class DistanceMatrix:
             object.__setattr__(self, "_dense", dist)
         return self._dense
 
+    def distance(self, a: int, b: int) -> int:
+        """``dist[a, b]``, read from the level bitsets when ``dist`` is not built."""
+        if self._dense is not None:
+            return int(self._dense[a, b])
+        bit = np.uint64(1) << np.uint64(b & 63)
+        return next((d for d, bits in enumerate(self._level_bits, 1) if bits[a, b >> 6] & bit),
+                    0 if a == b else UNREACHABLE)
+
     def diameter(self) -> Optional[int]:
         """Largest finite distance between distinct nodes, or None if every
         pair is disconnected (or there are no pairs at all)."""
@@ -122,7 +128,8 @@ def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, cols[np.argsort(rows)]
 
 
-def _csgraph(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+def _csgraph(indptr: np.ndarray, indices: np.ndarray):
+    from scipy.sparse import csr_matrix  # loaded on first use: small graphs never need scipy
     n = len(indptr) - 1
     return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
 
@@ -135,6 +142,7 @@ def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
     n = len(indptr) - 1
     if n <= _SMALL_N:
         return False
+    from scipy.sparse.csgraph import connected_components, dijkstra
     adj = _csgraph(indptr, indices)
     _, component = connected_components(adj, directed=False)
     _, first = np.unique(component, return_index=True)
@@ -189,6 +197,7 @@ def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceM
     """Per-source traversal in scipy's compiled routines, for deep graphs.
     Sources go in blocks of rows, so the float64 distances scipy returns
     never take more than a block."""
+    from scipy.sparse.csgraph import shortest_path
     adj = _csgraph(indptr, indices)
     n = len(indptr) - 1
     dist = np.empty((n, n), dtype=np.int32)

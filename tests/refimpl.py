@@ -36,6 +36,24 @@ def naive_distances(graph: Graph) -> np.ndarray:
     return dist
 
 
+def stdlib_market(n: int, rng: random.Random) -> Market:
+    """Random market drawn with ``random.shuffle`` itself: a uniform balanced
+    partition into genders, then one shuffled rank list per agent in id
+    order. The reference ``build_market`` must reproduce bit for bit."""
+    h = n // 2
+    women = sorted(rng.sample(range(n), h))
+    is_woman = np.zeros(n, dtype=bool)
+    is_woman[women] = True
+    prefs = np.empty((n, h), dtype=np.int32)
+    base = list(range(h))
+    for a in range(n):
+        row = base.copy()
+        rng.shuffle(row)
+        prefs[a] = row
+    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman),
+                  prefs[is_woman], prefs[~is_woman])
+
+
 def make_market(women: Sequence[int], men: Sequence[int],
                 rank: dict[int, Sequence[int]]) -> Market:
     """Market from rank lists of agent ids, read through the JSON form."""

@@ -3,12 +3,16 @@
 import dataclasses
 import io
 import json
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circlematch
 from circlematch.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -208,3 +212,13 @@ def test_sweep_csv_identical_across_runs():
     results_to_csv(sweep(cfg), first)
     results_to_csv(sweep(cfg), second)
     assert first.getvalue() == second.getvalue()
+
+
+def test_paper_scale_cell_never_loads_scipy():
+    # scipy is imported only for graphs past the bit-parallel size threshold
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys, circlematch; from circlematch import harness; "
+            "harness.run_cell('er', 100, 4); print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

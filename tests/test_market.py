@@ -29,7 +29,7 @@ from circlematch.netgen import MODELS, Graph
 from circlematch.topology import all_pairs_shortest
 
 from refimpl import (full_circle, make_market, naive_blocking_pair,
-                     naive_deferred_acceptance, random_instance, ranking)
+                     naive_deferred_acceptance, random_instance, ranking, stdlib_market)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -118,6 +118,27 @@ def test_build_market_deterministic():
     b = build_market(10, random.Random(77))
     assert a == b
     assert a != build_market(10, random.Random(78))
+
+
+def assert_draws_like_stdlib(n, seed):
+    fast, reference = random.Random(seed), random.Random(seed)
+    assert build_market(n, fast) == stdlib_market(n, reference)
+    assert fast.getstate() == reference.getstate()
+
+
+# h = n/2 on and beside powers of two, where getrandbits rejects the most draws
+@pytest.mark.parametrize("n", [2, 4, 34, 64, 66, 130, 258])
+def test_build_market_draws_the_stdlib_shuffle(n):
+    assert_draws_like_stdlib(n, n)
+
+
+@given(st.integers(1, 40), st.integers(0, 2 ** 64))
+def test_build_market_draws_the_stdlib_shuffle_for_any_seed(half, seed):
+    assert_draws_like_stdlib(2 * half, seed)
+
+
+def test_build_market_draws_the_stdlib_shuffle_at_n2000():
+    assert_draws_like_stdlib(2000, 6)
 
 
 def test_build_market_rejects_odd():
@@ -331,6 +352,26 @@ def test_market_round_trip(half, seed):
     market = build_market(2 * half, random.Random(seed))
     data = json.loads(json.dumps(market_to_dict(market)))
     assert market_from_dict(data) == market
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"women": [0], "men": [1]}, "rank"),
+    ({"men": [1], "rank": {"0": [1], "1": [0]}}, "women"),
+    ({"women": [0], "rank": {"0": [1], "1": [0]}}, "men"),
+    ({"women": [0], "men": [1], "rank": {"0": 5, "1": [0]}}, "rank"),
+])
+def test_market_from_dict_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        market_from_dict(data)
+
+
+def test_matching_to_dict_reads_distances_without_a_dense_matrix():
+    inst = random_instance(4, n_pool=(40,), dep_pool=(3,), models=("er",))
+    matching = restricted_deferred_acceptance(inst.market, inst.circle)
+    payload = matching_to_dict(inst.market, inst.dm, matching)
+    assert payload["pairs"] and inst.dm._dense is None
+    assert [p["distance"] for p in payload["pairs"]] == [
+        inst.dm.dist[w, m] for w, m in matching.pairs]
 
 
 def test_circle_rejects_bad_depth():

@@ -69,6 +69,8 @@ def assert_summary_matches(summarize, dist, deps):
     nodes = np.arange(n)
     for dep in deps:
         dm = summarize(dep)
+        # before .dist is built, distance() reads the level bitsets
+        assert [[dm.distance(a, b) for b in range(n)] for a in range(n)] == dist.tolist()
         assert np.array_equal(dm.dist, dist)
         assert dm.levels == tuple(int((finite == d).sum())
                                   for d in range(1, (diameter or 0) + 1))
