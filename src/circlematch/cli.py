@@ -1,7 +1,8 @@
 """Command-line interface: generate graphs, report metrics, run matchings
 and experiment sweeps.
 
-Exit codes: 0 on success, 2 on invalid parameters, 3 on I/O failure.
+Exit codes: 0 on success, 2 on invalid parameters or sizes that do not fit
+in memory, 3 on I/O failure.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,24 +155,31 @@ def build_market(n: int, rng: random.Random) -> Market:
     if n < 2 or n % 2:
         raise ValueError(f"agent count must be even and >= 2, got {n}")
     h = n // 2
+    width = 4 * h  # bytes in a rank row
+    # Women's rows, then men's, each side in id order; allocated first, so a
+    # size that cannot fit fails before the walk starts.
+    prefs = np.empty((n, h), dtype="<i4")
     women = sorted(rng.sample(range(n), h))
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
+    women, men = np.flatnonzero(is_woman), np.flatnonzero(~is_woman)
+    offsets = np.empty(n, dtype=np.intp)  # byte offset of each agent's row
+    offsets[np.concatenate((women, men))] = np.arange(0, n * width, width)
     # One shuffle per agent in id order. A shuffle's permutation does not depend
-    # on what the list holds, so local indices give the rank lists ids would.
-    prefs = np.empty((n, h), dtype=np.int32)
-    getrandbits, base = rng.getrandbits, list(range(h))
+    # on what the list holds, so the 4-byte little-endian local indices it
+    # permutes give the rank lists ids would, and a joined row is its int32 row.
+    out, getrandbits = memoryview(prefs).cast("B"), rng.getrandbits
+    base = [j.to_bytes(4, "little") for j in range(h)]
     steps = [(i, (i + 1).bit_length()) for i in range(h - 1, 0, -1)]
-    for a in range(n):
+    for start in offsets.tolist():
         row = base.copy()
         for i, k in steps:  # j uniform in 0..i, drawn as Random._randbelow(i + 1) does
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
             row[i], row[j] = row[j], row[i]
-        prefs[a] = row
-    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman),
-                  prefs[is_woman], prefs[~is_woman])
+        out[start:start + width] = b"".join(row)
+    return Market(women, men, prefs[:h], prefs[h:])
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,9 @@ def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
     counts = in_order.sum(axis=1)
     flat = market.men_prefs[in_order]
     her_rank = market.women_pos[flat, np.repeat(np.arange(h), counts)]
-    candidates, ranks = flat.tolist(), her_rank.tolist()
+    # Read in place: DA visits only the candidates men get to, often far
+    # fewer than a full list conversion would make.
+    candidates, ranks = memoryview(flat), memoryview(her_rank)
     ends = np.cumsum(counts)
     next_choice, ends = (ends - counts).tolist(), ends.tolist()
 

@@ -162,23 +162,24 @@ def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> Distance
     of ordered pairs at that distance."""
     n = len(indptr) - 1
     nodes = np.arange(n)
+    # reduceat mis-handles empty segments, so an isolated node gathers its own
+    # row as its one neighbour: a row that holds only the node itself at the
+    # start, which unseen masks out, and nothing after. Every level is then
+    # one gather and one reduceat.
+    gather, starts = indices, indptr[:-1]
+    isolated = np.flatnonzero(indptr[:-1] == indptr[1:])
+    if isolated.size:
+        gather = np.insert(indices, indptr[isolated], isolated)
+        starts = starts + np.searchsorted(isolated, nodes)
     frontier = np.zeros((n, -(-n // 64)), dtype=_WORD)
     frontier[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
     unseen = ~frontier
-    # reduceat mis-handles empty segments, so only nodes with neighbours reduce.
-    linked = np.flatnonzero(np.diff(indptr))
-    starts = indptr[linked]
     levels, level_bits, circle = [], [], None
     pairs = n * (n - 1)
-    while pairs and linked.size:
+    while pairs:
         if len(levels) == dep:
             circle = ~unseen
-        gathered = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-        if linked.size == n:
-            reached = gathered
-        else:  # isolated nodes reach nobody
-            reached = np.zeros_like(frontier)
-            reached[linked] = gathered
+        reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
         reached &= unseen
         count = int(np.bitwise_count(reached).sum())
         if count == 0:

@@ -169,6 +169,16 @@ def test_match_rejects_odd_k(capsys):
     assert "error" in err
 
 
+def test_size_beyond_memory_exits_with_invalid_parameter_code(capsys, monkeypatch):
+    def out_of_memory(n, rng):
+        raise MemoryError(f"Unable to allocate the rank lists of {n} agents")
+
+    monkeypatch.setattr(harness, "build_market", out_of_memory)
+    code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "400000", "--k", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not enough memory") and "400000 agents" in err
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_csv_shape(capsys):

@@ -8,7 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circlematch import topology
@@ -209,9 +209,16 @@ def test_poisson_connectivity_matches_scipy(lam, dep):
     assert poisson_connectivity(lam, dep) == pytest.approx(expected, abs=1e-12)
 
 
+@example(0.0625, 9)  # the added term, about 2e-19, is below half an ulp of the sum
 @given(st.floats(0.05, 20.0), st.integers(1, 11))
 def test_poisson_connectivity_increasing_in_dep(lam, dep):
-    assert poisson_connectivity(lam, dep + 1) > poisson_connectivity(lam, dep)
+    """One more term never lowers the sum, and raises it whenever the term
+    is large enough to move a float sum: above half an ulp of it."""
+    smaller, larger = poisson_connectivity(lam, dep), poisson_connectivity(lam, dep + 1)
+    assert larger >= smaller
+    term = lam ** (dep + 1) * math.exp(-lam) / math.factorial(dep + 1)
+    if term > math.ulp(smaller) / 2:
+        assert larger > smaller
 
 
 def test_poisson_series_peaks_then_decays():
