@@ -115,19 +115,49 @@ class CellRun:
     result: ExperimentResult
 
 
+def _graph_source(model: str, seed: int) -> random.Random:
+    return random.Random(derive_seed(seed, f"graph:{model}"))
+
+
 def cell_graph(model: str, n: int, k: int, seed: int, p_rewire: float) -> Graph:
     """The network of the replication keyed by master seed ``seed``."""
-    rng = random.Random(derive_seed(seed, f"graph:{model}"))
-    return netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
+    return netgen.generate(model, n, k, p_rewire=p_rewire, rng=_graph_source(model, seed))
+
+
+# Networks whose generation draws nothing from its random source are the same
+# under every seed (today only ncn), so run_cell_full summarizes each once and
+# keeps it here, keyed by (model, n, k, p_rewire, dep); the oldest leaves first.
+# The bound holds the 13 distinct ncn networks of the three presets.
+_SEED_FREE_NETWORKS = 16
+_seed_free: dict[tuple, tuple[Graph, DistanceMatrix]] = {}
+
+
+def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
+                  p_rewire: float) -> tuple[Graph, DistanceMatrix]:
+    """``cell_graph`` and its distance summary at ``dep``."""
+    key = (model, n, k, p_rewire, dep)
+    if key in _seed_free:
+        return _seed_free[key]
+    rng = _graph_source(model, seed)
+    untouched = rng.getstate()
+    graph = netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
+    network = graph, all_pairs_shortest(graph, dep)
+    # Before its first draw a generator's path depends on its parameters
+    # alone, so one that drew nothing here draws nothing under any seed.
+    if rng.getstate() == untouched:
+        if len(_seed_free) == _SEED_FREE_NETWORKS:
+            del _seed_free[next(iter(_seed_free))]
+        _seed_free[key] = network
+    return network
 
 
 def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
                   p_rewire: float = 0.1) -> CellRun:
-    """Run one replication and keep every intermediate object."""
+    """Run one replication and keep every intermediate object. The graph and
+    distance summary of a seed-free network are shared between its cells."""
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")))
-    graph = cell_graph(model, n, k, seed, p_rewire)
-    dm = all_pairs_shortest(graph, dep)
+    graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)
     matching = restricted_deferred_acceptance(market, dm.circle)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     result = ExperimentResult(

@@ -27,22 +27,14 @@ import numpy as np
 
 from .topology import DistanceMatrix, SocialCircle
 
-def _positions_of(prefs: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Inverse of both sides' rank lists, ``prefs`` stacked as (2, h, h):
-    the rank position of every candidate for every agent. Raises ValueError
-    unless every rank list is a permutation of 0..h-1."""
-    h = sides.shape[1]
-    if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
-        raise ValueError("a rank list names an agent outside the other side")
-    pos = np.full(prefs.shape, -1, dtype=np.int32)
-    np.put_along_axis(pos, prefs, np.broadcast_to(np.arange(h, dtype=np.int32), prefs.shape),
-                      axis=2)
-    unfilled = np.argwhere((pos < 0).any(axis=2))
-    if unfilled.size:
-        side, row = unfilled[0]
-        raise ValueError(f"rank list of {('woman', 'man')[side]} {sides[side, row]} "
-                         "is not a permutation of the other side")
-    return pos
+def _positions_of(prefs: np.ndarray) -> np.ndarray:
+    """Inverse of h x h rank lists whose entries lie in 0..h-1: the rank
+    position of every candidate for every agent, by one flat scatter; -1
+    marks a slot no entry filled."""
+    h = len(prefs)
+    pos = np.full(h * h, -1, dtype=np.int32)
+    pos[np.arange(0, h * h, h)[:, None] + prefs] = np.arange(h, dtype=np.int32)
+    return pos.reshape(h, h)
 
 
 def _score(h: int, r):
@@ -91,16 +83,28 @@ class Market:
         women_prefs, men_prefs = np.asarray(self.women_prefs), np.asarray(self.men_prefs)
         if women_prefs.shape != (h, h) or men_prefs.shape != (h, h):
             raise ValueError(f"every agent must rank all {h} agents of the other side")
-        prefs = np.stack((women_prefs, men_prefs))
-        pos = _positions_of(prefs, sides)
-        prefs = prefs.astype(np.int32, copy=False)
+        for prefs in (women_prefs, men_prefs):
+            if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
+                raise ValueError("a rank list names an agent outside the other side")
+        # A writeable rank array is copied, so that no caller can change a
+        # validated market; build_market hands its rows over read-only.
+        women_prefs, men_prefs = (np.array(prefs, dtype=np.int32,
+                                           copy=True if prefs.flags.writeable else None)
+                                  for prefs in (women_prefs, men_prefs))
+        women_pos, men_pos = _positions_of(women_prefs), _positions_of(men_prefs)
+        for side, ids, pos in (("woman", women, women_pos), ("man", men, men_pos)):
+            # h entries per row fill all h slots exactly when the row is a permutation
+            if h and pos.min() < 0:
+                row = np.flatnonzero((pos < 0).any(axis=1))[0]
+                raise ValueError(f"rank list of {side} {ids[row]} "
+                                 "is not a permutation of the other side")
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
-        for array in (sides, prefs, pos, local):
+        for array in (sides, women_prefs, men_prefs, women_pos, men_pos, local):
             array.flags.writeable = False
         for name, value in (("women", women), ("men", men), ("local", local),
-                            ("women_prefs", prefs[0]), ("men_prefs", prefs[1]),
-                            ("women_pos", pos[0]), ("men_pos", pos[1])):
+                            ("women_prefs", women_prefs), ("men_prefs", men_prefs),
+                            ("women_pos", women_pos), ("men_pos", men_pos)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -131,10 +135,6 @@ class Market:
         if is_woman == other_is_woman:
             raise ValueError(f"agents {agent} and {candidate} are on the same side")
         return int((self.women_pos if is_woman else self.men_pos)[a, b])
-
-    def prefers(self, agent: int, favored: int, other: int) -> bool:
-        """True when ``agent`` ranks ``favored`` strictly ahead of ``other``."""
-        return self.position(agent, favored) < self.position(agent, other)
 
     def score(self, agent: int, candidate: int) -> float:
         """Score agent assigns candidate: 10 for the favorite down to 1 for
@@ -179,6 +179,7 @@ def build_market(n: int, rng: random.Random) -> Market:
                 j = getrandbits(k)
             row[i], row[j] = row[j], row[i]
         out[start:start + width] = b"".join(row)
+    prefs.flags.writeable = False
     return Market(women, men, prefs[:h], prefs[h:])
 
 
@@ -275,15 +276,6 @@ def restricted_deferred_acceptance(market: Market, circle: SocialCircle) -> Matc
 def classical_gs(market: Market) -> Matching:
     """Man-proposing deferred acceptance with complete lists; matches everyone."""
     return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool))
-
-
-def agent_utility(market: Market, matching: Matching, agent: int) -> float:
-    """Matched agents earn their score for their partner; unmatched earn 0."""
-    is_woman, _ = market._locate(agent)
-    partner = (matching.by_woman if is_woman else matching.by_man).get(agent)
-    if partner is None:
-        return 0.0
-    return market.score(agent, partner)
 
 
 def pair_utility(market: Market, matching: Matching, woman: int, man: int) -> float:

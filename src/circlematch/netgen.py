@@ -63,9 +63,6 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
     def degrees(self) -> list[int]:
         return [len(ns) for ns in self.adjacency]
 

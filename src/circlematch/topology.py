@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,7 +21,7 @@ _SMALL_N = 128
 # scipy path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
 # scipy's per-source traversal costs O(n * (n + m)) whatever the depth.
 _LEVEL_BUDGET = 64
-# Rows of an n x n matrix handled at a time on the dense path.
+# Sources per scipy call on the scipy path.
 _ROWS = 128
 _WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
 
@@ -45,11 +46,15 @@ class SocialCircle:
 
     ``bits`` packs the circle row by row: row a holds bit b % 64 of word
     b // 64 for every node b within ``dep`` hops of a, a itself included.
+    It is read-only.
     """
 
     n: int
     dep: int
     bits: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.bits.flags.writeable = False
 
     def contains(self, a: int, b: int) -> bool:
         return bool(self.bits[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
@@ -62,53 +67,41 @@ class SocialCircle:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs hop distances of one graph, kept as a level histogram.
+    """All-pairs hop distances of one graph, summarized at one depth.
 
     ``levels[d - 1]`` is the number of ordered node pairs at hop distance d,
     for d = 1..D with D the largest finite distance. ``circle`` is the
-    social circle at the depth the summary was built for. The dense int32
-    matrix ``dist`` (UNREACHABLE for pairs in different components) is
-    built on first access, from the per-level bitsets the bit-parallel pass
-    keeps, or given outright by ``from_dense``.
+    social circle at the depth the summary was built for. The hop counts of
+    the pairs inside the circle are kept bit-sliced: ``_planes[p]`` packs,
+    like the circle, bit p of each such pair's distance. A summary thus
+    holds 1 + min(dep, n - 1).bit_length() bitsets of n x n bits (three at
+    dep=3) and no n x n matrix, and every array in it is read-only.
+    ``_rebuild`` recomputes the dense matrix from the graph.
     """
 
     n: int
     levels: tuple[int, ...]
     circle: SocialCircle
-    _level_bits: tuple[np.ndarray, ...] = field(default=(), repr=False)
-    _dense: Optional[np.ndarray] = field(default=None, repr=False)
+    _planes: np.ndarray = field(repr=False)
+    _rebuild: Callable[[], np.ndarray] = field(repr=False)
 
-    @staticmethod
-    def from_dense(dist: np.ndarray, dep: int) -> "DistanceMatrix":
-        """Summary of a dense hop-count matrix; ``dist`` is kept as ``.dist``."""
-        dist = np.asarray(dist, dtype=np.int32)
-        n = len(dist)
-        # Shifted by one, UNREACHABLE counts in bin 0 and the diagonal in bin 1.
-        counts = sum(np.bincount(rows.ravel() + 1, minlength=n + 1)
-                     for rows in np.split(dist, range(_ROWS, n, _ROWS)))
-        levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
-        # UNREACHABLE wraps to the largest uint32, beyond any depth.
-        circle = SocialCircle(n, dep, _pack(dist.view(np.uint32) <= dep))
-        return DistanceMatrix(n, levels, circle, _dense=dist)
+    def __post_init__(self):
+        self._planes.flags.writeable = False
 
     @property
     def dist(self) -> np.ndarray:
-        """The dense n x n hop counts, built and kept on first access."""
-        if self._dense is None:
-            dist = np.full((self.n, self.n), UNREACHABLE, dtype=np.int32)
-            np.fill_diagonal(dist, 0)
-            for d, bits in enumerate(self._level_bits, 1):
-                dist[_unpack(bits, self.n)] = d
-            object.__setattr__(self, "_dense", dist)
-        return self._dense
+        """The dense n x n int32 hop counts, UNREACHABLE between components;
+        recomputed on every access and never kept."""
+        return self._rebuild()
 
     def distance(self, a: int, b: int) -> int:
-        """``dist[a, b]``, read from the level bitsets when ``dist`` is not built."""
-        if self._dense is not None:
-            return int(self._dense[a, b])
-        bit = np.uint64(1) << np.uint64(b & 63)
-        return next((d for d, bits in enumerate(self._level_bits, 1) if bits[a, b >> 6] & bit),
-                    0 if a == b else UNREACHABLE)
+        """Hop distance between two nodes of one circle, read from the bit
+        planes; raises ValueError for a pair more than ``dep`` hops apart."""
+        if not self.circle.contains(a, b):
+            raise ValueError(f"nodes {a} and {b} are more than {self.circle.dep} hops apart")
+        shift = int(b) & 63
+        return sum((word >> shift & 1) << p
+                   for p, word in enumerate(self._planes[:, a, b >> 6].tolist()))
 
     def diameter(self) -> Optional[int]:
         """Largest finite distance between distinct nodes, or None if every
@@ -117,7 +110,7 @@ class DistanceMatrix:
 
 
 def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR neighbour arrays: node v's neighbours are
+    """Read-only CSR neighbour arrays: node v's neighbours are
     ``indices[indptr[v]:indptr[v + 1]]``."""
     ends = np.fromiter(itertools.chain.from_iterable(graph.edges), dtype=np.intp,
                        count=2 * graph.m).reshape(-1, 2)
@@ -125,7 +118,10 @@ def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     cols = np.concatenate((ends[:, 1], ends[:, 0]))
     indptr = np.zeros(graph.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=graph.n), out=indptr[1:])
-    return indptr, cols[np.argsort(rows)]
+    indices = cols[np.argsort(rows)]
+    for array in (indptr, indices):
+        array.flags.writeable = False
+    return indptr, indices
 
 
 def _csgraph(indptr: np.ndarray, indices: np.ndarray):
@@ -153,15 +149,27 @@ def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > _LEVEL_BUDGET
 
 
-def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+def _identity(n: int) -> np.ndarray:
+    """Packed rows of the n x n identity: row v holds bit v alone."""
+    bits = np.zeros((n, -(-n // 64)), dtype=_WORD)
+    nodes = np.arange(n)
+    bits[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    return bits
+
+
+def _plane_count(n: int, dep: int) -> int:
+    """Bits in the largest distance a circle at ``dep`` can hold."""
+    return min(dep, n - 1).bit_length()
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray):
     """Breadth-first search from every node at once over packed bitsets
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
     Traversal", VLDB 2014): row v of the frontier holds the sources that
-    reached v at the last level, one OR over each node's neighbour rows
-    gives the next level, and a popcount of its new bits gives the number
-    of ordered pairs at that distance."""
+    reached v at the last level, and one OR over each node's neighbour rows
+    gives the next level. Yields, for d = 1 up to the largest finite
+    distance, the packed pairs at distance d and their number."""
     n = len(indptr) - 1
-    nodes = np.arange(n)
     # reduceat mis-handles empty segments, so an isolated node gathers its own
     # row as its one neighbour: a row that holds only the node itself at the
     # start, which unseen masks out, and nothing after. Every level is then
@@ -170,53 +178,102 @@ def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> Distance
     isolated = np.flatnonzero(indptr[:-1] == indptr[1:])
     if isolated.size:
         gather = np.insert(indices, indptr[isolated], isolated)
-        starts = starts + np.searchsorted(isolated, nodes)
-    frontier = np.zeros((n, -(-n // 64)), dtype=_WORD)
-    frontier[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+        starts = starts + np.searchsorted(isolated, np.arange(n))
+    frontier = _identity(n)
     unseen = ~frontier
-    levels, level_bits, circle = [], [], None
     pairs = n * (n - 1)
     while pairs:
-        if len(levels) == dep:
-            circle = ~unseen
         reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
         reached &= unseen
         count = int(np.bitwise_count(reached).sum())
         if count == 0:
-            break
-        levels.append(count)
-        level_bits.append(reached)
+            return
+        yield reached, count
         unseen ^= reached
         frontier = reached
         pairs -= count  # at 0 every pair is reached and the next level is empty
-    if circle is None:
-        circle = ~unseen
-    return DistanceMatrix(n, tuple(levels), SocialCircle(n, dep, circle), tuple(level_bits))
 
 
-def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+    """Summary from the multi-source BFS: a popcount per level gives the
+    histogram, and the levels up to ``dep`` give the circle and the planes."""
+    n = len(indptr) - 1
+    circle = _identity(n)
+    planes = np.zeros((_plane_count(n, dep), *circle.shape), dtype=_WORD)
+    levels = []
+    for d, (reached, count) in enumerate(_bfs_levels(indptr, indices), 1):
+        levels.append(count)
+        if d <= dep:
+            circle |= reached
+            for p in range(d.bit_length()):
+                if d >> p & 1:
+                    planes[p] |= reached
+    return DistanceMatrix(n, tuple(levels), SocialCircle(n, dep, circle), planes,
+                          functools.partial(_bit_parallel_dist, indptr, indices))
+
+
+def _bit_parallel_dist(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    n = len(indptr) - 1
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    for d, (reached, _) in enumerate(_bfs_levels(indptr, indices), 1):
+        dist[_unpack(reached, n)] = d
+    return dist
+
+
+def _scipy_rows(indptr: np.ndarray, indices: np.ndarray):
     """Per-source traversal in scipy's compiled routines, for deep graphs.
-    Sources go in blocks of rows, so the float64 distances scipy returns
-    never take more than a block."""
+    Yields the first source and the int32 hop counts of each block of
+    source rows, so the float64 distances scipy returns never take more
+    than a block."""
     from scipy.sparse.csgraph import shortest_path
     adj = _csgraph(indptr, indices)
     n = len(indptr) - 1
-    dist = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, _ROWS):
         raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
         raw[np.isinf(raw)] = UNREACHABLE
-        dist[lo:lo + _ROWS] = raw
-    return DistanceMatrix.from_dense(dist, dep)
+        yield lo, raw.astype(np.int32)
+
+
+def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+    """Summary from scipy's rows, block by block: each block adds to the
+    histogram and fills its rows of the circle and the planes."""
+    n = len(indptr) - 1
+    counts = np.zeros(n + 1, dtype=np.int64)
+    circle = np.empty((n, -(-n // 64)), dtype=_WORD)
+    planes = np.empty((_plane_count(n, dep), *circle.shape), dtype=_WORD)
+    for lo, rows in _scipy_rows(indptr, indices):
+        block = slice(lo, lo + len(rows))
+        # Shifted by one, UNREACHABLE counts in bin 0 and the diagonal in bin 1.
+        counts += np.bincount(rows.ravel() + 1, minlength=n + 1)
+        # UNREACHABLE wraps to the largest uint32, beyond any depth.
+        circle[block] = _pack(rows.view(np.uint32) <= dep)
+        for p, plane in enumerate(planes):
+            # bit p of every hop count, UNREACHABLE's too, then masked to the circle
+            plane[block] = _pack(rows & 1 << p != 0) & circle[block]
+    levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
+    return DistanceMatrix(n, levels, SocialCircle(n, dep, circle), planes,
+                          functools.partial(_scipy_dist, indptr, indices))
+
+
+def _scipy_dist(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    n = len(indptr) - 1
+    dist = np.empty((n, n), dtype=np.int32)
+    for lo, rows in _scipy_rows(indptr, indices):
+        dist[lo:lo + len(rows)] = rows
+    return dist
 
 
 def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """Minimum hop count between every node pair, summarized in one pass:
-    the level histogram and the social circle of pairs within ``dep`` hops.
+    the level histogram, the social circle of pairs within ``dep`` hops and
+    the distances inside it.
 
     Graphs whose depth bound fits the level budget go through one
-    bit-parallel multi-source BFS and never hold an n x n matrix; deeper
-    graphs go through scipy's per-source traversal. Both give the same
-    summary, and pairs in different components count as UNREACHABLE.
+    bit-parallel multi-source BFS; deeper graphs go through scipy's
+    per-source traversal, a block of rows at a time. Neither holds an
+    n x n matrix. Both give the same summary, and pairs in different
+    components count as UNREACHABLE.
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .market import Market, Matching, is_stable
-from .topology import SocialCircle
+from circlematch.market import Market, Matching, is_stable
+from circlematch.topology import SocialCircle
 
 MAX_ORACLE_AGENTS = 12
 

@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from circlematch import topology
 from circlematch.harness import derive_seed
 from circlematch.market import Market, Matching, build_market, market_from_dict
 from circlematch.netgen import MODELS, Graph, generate, generate_er
@@ -29,11 +30,26 @@ def naive_distances(graph: Graph) -> np.ndarray:
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors(u):
+            for v in graph.adjacency[u]:
                 if dist[source, v] == UNREACHABLE:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
     return dist
+
+
+def summary_from_dense(dist: np.ndarray, dep: int) -> DistanceMatrix:
+    """The distance summary at ``dep`` of a dense hop-count matrix, built
+    the naive way; its ``dist`` gives a copy of the matrix."""
+    dist = np.asarray(dist, dtype=np.int32)
+    n = len(dist)
+    diameter = int(dist.max(initial=0))
+    levels = tuple(int((dist == d).sum()) for d in range(1, diameter + 1))
+    within = (dist != UNREACHABLE) & (dist <= dep)
+    planes = np.array([topology._pack(within & (dist >> p & 1).astype(bool))
+                       for p in range(topology._plane_count(n, dep))],
+                      dtype=np.uint64).reshape(-1, n, -(-n // 64))
+    return DistanceMatrix(n, levels, SocialCircle(n, dep, topology._pack(within)), planes,
+                          dist.copy)
 
 
 def stdlib_market(n: int, rng: random.Random) -> Market:
@@ -52,6 +68,22 @@ def stdlib_market(n: int, rng: random.Random) -> Market:
         prefs[a] = row
     return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman),
                   prefs[is_woman], prefs[~is_woman])
+
+
+def prefers(market: Market, agent: int, favored: int, other: int) -> bool:
+    """True when ``agent`` ranks ``favored`` strictly ahead of ``other``."""
+    return market.position(agent, favored) < market.position(agent, other)
+
+
+def agent_utility(market: Market, matching: Matching, agent: int) -> float:
+    """Matched agents earn their score for their partner; unmatched earn 0."""
+    if agent in market.women.tolist():
+        partner = matching.by_woman.get(agent)
+    elif agent in market.men.tolist():
+        partner = matching.by_man.get(agent)
+    else:
+        raise ValueError(f"unknown agent id {agent}")
+    return 0.0 if partner is None else market.score(agent, partner)
 
 
 def make_market(women: Sequence[int], men: Sequence[int],
@@ -87,7 +119,7 @@ def naive_deferred_acceptance(market: Market, circle: SocialCircle,
             if current is None:
                 engaged[i] = j
                 break
-            if market.prefers(i, j, current):
+            if prefers(market, i, j, current):
                 engaged[i] = j
                 free.append(current)
                 break
@@ -103,7 +135,7 @@ def naive_blocking_pair(market: Market, circle: SocialCircle,
             if matching.by_woman.get(i) == j:
                 break  # she prefers her partner to everyone further down
             his = matching.by_man.get(j)
-            if circle.contains(i, j) and (his is None or market.prefers(j, i, his)):
+            if circle.contains(i, j) and (his is None or prefers(market, j, i, his)):
                 return (i, j)
     return None
 
@@ -112,7 +144,7 @@ def full_circle(n: int) -> SocialCircle:
     """A circle in which everyone recognizes everyone else."""
     dist = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    return DistanceMatrix.from_dense(dist, 1).circle
+    return summary_from_dense(dist, 1).circle
 
 
 def valid_degrees(n: int) -> list[int]:

@@ -28,7 +28,6 @@ from circlematch.market import (
     restricted_deferred_acceptance,
 )
 from circlematch.netgen import MODELS, generate_er, generate_ncn
-from circlematch.oracle import enumerate_stable_matchings, man_optimal
 from circlematch.topology import (
     UNREACHABLE,
     all_pairs_shortest,
@@ -38,6 +37,7 @@ from circlematch.topology import (
 
 import random
 
+from oracle import enumerate_stable_matchings, man_optimal
 from refimpl import random_instance
 
 

@@ -1,18 +1,21 @@
 """Experiment harness: seed derivation, config validation, sweeps, output."""
 
 import dataclasses
+import importlib.util
 import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import circlematch
+from circlematch import harness
 from circlematch.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -117,6 +120,93 @@ def test_run_cell_full_is_internally_consistent():
     assert is_stable(run.market, run.circle, run.matching)
     assert run.result.matched_pairs == len(run.matching.pairs)
     assert run.result.apl is not None
+
+
+# ------------------------------------------------------ seed-free networks
+
+@pytest.fixture
+def cold_map():
+    harness._seed_free.clear()
+    yield
+    harness._seed_free.clear()
+
+
+def test_seed_free_network_is_summarized_once(cold_map):
+    first = run_cell_full("ncn", 40, 2, seed=0)
+    second = run_cell_full("ncn", 40, 2, seed=1)
+    assert second.dm is first.dm and second.graph is first.graph
+    assert second.market != first.market
+    assert list(harness._seed_free) == [("ncn", 40, 2, 0.1, 3)]
+    assert run_cell_full("ncn", 40, 2, dep=2).dm is not first.dm
+
+
+def test_served_cells_equal_cold_runs(cold_map):
+    strip = lambda r: dataclasses.replace(r, runtime_ms=0.0)
+    cells = [(n, k, dep, seed) for n, k in ((20, 2), (60, 4), (300, 2))
+             for dep in (1, 3) for seed in range(3)]
+    served = [strip(run_cell("ncn", n, k, dep, seed)) for n, k, dep, seed in cells]
+    cold = []
+    for n, k, dep, seed in cells:
+        harness._seed_free.clear()
+        cold.append(strip(run_cell("ncn", n, k, dep, seed)))
+    assert served == cold
+
+
+@pytest.mark.parametrize("model, p_rewire", [("er", 0.1), ("ws", 0.1), ("ws", 0.0),
+                                             ("ba", 0.1)])
+def test_drawn_networks_never_enter_the_map(cold_map, model, p_rewire):
+    # ws at p_rewire 0 keeps the ring, but still draws one number per edge
+    for seed in range(2):
+        run_cell_full(model, 20, 2, seed=seed, p_rewire=p_rewire)
+    assert not harness._seed_free
+
+
+def test_map_never_exceeds_its_bound(cold_map):
+    bound = harness._SEED_FREE_NETWORKS
+    sizes = range(4, 4 + 2 * (bound + 3), 2)
+    for n in sizes:
+        run_cell_full("ncn", n, 2)
+        assert len(harness._seed_free) <= bound
+    # the oldest networks left first
+    assert [key[1] for key in harness._seed_free] == list(sizes)[-bound:]
+
+
+def test_map_holds_every_ncn_network_of_the_presets():
+    configs = (table2_config(1), fig2_config(1), fig36_config(1))
+    networks = {(n, k) for cfg in configs for n in cfg.n_values for k in cfg.k_values}
+    assert len(networks) == 13 <= harness._SEED_FREE_NETWORKS
+
+
+def test_summary_arrays_are_read_only(cold_map):
+    for model, n in (("ncn", 40), ("ncn", 300), ("er", 40), ("ba", 300)):
+        run = run_cell_full(model, n, 2)
+        arrays = (run.dm.circle.bits, run.dm._planes, run.market.women_prefs,
+                  run.market.men_pos)
+        assert not any(a.flags.writeable for a in arrays), model
+
+
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [40, 300], ids=["bit-parallel", "scipy"])
+def test_benchmark_gate_and_counts_read_served_cells(cold_map, n):
+    checks = _perfbench_checks()
+    cold = run_cell_full("ncn", n, 2, seed=0)
+    served = run_cell_full("ncn", n, 2, seed=1)
+    assert served.dm is cold.dm
+    for run in (cold, served):
+        assert checks.check_cell(run) == []
+        counts = checks.cell_counts(run)
+        assert counts["market.matched_pairs"] == len(run.matching.pairs)
+        assert counts["topology.bfs_levels"] == n // 2
+        assert counts["topology.reachable_pairs"] == n * (n - 1) // 2
+        # every man of the ring knows the women among his 6 nearest nodes
+        assert 0 < counts["market.cand_len_max"] <= 6
 
 
 def test_sweep_covers_the_cross_product_in_order():

@@ -1,5 +1,6 @@
 """Markets, social circles, deferred acceptance and stability checks."""
 
+import dataclasses
 import json
 import random
 import statistics
@@ -13,7 +14,6 @@ from circlematch.harness import derive_seed
 from circlematch.market import (
     Market,
     Matching,
-    agent_utility,
     average_utility,
     build_market,
     classical_gs,
@@ -28,8 +28,9 @@ from circlematch.market import (
 from circlematch.netgen import MODELS, Graph
 from circlematch.topology import all_pairs_shortest
 
-from refimpl import (full_circle, make_market, naive_blocking_pair,
-                     naive_deferred_acceptance, random_instance, ranking, stdlib_market)
+from refimpl import (agent_utility, full_circle, make_market, naive_blocking_pair,
+                     naive_deferred_acceptance, prefers, random_instance, ranking,
+                     stdlib_market)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -96,6 +97,12 @@ def test_market_arrays_are_read_only():
     market = build_market(6, random.Random(0))
     with pytest.raises(ValueError):
         market.women_prefs[0, 0] = 1
+    # a writeable rank array is copied: changing it leaves the market as built
+    women_prefs = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    market = Market((0, 1), (2, 3), women_prefs, np.array([[0, 1], [0, 1]]))
+    women_prefs[0] = (1, 0)
+    assert market.women_prefs.tolist() == [[0, 1], [1, 0]]
+    assert market.women_pos.tolist() == [[0, 1], [1, 0]]
 
 
 def test_build_market_structure():
@@ -172,9 +179,9 @@ def test_score_strictly_decreasing_down_the_list(seed):
 
 
 def test_prefers_follows_rank():
-    assert UNANIMOUS.prefers(0, 2, 3)
-    assert not UNANIMOUS.prefers(0, 3, 2)
-    assert not UNANIMOUS.prefers(0, 2, 2)
+    assert prefers(UNANIMOUS, 0, 2, 3)
+    assert not prefers(UNANIMOUS, 0, 3, 2)
+    assert not prefers(UNANIMOUS, 0, 2, 2)
     with pytest.raises(ValueError):
         UNANIMOUS.position(0, 1)  # both women
     with pytest.raises(ValueError):
@@ -340,8 +347,8 @@ def test_blocking_pair_reports_mutual_gain(seed):
         assert inst.circle.contains(w, m)
         current_w = arbitrary.by_woman.get(w)
         current_m = arbitrary.by_man.get(m)
-        assert current_w is None or inst.market.prefers(w, m, current_w)
-        assert current_m is None or inst.market.prefers(m, w, current_m)
+        assert current_w is None or prefers(inst.market, w, m, current_w)
+        assert current_m is None or prefers(inst.market, m, w, current_m)
 
 
 # -------------------------------------------------------------- serialization
@@ -368,8 +375,13 @@ def test_market_from_dict_names_the_bad_field(data, field):
 def test_matching_to_dict_reads_distances_without_a_dense_matrix():
     inst = random_instance(4, n_pool=(40,), dep_pool=(3,), models=("er",))
     matching = restricted_deferred_acceptance(inst.market, inst.circle)
-    payload = matching_to_dict(inst.market, inst.dm, matching)
-    assert payload["pairs"] and inst.dm._dense is None
+
+    def refuse():
+        raise AssertionError("the dense matrix was built")
+
+    summary = dataclasses.replace(inst.dm, _rebuild=refuse)
+    payload = matching_to_dict(inst.market, summary, matching)
+    assert payload["pairs"]
     assert [p["distance"] for p in payload["pairs"]] == [
         inst.dm.dist[w, m] for w, m in matching.pairs]
 

@@ -32,7 +32,7 @@ def test_graph_normalizes_and_validates():
     assert g.m == 2
     assert (1, 2) in g.edges and (2, 1) not in g.edges
     assert (0, 1) not in g.edges
-    assert g.neighbors(0) == (3,)
+    assert g.adjacency[0] == (3,)
     assert list(g.degrees()) == [1, 1, 1, 1]
 
 
@@ -61,8 +61,8 @@ def test_graph_rejects_nonpositive_n():
 def test_ncn_eight_four_frozen():
     g = generate_ncn(8, 4)
     assert g.m == 16
-    assert g.neighbors(0) == (1, 2, 6, 7)
-    assert g.neighbors(3) == (1, 2, 4, 5)
+    assert g.adjacency[0] == (1, 2, 6, 7)
+    assert g.adjacency[3] == (1, 2, 4, 5)
     assert all(d == 4 for d in g.degrees())
 
 

@@ -16,13 +16,8 @@ from circlematch.market import (
     is_stable,
     restricted_deferred_acceptance,
 )
-from circlematch.oracle import (
-    MAX_ORACLE_AGENTS,
-    OracleViolation,
-    enumerate_stable_matchings,
-    man_optimal,
-)
 
+from oracle import MAX_ORACLE_AGENTS, OracleViolation, enumerate_stable_matchings, man_optimal
 from refimpl import full_circle, random_instance
 
 from test_market import PATH_CIRCLE, PATH_MARKET, UNANIMOUS

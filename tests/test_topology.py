@@ -2,7 +2,10 @@
 naive per-source BFS, networkx, and scipy.stats for the Poisson series."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -11,6 +14,7 @@ import scipy.stats
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import circlematch
 from circlematch import topology
 from circlematch.netgen import Graph, generate, generate_ba, generate_er, generate_ncn
 from circlematch.topology import (
@@ -25,7 +29,7 @@ from circlematch.topology import (
     reachable_pairs,
 )
 
-from refimpl import naive_distances, random_instance
+from refimpl import naive_distances, random_instance, summary_from_dense
 
 
 CYCLE6 = generate_ncn(6, 2)
@@ -57,10 +61,18 @@ def test_cycle_distances_frozen():
     assert dm.levels == (12, 12, 6)
 
 
+def distance_or_none(dm, a, b):
+    try:
+        return dm.distance(a, b)
+    except ValueError:
+        return None
+
+
 def assert_summary_matches(summarize, dist, deps):
     """Every summary ``summarize(dep)`` builds, one per depth in ``deps``,
     equals the value derived from the dense reference ``dist``: the
-    distances, the histogram, the metrics, and each circle bit."""
+    distances, the histogram, the metrics, each circle bit and the
+    reference summary's bit planes."""
     n = len(dist)
     finite = dist[(dist != UNREACHABLE) & ~np.eye(n, dtype=bool)]
     diameter = int(finite.max()) if finite.size else None
@@ -69,8 +81,11 @@ def assert_summary_matches(summarize, dist, deps):
     nodes = np.arange(n)
     for dep in deps:
         dm = summarize(dep)
-        # before .dist is built, distance() reads the level bitsets
-        assert [[dm.distance(a, b) for b in range(n)] for a in range(n)] == dist.tolist()
+        within = (dist != UNREACHABLE) & (dist <= dep)
+        # distance() reads the bit planes, and answers for circle pairs only
+        assert [[distance_or_none(dm, a, b) for b in range(n)] for a in range(n)] == \
+            np.where(within, dist, None).tolist()
+        assert np.array_equal(dm._planes, summary_from_dense(dist, dep)._planes)
         assert np.array_equal(dm.dist, dist)
         assert dm.levels == tuple(int((finite == d).sum())
                                   for d in range(1, (diameter or 0) + 1))
@@ -80,7 +95,6 @@ def assert_summary_matches(summarize, dist, deps):
         assert average_path_length(dm) == (float(reach.mean()) if reach.size else None)
         if n >= 2:
             assert connectivity(dm, dep) == float((reach <= dep).sum()) / (n * (n - 1) // 2)
-        within = (dist != UNREACHABLE) & (dist <= dep)
         circle = dm.circle
         assert (circle.n, circle.dep) == (n, dep)
         assert np.array_equal(topology._unpack(circle.bits, n), within)
@@ -139,6 +153,50 @@ def test_both_paths_match_networkx_at_n300(name, graph, deep):
     diameter = int(dist.max())
     deps = sorted({1, 3, max(diameter, 1), diameter + 2})
     assert_summary_matches(lambda dep: all_pairs_shortest(graph, dep), dist, deps)
+
+
+def test_distance_raises_past_the_circle():
+    dm = all_pairs_shortest(CYCLE6, 2)
+    assert [dm.distance(0, b) for b in (0, 1, 2, 4, 5)] == [0, 1, 2, 2, 1]
+    with pytest.raises(ValueError, match="more than 2 hops"):
+        dm.distance(0, 3)
+    with pytest.raises(ValueError):
+        all_pairs_shortest(Graph.from_edges(4, [(0, 1)]), 3).distance(0, 2)
+    # numpy node ids, on a word whose top bit is set in every plane
+    ring = all_pairs_shortest(generate_ncn(200, 2), 100)
+    assert ring.distance(np.int64(0), np.int64(63)) == ring.distance(0, 63) == 63
+
+
+@pytest.mark.parametrize("graph", [generate_ncn(40, 2), generate_ncn(300, 2)],
+                         ids=["bit-parallel", "scipy"])
+def test_dense_matrix_is_rebuilt_on_every_read(graph):
+    dm = all_pairs_shortest(graph, 3)
+    first, second = dm.dist, dm.dist
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, naive_distances(graph))
+    first[0, 1] = 7
+    assert dm.dist[0, 1] == 1
+
+
+def test_summary_holds_read_only_packed_bits_only():
+    n = 300
+    for graph in (generate_ncn(n, 2), generate_er(n, 600, random.Random(1))):
+        dm = all_pairs_shortest(graph, 3)
+        arrays = (dm.circle.bits, dm._planes)
+        assert [a.dtype for a in arrays] == [np.uint64] * 2
+        assert dm._planes.shape == (2, n, -(-n // 64))  # bits 0 and 1 of distances 1..3
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_reading_dist_on_a_small_ring_never_loads_scipy():
+    # the bit-parallel path rebuilds the matrix by its own pass, not through scipy
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys; from circlematch import generate_ncn, all_pairs_shortest; "
+            "dist = all_pairs_shortest(generate_ncn(100, 2), 3).dist; "
+            "print(int(dist.max()), 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["50", "False"]
 
 
 def test_diameter_of_edgeless_graph_is_none():
