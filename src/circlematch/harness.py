@@ -9,6 +9,7 @@ on different networks.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import random
 import statistics
@@ -115,21 +116,29 @@ class CellRun:
     result: ExperimentResult
 
 
-def _graph_source(model: str, seed: int) -> random.Random:
-    return random.Random(derive_seed(seed, f"graph:{model}"))
-
-
 def cell_graph(model: str, n: int, k: int, seed: int, p_rewire: float) -> Graph:
     """The network of the replication keyed by master seed ``seed``."""
-    return netgen.generate(model, n, k, p_rewire=p_rewire, rng=_graph_source(model, seed))
+    rng = random.Random(derive_seed(seed, f"graph:{model}"))
+    return netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
 
 
-# Networks whose generation draws nothing from its random source are the same
-# under every seed (today only ncn), so run_cell_full summarizes each once and
-# keeps it here, keyed by (model, n, k, p_rewire, dep); the oldest leaves first.
-# The bound holds the 13 distinct ncn networks of the three presets.
+# Networks that draw nothing from their random source are the same under every
+# seed (today only ncn), so run_cell_full summarizes each once and keeps it here,
+# keyed by (model, n, k, p_rewire, dep); the oldest leaves first. The bound holds
+# the 13 distinct ncn networks of the three presets.
 _SEED_FREE_NETWORKS = 16
 _seed_free: dict[tuple, tuple[Graph, DistanceMatrix]] = {}
+_UNTOUCHED = random.Random(0).getstate()
+
+
+@functools.lru_cache(maxsize=64)  # the 60 parameter sets of the three presets
+def _draws(model: str, n: int, k: int, p_rewire: float) -> bool:
+    """Whether generating this network draws from its random source: before its first
+    draw a generator's path depends on its parameters alone, so one probe decides."""
+    probe = random.Random()
+    probe.setstate(_UNTOUCHED)
+    netgen.generate(model, n, k, p_rewire=p_rewire, rng=probe)
+    return probe.getstate() != _UNTOUCHED
 
 
 def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
@@ -138,13 +147,9 @@ def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
     key = (model, n, k, p_rewire, dep)
     if key in _seed_free:
         return _seed_free[key]
-    rng = _graph_source(model, seed)
-    untouched = rng.getstate()
-    graph = netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
+    graph = cell_graph(model, n, k, seed, p_rewire)
     network = graph, all_pairs_shortest(graph, dep)
-    # Before its first draw a generator's path depends on its parameters
-    # alone, so one that drew nothing here draws nothing under any seed.
-    if rng.getstate() == untouched:
+    if not _draws(model, n, k, p_rewire):
         if len(_seed_free) == _SEED_FREE_NETWORKS:
             del _seed_free[next(iter(_seed_free))]
         _seed_free[key] = network

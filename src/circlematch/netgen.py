@@ -3,8 +3,9 @@
 Nodes are integers 0..n-1. Every graph is simple and undirected: no
 self-loops, no repeated edges. Randomized generators draw all choices from a
 caller-supplied ``random.Random``, so equal parameters and an equally seeded
-source always reproduce the same graph. Edges are stored in canonical order:
-each pair as (smaller id, larger id), the whole list sorted ascending.
+source always reproduce the same graph. A graph is one canonical edge array,
+each row (smaller id, larger id) and the rows ascending, with the CSR
+adjacency every other layer reads.
 """
 
 from __future__ import annotations
@@ -12,59 +13,86 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
 
+import numpy as np
+
 MODELS = ("ncn", "er", "ws", "ba")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph over nodes 0..n-1."""
+    """Immutable simple undirected graph over nodes 0..n-1; ``edges`` is its
+    read-only (m, 2) int32 canonical edge array."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge collection, normalizing and validating.
 
         Args:
-            n: number of nodes; must be positive.
-            edges: iterable of (u, v) pairs in any order and orientation.
+            n: number of nodes, 1..2**31 so that every id fits in int32.
+            edges: (u, v) pairs in any order and orientation, as an
+                iterable or an (m, 2) integer array.
 
         Raises:
-            ValueError: on self-loops, out-of-range ids, or repeated edges.
+            ValueError: on non-integer ids, on the first self-loop or
+                out-of-range id in canonical order, or on repeated edges.
         """
-        if n < 1:
-            raise ValueError(f"node count must be positive, got {n}")
-        canonical = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        for u, v in canonical:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        deduped = tuple(canonical)
-        if len(set(deduped)) != len(deduped):
+        if not 1 <= n <= 2 ** 31:
+            raise ValueError(f"node count must be in 1..{2 ** 31}, got {n}")
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        ends = np.asarray(pairs)
+        if ends.dtype.kind not in "iu":  # ids past 64 bits come out as float64 or object
+            ends = np.array(pairs, dtype=object)
+            if not all(isinstance(x, (int, np.integer)) for x in ends.flat):
+                raise ValueError("node ids must be integers")
+        ends = ends if ends.size else ends.reshape(0, 2)
+        if ends.shape[1:] != (2,):
+            raise ValueError("edges must be (u, v) pairs")
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            u, v = min(zip(lo[bad].tolist(), hi[bad].tolist()))
+            raise ValueError(f"self-loop at node {u}" if u == v
+                             else f"edge ({u}, {v}) outside 0..{n - 1}")
+        # With every id below n, the key lo * n + hi sorts edges canonically.
+        keys = np.sort(lo.astype(np.int64) * n + hi.astype(np.int64))
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated edges in edge list")
-        return Graph(n, deduped)
+        canonical = np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
+        canonical.flags.writeable = False
+        return Graph(n, canonical)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR adjacency ``(indptr, indices)``: node v's neighbours,
+        ascending, are ``indices[indptr[v]:indptr[v + 1]]``."""
+        n = self.n
+        lo, hi = self.edges.astype(np.int64).T
+        # Each edge end as the key row * n + column: sorted, the keys list
+        # every row's neighbours in ascending order.
+        keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        csr = np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
+        for array in csr:
+            array.flags.writeable = False
+        return csr
 
     def degrees(self) -> list[int]:
-        return [len(ns) for ns in self.adjacency]
+        return np.diff(self.csr[0]).tolist()
 
 
 def _check_ring_params(n: int, k: int) -> None:
@@ -87,21 +115,9 @@ def generate_ncn(n: int, k: int) -> Graph:
         Deterministic graph with exactly n*k/2 edges, every degree equal to k.
     """
     _check_ring_params(n, k)
-    edges = [(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)]
-    return Graph.from_edges(n, edges)
-
-
-def _row_starts(n: int) -> list[int]:
-    # starts[i] = index of pair (i, i+1) in the lexicographic pair ordering
-    out = [0]
-    for i in range(n - 1):
-        out.append(out[-1] + (n - 1 - i))
-    return out
-
-
-def _pair_at(starts: list[int], t: int) -> tuple[int, int]:
-    i = bisect_right(starts, t) - 1
-    return (i, i + 1 + (t - starts[i]))
+    near = np.tile(np.arange(n), k // 2)
+    far = (near + np.repeat(np.arange(1, k // 2 + 1), n)) % n
+    return Graph.from_edges(n, np.stack((near, far), axis=1))
 
 
 def generate_er(n: int, m: int, rng: random.Random) -> Graph:
@@ -120,9 +136,11 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} out of range for {n} nodes (max {total})")
-    starts = _row_starts(n)
-    chosen = rng.sample(range(total), m)
-    return Graph.from_edges(n, (_pair_at(starts, t) for t in chosen))
+    chosen = np.array(rng.sample(range(total), m), dtype=np.int64)
+    # starts[i] is the index of pair (i, i + 1) in lexicographic pair order
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    first = np.searchsorted(starts, chosen, side="right") - 1
+    return Graph.from_edges(n, np.stack((first, first + 1 + chosen - starts[first]), axis=1))
 
 
 def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
@@ -236,7 +254,7 @@ def write_edge_list(graph: Graph, target: str | os.PathLike | IO[str]) -> None:
             write_edge_list(graph, fh)
         return
     target.write(f"{graph.n} {graph.m}\n")
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         target.write(f"{u} {v}\n")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -109,37 +108,23 @@ class DistanceMatrix:
         return len(self.levels) or None
 
 
-def _neighbours(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR neighbour arrays: node v's neighbours are
-    ``indices[indptr[v]:indptr[v + 1]]``."""
-    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), dtype=np.intp,
-                       count=2 * graph.m).reshape(-1, 2)
-    rows = np.concatenate((ends[:, 0], ends[:, 1]))
-    cols = np.concatenate((ends[:, 1], ends[:, 0]))
-    indptr = np.zeros(graph.n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=graph.n), out=indptr[1:])
-    indices = cols[np.argsort(rows)]
-    for array in (indptr, indices):
-        array.flags.writeable = False
-    return indptr, indices
-
-
-def _csgraph(indptr: np.ndarray, indices: np.ndarray):
+def _csgraph(graph: Graph):
     from scipy.sparse import csr_matrix  # loaded on first use: small graphs never need scipy
-    n = len(indptr) - 1
-    return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    indptr, indices = graph.csr
+    return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                      shape=(graph.n, graph.n))
 
 
-def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
+def _too_deep(graph: Graph) -> bool:
     """Whether a double sweep proves some shortest path longer than the
     level budget. In every component at once, the sweep runs one BFS from
     some node and a second from the node farthest from it; the second's
     depth is a lower bound on that component's diameter."""
-    n = len(indptr) - 1
+    n = graph.n
     if n <= _SMALL_N:
         return False
     from scipy.sparse.csgraph import connected_components, dijkstra
-    adj = _csgraph(indptr, indices)
+    adj = _csgraph(graph)
     _, component = connected_components(adj, directed=False)
     _, first = np.unique(component, return_index=True)
     depth = dijkstra(adj, indices=first, unweighted=True, min_only=True)
@@ -149,27 +134,22 @@ def _too_deep(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > _LEVEL_BUDGET
 
 
-def _identity(n: int) -> np.ndarray:
-    """Packed rows of the n x n identity: row v holds bit v alone."""
-    bits = np.zeros((n, -(-n // 64)), dtype=_WORD)
-    nodes = np.arange(n)
-    bits[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
-    return bits
-
-
 def _plane_count(n: int, dep: int) -> int:
     """Bits in the largest distance a circle at ``dep`` can hold."""
     return min(dep, n - 1).bit_length()
 
 
-def _bfs_levels(indptr: np.ndarray, indices: np.ndarray):
+def _bfs_levels(graph: Graph):
     """Breadth-first search from every node at once over packed bitsets
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
     Traversal", VLDB 2014): row v of the frontier holds the sources that
     reached v at the last level, and one OR over each node's neighbour rows
-    gives the next level. Yields, for d = 1 up to the largest finite
-    distance, the packed pairs at distance d and their number."""
-    n = len(indptr) - 1
+    gives the next level. Yields, for d = 0 up to the largest finite
+    distance, the packed pairs at distance d, their number and the packed
+    pairs farther apart than d, unreachable ones included. No yielded
+    array changes afterwards."""
+    n = graph.n
+    indptr, indices = graph.csr
     # reduceat mis-handles empty segments, so an isolated node gathers its own
     # row as its one neighbour: a row that holds only the node itself at the
     # start, which unseen masks out, and nothing after. Every level is then
@@ -179,70 +159,68 @@ def _bfs_levels(indptr: np.ndarray, indices: np.ndarray):
     if isolated.size:
         gather = np.insert(indices, indptr[isolated], isolated)
         starts = starts + np.searchsorted(isolated, np.arange(n))
-    frontier = _identity(n)
-    unseen = ~frontier
-    pairs = n * (n - 1)
-    while pairs:
-        reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
+    reached = _pack(np.eye(n, dtype=bool))
+    unseen = ~reached
+    count, pairs = n, n * n
+    while count:
+        yield reached, count, unseen
+        pairs -= count
+        if not pairs:
+            return  # every pair is reached and the next level is empty
+        reached = np.bitwise_or.reduceat(reached[gather], starts, axis=0)
         reached &= unseen
         count = int(np.bitwise_count(reached).sum())
-        if count == 0:
-            return
-        yield reached, count
-        unseen ^= reached
-        frontier = reached
-        pairs -= count  # at 0 every pair is reached and the next level is empty
+        unseen = unseen ^ reached
 
 
-def _bit_parallel(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+def _bit_parallel(graph: Graph, dep: int) -> DistanceMatrix:
     """Summary from the multi-source BFS: a popcount per level gives the
-    histogram, and the levels up to ``dep`` give the circle and the planes."""
-    n = len(indptr) - 1
-    circle = _identity(n)
-    planes = np.zeros((_plane_count(n, dep), *circle.shape), dtype=_WORD)
+    histogram, the levels up to ``dep`` give the planes, and the circle is
+    every pair not beyond level ``dep`` (or the last level, if sooner)."""
+    n = graph.n
+    planes = np.zeros((_plane_count(n, dep), n, -(-n // 64)), dtype=_WORD)
     levels = []
-    for d, (reached, count) in enumerate(_bfs_levels(indptr, indices), 1):
+    for d, (reached, count, unseen) in enumerate(_bfs_levels(graph)):
         levels.append(count)
         if d <= dep:
-            circle |= reached
+            beyond = unseen
             for p in range(d.bit_length()):
                 if d >> p & 1:
                     planes[p] |= reached
-    return DistanceMatrix(n, tuple(levels), SocialCircle(n, dep, circle), planes,
-                          functools.partial(_bit_parallel_dist, indptr, indices))
+    return DistanceMatrix(n, tuple(levels[1:]), SocialCircle(n, dep, ~beyond), planes,
+                          functools.partial(_bit_parallel_dist, graph))
 
 
-def _bit_parallel_dist(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    n = len(indptr) - 1
+def _bit_parallel_dist(graph: Graph) -> np.ndarray:
+    n = graph.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    for d, (reached, _) in enumerate(_bfs_levels(indptr, indices), 1):
+    for d, (reached, _, _) in enumerate(_bfs_levels(graph)):
         dist[_unpack(reached, n)] = d
     return dist
 
 
-def _scipy_rows(indptr: np.ndarray, indices: np.ndarray):
+def _scipy_rows(graph: Graph):
     """Per-source traversal in scipy's compiled routines, for deep graphs.
     Yields the first source and the int32 hop counts of each block of
     source rows, so the float64 distances scipy returns never take more
     than a block."""
     from scipy.sparse.csgraph import shortest_path
-    adj = _csgraph(indptr, indices)
-    n = len(indptr) - 1
+    adj = _csgraph(graph)
+    n = graph.n
     for lo in range(0, n, _ROWS):
         raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
         raw[np.isinf(raw)] = UNREACHABLE
         yield lo, raw.astype(np.int32)
 
 
-def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceMatrix:
+def _scipy_paths(graph: Graph, dep: int) -> DistanceMatrix:
     """Summary from scipy's rows, block by block: each block adds to the
     histogram and fills its rows of the circle and the planes."""
-    n = len(indptr) - 1
+    n = graph.n
     counts = np.zeros(n + 1, dtype=np.int64)
     circle = np.empty((n, -(-n // 64)), dtype=_WORD)
     planes = np.empty((_plane_count(n, dep), *circle.shape), dtype=_WORD)
-    for lo, rows in _scipy_rows(indptr, indices):
+    for lo, rows in _scipy_rows(graph):
         block = slice(lo, lo + len(rows))
         # Shifted by one, UNREACHABLE counts in bin 0 and the diagonal in bin 1.
         counts += np.bincount(rows.ravel() + 1, minlength=n + 1)
@@ -253,13 +231,12 @@ def _scipy_paths(indptr: np.ndarray, indices: np.ndarray, dep: int) -> DistanceM
             plane[block] = _pack(rows & 1 << p != 0) & circle[block]
     levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
     return DistanceMatrix(n, levels, SocialCircle(n, dep, circle), planes,
-                          functools.partial(_scipy_dist, indptr, indices))
+                          functools.partial(_scipy_dist, graph))
 
 
-def _scipy_dist(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    n = len(indptr) - 1
-    dist = np.empty((n, n), dtype=np.int32)
-    for lo, rows in _scipy_rows(indptr, indices):
+def _scipy_dist(graph: Graph) -> np.ndarray:
+    dist = np.empty((graph.n, graph.n), dtype=np.int32)
+    for lo, rows in _scipy_rows(graph):
         dist[lo:lo + len(rows)] = rows
     return dist
 
@@ -277,8 +254,7 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")
-    adjacency = _neighbours(graph)
-    return (_scipy_paths if _too_deep(*adjacency) else _bit_parallel)(*adjacency, dep)
+    return (_scipy_paths if _too_deep(graph) else _bit_parallel)(graph, dep)
 
 
 def average_degree(graph: Graph) -> float:

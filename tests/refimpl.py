@@ -8,6 +8,7 @@ the library and a bug in the reference are unlikely to coincide.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
@@ -20,17 +21,58 @@ from circlematch.netgen import MODELS, Graph, generate, generate_er
 from circlematch.topology import UNREACHABLE, DistanceMatrix, SocialCircle, all_pairs_shortest
 
 
+def tuple_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """Canonical edges as a sorted tuple of (smaller, larger) pairs, checked
+    one pair at a time: the first self-loop or out-of-range pair in that
+    order, then any repeated pair, raises ValueError."""
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    canonical = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    for u, v in canonical:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
+    deduped = tuple(canonical)
+    if len(set(deduped)) != len(deduped):
+        raise ValueError("repeated edges in edge list")
+    return deduped
+
+
+def er_pairs(n: int, chosen: Sequence[int]) -> list[tuple[int, int]]:
+    """The node pairs at lexicographic pair indices ``chosen``, found by
+    bisecting the index at which each row of pairs starts."""
+    starts = [0]  # starts[i] = index of pair (i, i+1)
+    for i in range(n - 1):
+        starts.append(starts[-1] + (n - 1 - i))
+    pairs = []
+    for t in chosen:
+        i = bisect_right(starts, t) - 1
+        pairs.append((i, i + 1 + (t - starts[i])))
+    return pairs
+
+
+def adjacency_lists(graph: Graph) -> list[list[int]]:
+    """Each node's neighbours, ascending, read edge by edge."""
+    nbrs: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(ns) for ns in nbrs]
+
+
 def naive_distances(graph: Graph) -> np.ndarray:
     """Dense hop counts by per-source breadth-first search with a plain
     Python queue; UNREACHABLE between components."""
     n = graph.n
+    adjacency = adjacency_lists(graph)
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
     for source in range(n):
         dist[source, source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 if dist[source, v] == UNREACHABLE:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
@@ -195,7 +237,7 @@ def generate_er_gnp(n: int, p: float, rng: random.Random) -> Graph:
 def assert_valid_graph(graph: Graph, n: int, m: Optional[int] = None) -> None:
     assert graph.n == n
     seen = set()
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         assert 0 <= u < v < n
         assert (u, v) not in seen
         seen.add((u, v))

@@ -53,7 +53,7 @@ def test_generate_and_metrics_draw_the_graph_match_uses(capsys, model):
     args = ("--model", model, "--n", "10", "--k", "2", "--seed", "1")
     run = harness.run_cell_full(model, 10, 2, seed=1)
     _, out, _ = run_cli(capsys, "generate", *args)
-    assert read_edge_list(io.StringIO(out)).edges == run.graph.edges
+    assert read_edge_list(io.StringIO(out)) == run.graph
     _, out, _ = run_cli(capsys, "metrics", *args)
     assert json.loads(out) == json.loads(json.dumps(analyze(run.graph).to_dict()))
 
@@ -121,6 +121,16 @@ def test_metrics_rejects_adversarial_edge_lists(tmp_path, capsys, data):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("node", [2 ** 70, -2 ** 70])
+def test_metrics_rejects_ids_beyond_64_bits(tmp_path, capsys, node):
+    source = tmp_path / "wide.txt"
+    source.write_text(f"3 1\n0 {node}\n")
+    code, out, err = run_cli(capsys, "metrics", "--in", str(source))
+    assert (code, out) == (2, "")
+    u, v = sorted((0, node))
+    assert err == f"error: edge ({u}, {v}) outside 0..2\n"
+
+
 def test_metrics_missing_file_gives_io_exit_code(capsys):
     code, _, err = run_cli(capsys, "metrics", "--in", "/no/such/file.txt")
     assert code == 3
@@ -150,7 +160,7 @@ def test_match_distances_agree_with_networkx(capsys, model, k):
     assert code == 0
     pairs = json.loads(out)["pairs"]
     assert pairs
-    graph = nx.Graph(harness.cell_graph(model, 300, k, 0, 0.1).edges)
+    graph = nx.Graph(harness.cell_graph(model, 300, k, 0, 0.1).edges.tolist())
     for pair in pairs:
         expected = nx.shortest_path_length(graph, pair["woman"], pair["man"])
         assert pair["distance"] == expected <= 3

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -112,7 +113,7 @@ def test_run_cell_is_deterministic_up_to_runtime():
 def test_run_cell_market_does_not_depend_on_model():
     runs = {model: run_cell_full(model, 16, 2, seed=4) for model in ("ncn", "ba")}
     assert runs["ncn"].market == runs["ba"].market
-    assert runs["ncn"].graph.edges != runs["ba"].graph.edges
+    assert runs["ncn"].graph != runs["ba"].graph
 
 
 def test_run_cell_full_is_internally_consistent():
@@ -127,8 +128,10 @@ def test_run_cell_full_is_internally_consistent():
 @pytest.fixture
 def cold_map():
     harness._seed_free.clear()
+    harness._draws.cache_clear()
     yield
     harness._seed_free.clear()
+    harness._draws.cache_clear()
 
 
 def test_seed_free_network_is_summarized_once(cold_map):
@@ -159,6 +162,33 @@ def test_drawn_networks_never_enter_the_map(cold_map, model, p_rewire):
     for seed in range(2):
         run_cell_full(model, 20, 2, seed=seed, p_rewire=p_rewire)
     assert not harness._seed_free
+
+
+def test_seed_freeness_is_decided_once_per_parameter_set(cold_map, monkeypatch):
+    calls = []
+    getstate = random.Random.getstate
+
+    def counting(self):
+        calls.append(self)
+        return getstate(self)
+
+    monkeypatch.setattr(random.Random, "getstate", counting)
+    config = ExperimentConfig(circlematch.MODELS, (20, 40), (2, 4), tuple(range(6)))
+    sweep(config)
+    parameter_sets = len(config.models) * len(config.n_values) * len(config.k_values)
+    assert len(calls) <= parameter_sets
+    # ncn is served from the map; er, ws and ba never enter it
+    assert {key[0] for key in harness._seed_free} == {"ncn"}
+    assert run_cell_full("ncn", 40, 4, seed=7).graph is run_cell_full("ncn", 40, 4, seed=8).graph
+    assert len(calls) <= parameter_sets
+
+
+def test_draw_check_memory_is_bounded(cold_map):
+    bound = harness._draws.cache_info().maxsize
+    assert bound >= 60  # the parameter sets of the three presets
+    for n in range(4, 4 + 2 * (bound + 3), 2):
+        run_cell_full("er", n, 2)
+        assert harness._draws.cache_info().currsize <= bound
 
 
 def test_map_never_exceeds_its_bound(cold_map):

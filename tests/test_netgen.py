@@ -5,8 +5,9 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlematch.netgen import (
@@ -21,18 +22,24 @@ from circlematch.netgen import (
     write_edge_list,
 )
 
-from refimpl import assert_valid_graph, generate_er_gnp, valid_degrees
+from refimpl import (adjacency_lists, assert_valid_graph, er_pairs, generate_er_gnp,
+                     tuple_edges, valid_degrees)
 
 
 # ---------------------------------------------------------------- Graph type
 
+def neighbours(graph, v):
+    indptr, indices = graph.csr
+    return indices[indptr[v]:indptr[v + 1]].tolist()
+
+
 def test_graph_normalizes_and_validates():
     g = Graph.from_edges(4, [(2, 1), (3, 0)])
-    assert g.edges == ((0, 3), (1, 2))
+    assert g.edges.tolist() == [[0, 3], [1, 2]]
     assert g.m == 2
-    assert (1, 2) in g.edges and (2, 1) not in g.edges
-    assert (0, 1) not in g.edges
-    assert g.adjacency[0] == (3,)
+    assert [1, 2] in g.edges.tolist() and [2, 1] not in g.edges.tolist()
+    assert [0, 1] not in g.edges.tolist()
+    assert neighbours(g, 0) == [3]
     assert list(g.degrees()) == [1, 1, 1, 1]
 
 
@@ -44,6 +51,85 @@ def test_graph_normalizes_and_validates():
 def test_graph_rejects_bad_edges(bad):
     with pytest.raises(ValueError):
         Graph.from_edges(4, [bad])
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1), (1.0, 2), (0, "1"), (None, 1)])
+def test_graph_rejects_non_integer_ids(bad):
+    with pytest.raises(ValueError, match="^node ids must be integers$"):
+        Graph.from_edges(4, [(0, 1), bad])
+
+
+def test_graph_rejects_more_nodes_than_int32_ids_name():
+    with pytest.raises(ValueError, match=r"^node count must be in 1\.\.2147483648, got 2147483649$"):
+        Graph.from_edges(2 ** 31 + 1, [])
+
+
+def test_graph_arrays_are_read_only():
+    g = generate_ncn(8, 4)
+    assert g.edges.dtype == np.int32
+    assert not any(a.flags.writeable for a in (g.edges, *g.csr))
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists on 1..12 nodes: ids in range or up to 3 past either end,
+    pairs in either orientation, with or without repeats and self-loops."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.sampled_from([st.integers(0, n - 1), st.integers(-3, n + 3)]))
+    canonical = lambda e: (min(e), max(e))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=30,
+                          unique_by=canonical if draw(st.booleans()) else None))
+    if draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if u != v]
+    return n, edges
+
+
+@given(edge_lists())
+@example((1, []))
+@example((4, [(3, 0), (1, 2), (2, 1)]))
+@example((4, [(2, 9), (-1, -1)]))
+@example((3, [(2, 2), (5, 0)]))
+def test_from_edges_matches_the_tuple_reference(case):
+    n, edges = case
+    try:
+        want = tuple_edges(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Graph.from_edges(n, edges)
+        assert str(got.value) == str(exc)
+        return
+    graph = Graph.from_edges(n, edges)
+    assert graph.edges.tolist() == [list(e) for e in want]
+    assert [neighbours(graph, v) for v in range(n)] == adjacency_lists(graph)
+    assert graph.degrees() == [len(ns) for ns in adjacency_lists(graph)]
+
+
+@pytest.mark.parametrize("n", [3, 20, 60, 100, 300, 2000])
+def test_generators_match_the_tuple_reference(monkeypatch, n):
+    # ws and ba hand from_edges a list of pairs; ncn and er are checked
+    # against the ring and the bisect pair decoding written out in tuples.
+    handed = []
+    build = Graph.from_edges
+
+    def recording(n, edges):
+        handed.append(edges)
+        return build(n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(recording))
+    for k in (k for k in (2, 4, 8) if k <= n - 1):
+        for seed in (0, 1):
+            for model in MODELS:
+                graph = generate(model, n, k, rng=random.Random(seed))
+                if model == "ncn":
+                    pairs = [(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)]
+                elif model == "er":
+                    chosen = random.Random(seed).sample(range(n * (n - 1) // 2), n * k // 2)
+                    pairs = er_pairs(n, chosen)
+                else:
+                    pairs = handed[-1]
+                assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)], \
+                    (model, k, seed)
+                assert [neighbours(graph, v) for v in range(n)] == adjacency_lists(graph)
 
 
 def test_graph_rejects_duplicate_edges():
@@ -61,14 +147,14 @@ def test_graph_rejects_nonpositive_n():
 def test_ncn_eight_four_frozen():
     g = generate_ncn(8, 4)
     assert g.m == 16
-    assert g.adjacency[0] == (1, 2, 6, 7)
-    assert g.adjacency[3] == (1, 2, 4, 5)
+    assert neighbours(g, 0) == [1, 2, 6, 7]
+    assert neighbours(g, 3) == [1, 2, 4, 5]
     assert all(d == 4 for d in g.degrees())
 
 
 def test_ncn_six_two_is_the_plain_cycle():
     g = generate_ncn(6, 2)
-    assert g.edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
+    assert g.edges.tolist() == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
 
 
 @given(st.integers(4, 60))
@@ -95,7 +181,7 @@ def test_er_exact_edge_count():
 
 def test_er_full_and_empty():
     assert generate_er(5, 10, random.Random(0)).m == 10  # complete graph
-    assert generate_er(5, 0, random.Random(0)).edges == ()
+    assert generate_er(5, 0, random.Random(0)).edges.tolist() == []
     with pytest.raises(ValueError):
         generate_er(5, 11, random.Random(0))
     with pytest.raises(ValueError):
@@ -106,8 +192,8 @@ def test_er_deterministic_per_seed():
     a = generate_er(40, 100, random.Random(123))
     b = generate_er(40, 100, random.Random(123))
     c = generate_er(40, 100, random.Random(124))
-    assert a.edges == b.edges
-    assert a.edges != c.edges
+    assert a == b
+    assert a != c
 
 
 @given(st.integers(2, 40), st.integers(0, 200), st.integers(0, 2**32))
@@ -132,7 +218,7 @@ def test_er_gnp_extremes():
 def test_ws_zero_rewiring_equals_ring():
     for n, k in ((10, 2), (12, 4), (20, 6)):
         g = generate_ws(n, k, 0.0, random.Random(5))
-        assert g.edges == generate_ncn(n, k).edges
+        assert g == generate_ncn(n, k)
 
 
 @given(st.integers(6, 40), st.floats(0.0, 1.0), st.integers(0, 2**32))
@@ -219,7 +305,7 @@ def test_edge_list_round_trip_via_file(tmp_path):
     g = generate_er(15, 30, random.Random(2))
     path = tmp_path / "g.txt"
     write_edge_list(g, path)
-    assert read_edge_list(path).edges == g.edges
+    assert read_edge_list(path) == g
 
 
 def test_edge_list_round_trip_via_stream():
@@ -227,7 +313,7 @@ def test_edge_list_round_trip_via_stream():
     buf = io.StringIO()
     write_edge_list(g, buf)
     assert buf.getvalue() == "6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
-    assert read_edge_list(io.StringIO(buf.getvalue())).edges == g.edges
+    assert read_edge_list(io.StringIO(buf.getvalue())) == g
 
 
 @st.composite
@@ -244,7 +330,7 @@ def test_edge_list_round_trip_of_any_graph(graph):
     buf = io.StringIO()
     write_edge_list(graph, buf)
     back = read_edge_list(io.StringIO(buf.getvalue()))
-    assert (back.n, back.edges) == (graph.n, graph.edges)
+    assert back == graph
 
 
 def test_edge_list_rejects_count_mismatch():

@@ -107,17 +107,16 @@ def test_summary_matches_naive_bfs_on_both_paths(seed):
     inst = random_instance(seed)
     slow = naive_distances(inst.graph)
     assert inst.dm.circle.dep == inst.dep
-    adjacency = topology._neighbours(inst.graph)
     for summarize in (lambda dep: all_pairs_shortest(inst.graph, dep),
-                      lambda dep: topology._bit_parallel(*adjacency, dep),
-                      lambda dep: topology._scipy_paths(*adjacency, dep)):
+                      lambda dep: topology._bit_parallel(inst.graph, dep),
+                      lambda dep: topology._scipy_paths(inst.graph, dep)):
         assert_summary_matches(summarize, slow, (1, 2, 3, 4))
 
 
 def networkx_distances(graph):
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
-    g.add_edges_from(graph.edges)
+    g.add_edges_from(graph.edges.tolist())
     dist = np.full((graph.n, graph.n), UNREACHABLE, dtype=np.int32)
     for a, lengths in nx.all_pairs_shortest_path_length(g):
         for b, d in lengths.items():
@@ -128,15 +127,15 @@ def networkx_distances(graph):
 def sparse_evens(n):
     """A random graph on the even nodes of 0..n-1: every odd node is isolated."""
     g = generate_er(n // 2, n, random.Random(3))
-    return Graph.from_edges(n, [(2 * u, 2 * v) for u, v in g.edges])
+    return Graph.from_edges(n, [(2 * u, 2 * v) for u, v in g.edges.tolist()])
 
 
 def ring_beside_clump():
     """A 200-node ring (diameter 100) beside a dense 100-node random graph
     that holds every node of top degree."""
     clump = generate_er(100, 2000, random.Random(4))
-    return Graph.from_edges(300, list(generate_ncn(200, 2).edges)
-                            + [(200 + u, 200 + v) for u, v in clump.edges])
+    return Graph.from_edges(300, generate_ncn(200, 2).edges.tolist()
+                            + [(200 + u, 200 + v) for u, v in clump.edges.tolist()])
 
 
 @pytest.mark.parametrize("name, graph, deep", [
@@ -148,7 +147,7 @@ def ring_beside_clump():
     ("edgeless", Graph.from_edges(300, []), False),
 ])
 def test_both_paths_match_networkx_at_n300(name, graph, deep):
-    assert topology._too_deep(*topology._neighbours(graph)) == deep
+    assert topology._too_deep(graph) == deep
     dist = networkx_distances(graph)
     diameter = int(dist.max())
     deps = sorted({1, 3, max(diameter, 1), diameter + 2})
