@@ -10,7 +10,6 @@ adjacency every other layer reads.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -25,24 +24,23 @@ MODELS = ("ncn", "er", "ws", "ba")
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph over nodes 0..n-1; ``edges`` is its
-    read-only (m, 2) int32 canonical edge array."""
+    read-only (m, 2) int32 canonical edge array.
+
+    Construction normalizes and validates ``edges``: (u, v) pairs in any
+    order and orientation, as an iterable or an (m, 2) integer array, on
+    ``n`` nodes, 1..2**31 so that every id fits in int32.
+
+    Raises:
+        ValueError: on a node count out of range, on non-integer ids, on
+            the first self-loop or out-of-range id in canonical order, or
+            on repeated edges.
+    """
 
     n: int
     edges: np.ndarray
 
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge collection, normalizing and validating.
-
-        Args:
-            n: number of nodes, 1..2**31 so that every id fits in int32.
-            edges: (u, v) pairs in any order and orientation, as an
-                iterable or an (m, 2) integer array.
-
-        Raises:
-            ValueError: on non-integer ids, on the first self-loop or
-                out-of-range id in canonical order, or on repeated edges.
-        """
+    def __post_init__(self):
+        n, edges = self.n, self.edges
         if not 1 <= n <= 2 ** 31:
             raise ValueError(f"node count must be in 1..{2 ** 31}, got {n}")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -66,7 +64,13 @@ class Graph:
             raise ValueError("repeated edges in edge list")
         canonical = np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
         canonical.flags.writeable = False
-        return Graph(n, canonical)
+        object.__setattr__(self, "edges", canonical)
+
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """``Graph(n, edges)``: the graph of an edge collection, normalized
+        and validated as the constructor does."""
+        return Graph(n, edges)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -117,7 +121,7 @@ def generate_ncn(n: int, k: int) -> Graph:
     _check_ring_params(n, k)
     near = np.tile(np.arange(n), k // 2)
     far = (near + np.repeat(np.arange(1, k // 2 + 1), n)) % n
-    return Graph.from_edges(n, np.stack((near, far), axis=1))
+    return Graph(n, np.stack((near, far), axis=1))
 
 
 def generate_er(n: int, m: int, rng: random.Random) -> Graph:
@@ -140,7 +144,7 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
     # starts[i] is the index of pair (i, i + 1) in lexicographic pair order
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
     first = np.searchsorted(starts, chosen, side="right") - 1
-    return Graph.from_edges(n, np.stack((first, first + 1 + chosen - starts[first]), axis=1))
+    return Graph(n, np.stack((first, first + 1 + chosen - starts[first]), axis=1))
 
 
 def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
@@ -168,6 +172,8 @@ def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
             j = (i + d) % n
             adj[i].add(j)
             adj[j].add(i)
+    # far[(d - 1) * n + i] is the current far end of lap d's edge from node i
+    far = [(i + d) % n for d in range(1, k // 2 + 1) for i in range(n)]
     for d in range(1, k // 2 + 1):
         for i in range(n):
             if rng.random() >= p_rewire:
@@ -180,9 +186,9 @@ def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
                     adj[j].discard(i)
                     adj[i].add(w)
                     adj[w].add(i)
+                    far[(d - 1) * n + i] = w
                     break
-    edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
-    return Graph.from_edges(n, edges)
+    return Graph(n, np.stack((np.tile(np.arange(n), k // 2), far), axis=1))
 
 
 def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
@@ -202,19 +208,19 @@ def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
     if not 1 <= m_attach < n:
         raise ValueError(f"attachment count {m_attach} out of range for {n} nodes")
     core = m_attach + 1
-    edges: list[tuple[int, int]] = list(itertools.combinations(range(core), 2))
     # one entry per unit of degree; sampling from it is degree-proportional
     repeated = [node for node in range(core) for _ in range(m_attach)]
     for v in range(core, n):
         targets: set[int] = set()
         while len(targets) < m_attach:
             targets.add(rng.choice(repeated))
-        picked = sorted(targets)
-        for t in picked:
-            edges.append((t, v))
-        repeated.extend(picked)
+        repeated.extend(sorted(targets))
         repeated.extend([v] * m_attach)
-    return Graph.from_edges(n, edges)
+    # past the core, repeated holds each node's m_attach targets, then the
+    # node itself m_attach times: transposed, that is one (target, node) edge each
+    grown = np.array(repeated[core * m_attach:], dtype=np.int64).reshape(-1, 2, m_attach)
+    grown = grown.transpose(0, 2, 1).reshape(-1, 2)
+    return Graph(n, np.concatenate((np.transpose(np.triu_indices(core, 1)), grown)))
 
 
 def generate(model: str, n: int, k: int, *, p_rewire: float = 0.1,
@@ -294,4 +300,4 @@ def read_edge_list(source: str | os.PathLike | IO[str]) -> Graph:
         edges.append((_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)))
     if len(edges) != m:
         raise ValueError(f"line 1: header claims {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)

@@ -17,10 +17,12 @@ UNREACHABLE = -1
 # Graphs up to this many nodes always take the bit-parallel path.
 _SMALL_N = 128
 # A graph whose double-sweep depth bound exceeds this many levels takes the
-# scipy path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
-# scipy's per-source traversal costs O(n * (n + m)) whatever the depth.
+# deep path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
+# the deep path costs O(roots * (n + m)) for scipy's traversal from the roots
+# plus O(n) per pendant node, whatever the depth.
 _LEVEL_BUDGET = 64
-# Sources per scipy call on the scipy path.
+# Rows per block on the deep path: scipy sources per call, and rows per
+# histogram update.
 _ROWS = 128
 _WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
 
@@ -29,14 +31,6 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     """Boolean form of packed bitset rows of n bits: column b is bit b % 64 of word b // 64."""
     return np.unpackbits(packed.view(np.uint8), axis=-1, count=n,
                          bitorder="little").view(bool)
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Inverse of ``_unpack``: boolean rows as rows of 64-bit words."""
-    n = bits.shape[1]
-    packed = np.zeros((bits.shape[0], -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view(_WORD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +153,9 @@ def _bfs_levels(graph: Graph):
     if isolated.size:
         gather = np.insert(indices, indptr[isolated], isolated)
         starts = starts + np.searchsorted(isolated, np.arange(n))
-    reached = _pack(np.eye(n, dtype=bool))
+    reached = np.zeros((n, -(-n // 64)), dtype=_WORD)
+    nodes = np.arange(n)
+    reached.view(np.uint8)[nodes, nodes >> 3] = 1 << (nodes & 7)  # the identity
     unseen = ~reached
     count, pairs = n, n * n
     while count:
@@ -173,21 +169,30 @@ def _bfs_levels(graph: Graph):
         unseen = unseen ^ reached
 
 
-def _bit_parallel(graph: Graph, dep: int) -> DistanceMatrix:
-    """Summary from the multi-source BFS: a popcount per level gives the
-    histogram, the levels up to ``dep`` give the planes, and the circle is
-    every pair not beyond level ``dep`` (or the last level, if sooner)."""
-    n = graph.n
+def _circle_and_planes(bfs, n: int, dep: int):
+    """Reads levels 0..``dep`` of a ``_bfs_levels`` generator and returns
+    their pair counts, the circle, every pair not beyond level ``dep`` (or
+    the last level, if sooner), and the bit planes of the distances in it.
+    Later levels are left unread."""
     planes = np.zeros((_plane_count(n, dep), n, -(-n // 64)), dtype=_WORD)
-    levels = []
-    for d, (reached, count, unseen) in enumerate(_bfs_levels(graph)):
-        levels.append(count)
-        if d <= dep:
-            beyond = unseen
-            for p in range(d.bit_length()):
-                if d >> p & 1:
-                    planes[p] |= reached
-    return DistanceMatrix(n, tuple(levels[1:]), SocialCircle(n, dep, ~beyond), planes,
+    counts = []
+    for d, (reached, count, unseen) in enumerate(bfs):
+        counts.append(count)
+        for p in range(d.bit_length()):
+            if d >> p & 1:
+                planes[p] |= reached
+        if d == dep:
+            break
+    return counts, SocialCircle(n, dep, ~unseen), planes
+
+
+def _bit_parallel(graph: Graph, dep: int) -> DistanceMatrix:
+    """Summary from the multi-source BFS: the levels up to ``dep`` give the
+    circle and the planes, and a popcount per level gives the histogram."""
+    bfs = _bfs_levels(graph)
+    counts, circle, planes = _circle_and_planes(bfs, graph.n, dep)
+    counts += [count for _, count, _ in bfs]
+    return DistanceMatrix(graph.n, tuple(counts[1:]), circle, planes,
                           functools.partial(_bit_parallel_dist, graph))
 
 
@@ -199,45 +204,124 @@ def _bit_parallel_dist(graph: Graph) -> np.ndarray:
     return dist
 
 
-def _scipy_rows(graph: Graph):
-    """Per-source traversal in scipy's compiled routines, for deep graphs.
-    Yields the first source and the int32 hop counts of each block of
-    source rows, so the float64 distances scipy returns never take more
-    than a block."""
-    from scipy.sparse.csgraph import shortest_path
+def _pendant_forest(graph: Graph):
+    """Peels nodes of degree <= 1 until none is left. A peeled node's
+    parent is the one neighbour it still had, so the peeled nodes form trees
+    hanging from the roots: the nodes of the 2-core, and the last node
+    peeled in each tree component. Lays the trees out in preorder, root by
+    root, with each node's heaviest child after its lighter subtrees, and
+    returns, by position in that order: the node there, its parent's
+    position (-1 for a root) and the end of its subtree, which is one
+    contiguous slice of positions."""
+    n = graph.n
+    indptr, indices = (a.tolist() for a in graph.csr)
+    degree = graph.degrees()
+    parent = [-1] * n
+    peel = [v for v in range(n) if degree[v] <= 1]
+    for v in peel:  # grows while it is read: a node left with one neighbour peels later
+        degree[v] = -1
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            if degree[u] >= 0:
+                parent[v] = u
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peel.append(u)
+    # a child peels before its parent, so peel order completes every subtree size
+    size = [1] * n
+    for v in peel:
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    children = [[] for _ in range(n)]
+    for v in sorted(peel, key=size.__getitem__, reverse=True):
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    order, up, stop = [], [], []
+    for root in range(n):
+        if parent[root] < 0:
+            stack = [(root, -1)]  # heaviest child pushed first, so visited last
+            while stack:
+                v, above = stack.pop()
+                here = len(order)
+                order.append(v)
+                up.append(above)
+                stop.append(here + size[v])
+                stack += [(child, here) for child in children[v]]
+    return order, up, stop
+
+
+def _forest_rows(graph: Graph):
+    """Hop counts from every source, in blocks of up to ``_ROWS`` rows, with
+    the columns laid out as ``_pendant_forest`` orders the nodes; a column
+    the row's source cannot reach holds n or more. scipy's traversal gives
+    the roots' rows. A pendant node's row is its parent's plus 1, minus 2 on
+    the node's own subtree, since every path out of the subtree runs through
+    the parent. A row outlives its block, as a copy, only while children of
+    its node are still to come; with the heaviest child last, that is
+    O(log n) rows at a time."""
+    from scipy.sparse.csgraph import dijkstra
+    n = graph.n
+    order, up, stop = _pendant_forest(graph)
+    roots = [i for i, above in enumerate(up) if above < 0]
+    waiting = [0] * n  # children still to come, by position
+    for above in up:
+        if above >= 0:
+            waiting[above] += 1
+    pending = {}  # position -> row of a node with children still to come
+    block, filled = np.empty((_ROWS, n), dtype=np.int32), 0
     adj = _csgraph(graph)
-    n = graph.n
-    for lo in range(0, n, _ROWS):
-        raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
-        raw[np.isinf(raw)] = UNREACHABLE
-        yield lo, raw.astype(np.int32)
+    for lo in range(0, len(roots), _ROWS):
+        sources = roots[lo:lo + _ROWS]
+        raw = dijkstra(adj, indices=[order[i] for i in sources], unweighted=True)
+        raw[np.isinf(raw)] = n
+        rooted = raw.astype(np.int32)[:, order]
+        del raw
+        yield rooted
+        for root, row in zip(sources, rooted):
+            if waiting[root]:
+                pending[root] = row.copy()
+            for i in range(root + 1, stop[root]):
+                above = up[i]
+                row = block[filled]
+                np.add(pending[above], 1, out=row)
+                row[i:stop[i]] -= 2
+                waiting[above] -= 1
+                if not waiting[above]:
+                    del pending[above]
+                if waiting[i]:
+                    pending[i] = row.copy()
+                filled += 1
+                if filled == _ROWS:
+                    yield block
+                    filled = 0
+    yield block[:filled]
 
 
-def _scipy_paths(graph: Graph, dep: int) -> DistanceMatrix:
-    """Summary from scipy's rows, block by block: each block adds to the
-    histogram and fills its rows of the circle and the planes."""
+def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
+    """Summary for deep graphs: the circle and the planes from the first
+    ``dep`` levels of the multi-source BFS, whose generator then stops, and
+    the histogram from ``_forest_rows``, one block of rows at a time."""
     n = graph.n
-    counts = np.zeros(n + 1, dtype=np.int64)
-    circle = np.empty((n, -(-n // 64)), dtype=_WORD)
-    planes = np.empty((_plane_count(n, dep), *circle.shape), dtype=_WORD)
-    for lo, rows in _scipy_rows(graph):
-        block = slice(lo, lo + len(rows))
-        # Shifted by one, UNREACHABLE counts in bin 0 and the diagonal in bin 1.
-        counts += np.bincount(rows.ravel() + 1, minlength=n + 1)
-        # UNREACHABLE wraps to the largest uint32, beyond any depth.
-        circle[block] = _pack(rows.view(np.uint32) <= dep)
-        for p, plane in enumerate(planes):
-            # bit p of every hop count, UNREACHABLE's too, then masked to the circle
-            plane[block] = _pack(rows & 1 << p != 0) & circle[block]
-    levels = tuple(np.trim_zeros(counts[2:], "b").tolist())
-    return DistanceMatrix(n, levels, SocialCircle(n, dep, circle), planes,
-                          functools.partial(_scipy_dist, graph))
+    _, circle, planes = _circle_and_planes(_bfs_levels(graph), n, dep)
+    # a row's unreachable columns hold n plus its depth below its root: below 2n
+    counts = np.zeros(2 * n, dtype=np.int64)
+    for rows in _forest_rows(graph):
+        counts += np.bincount(rows.ravel(), minlength=2 * n)
+    levels = tuple(np.trim_zeros(counts[1:n], "b").tolist())
+    return DistanceMatrix(n, levels, circle, planes, functools.partial(_scipy_dist, graph))
 
 
 def _scipy_dist(graph: Graph) -> np.ndarray:
-    dist = np.empty((graph.n, graph.n), dtype=np.int32)
-    for lo, rows in _scipy_rows(graph):
-        dist[lo:lo + len(rows)] = rows
+    """The dense matrix from scipy's per-source traversal, a block of
+    ``_ROWS`` sources at a time, so the float64 distances scipy returns
+    never take more than a block."""
+    from scipy.sparse.csgraph import shortest_path
+    adj = _csgraph(graph)
+    n = graph.n
+    dist = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, _ROWS):
+        raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
+        raw[np.isinf(raw)] = UNREACHABLE
+        dist[lo:lo + _ROWS] = raw
     return dist
 
 
@@ -247,14 +331,17 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     the distances inside it.
 
     Graphs whose depth bound fits the level budget go through one
-    bit-parallel multi-source BFS; deeper graphs go through scipy's
-    per-source traversal, a block of rows at a time. Neither holds an
+    bit-parallel multi-source BFS. Deeper graphs take the circle from the
+    first ``dep`` levels of that BFS and the histogram from per-source rows:
+    scipy's traversal from the roots (the 2-core and one node per tree
+    component), and each pendant node's row derived from its parent's.
+    That costs roots x (n + m) plus pendant nodes x n. Neither path holds an
     n x n matrix. Both give the same summary, and pairs in different
     components count as UNREACHABLE.
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")
-    return (_scipy_paths if _too_deep(graph) else _bit_parallel)(graph, dep)
+    return (_deep_paths if _too_deep(graph) else _bit_parallel)(graph, dep)
 
 
 def average_degree(graph: Graph) -> float:

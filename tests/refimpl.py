@@ -7,6 +7,7 @@ the library and a bug in the reference are unlikely to coincide.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_right
 from collections import deque
@@ -52,6 +53,48 @@ def er_pairs(n: int, chosen: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
+def ws_pairs(n: int, k: int, p_rewire: float, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges ``generate_ws`` draws, as (smaller, larger) tuples, kept in
+    one neighbour set per node: the ring, then every lap-d edge from node i,
+    nearest lap first, rewired to a fresh far end with probability
+    ``p_rewire``, up to n redraws."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for d in range(1, k // 2 + 1):
+        for i in range(n):
+            adj[i].add((i + d) % n)
+            adj[(i + d) % n].add(i)
+    for d in range(1, k // 2 + 1):
+        for i in range(n):
+            if rng.random() >= p_rewire:
+                continue
+            j = (i + d) % n
+            for _ in range(n):
+                w = rng.randrange(n)
+                if w != i and w not in adj[i]:
+                    adj[i].discard(j)
+                    adj[j].discard(i)
+                    adj[i].add(w)
+                    adj[w].add(i)
+                    break
+    return [(i, j) for i in range(n) for j in adj[i] if i < j]
+
+
+def ba_pairs(n: int, m_attach: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges ``generate_ba`` draws, as tuples: a complete core of
+    m_attach + 1 nodes, then each later node's m_attach distinct targets,
+    each drawn from a list with one entry per unit of degree."""
+    core = m_attach + 1
+    edges = list(itertools.combinations(range(core), 2))
+    repeated = [node for node in range(core) for _ in range(m_attach)]
+    for v in range(core, n):
+        targets: set[int] = set()
+        while len(targets) < m_attach:
+            targets.add(rng.choice(repeated))
+        edges += [(t, v) for t in sorted(targets)]
+        repeated += sorted(targets) + [v] * m_attach
+    return edges
+
+
 def adjacency_lists(graph: Graph) -> list[list[int]]:
     """Each node's neighbours, ascending, read edge by edge."""
     nbrs: list[list[int]] = [[] for _ in range(graph.n)]
@@ -79,6 +122,15 @@ def naive_distances(graph: Graph) -> np.ndarray:
     return dist
 
 
+def pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as packed bitset rows of 64-bit words, the inverse of
+    ``topology._unpack``."""
+    n = bits.shape[1]
+    packed = np.zeros((bits.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
 def summary_from_dense(dist: np.ndarray, dep: int) -> DistanceMatrix:
     """The distance summary at ``dep`` of a dense hop-count matrix, built
     the naive way; its ``dist`` gives a copy of the matrix."""
@@ -87,10 +139,10 @@ def summary_from_dense(dist: np.ndarray, dep: int) -> DistanceMatrix:
     diameter = int(dist.max(initial=0))
     levels = tuple(int((dist == d).sum()) for d in range(1, diameter + 1))
     within = (dist != UNREACHABLE) & (dist <= dep)
-    planes = np.array([topology._pack(within & (dist >> p & 1).astype(bool))
+    planes = np.array([pack(within & (dist >> p & 1).astype(bool))
                        for p in range(topology._plane_count(n, dep))],
                       dtype=np.uint64).reshape(-1, n, -(-n // 64))
-    return DistanceMatrix(n, levels, SocialCircle(n, dep, topology._pack(within)), planes,
+    return DistanceMatrix(n, levels, SocialCircle(n, dep, pack(within)), planes,
                           dist.copy)
 
 

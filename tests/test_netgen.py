@@ -22,8 +22,8 @@ from circlematch.netgen import (
     write_edge_list,
 )
 
-from refimpl import (adjacency_lists, assert_valid_graph, er_pairs, generate_er_gnp,
-                     tuple_edges, valid_degrees)
+from refimpl import (adjacency_lists, assert_valid_graph, ba_pairs, er_pairs, generate_er_gnp,
+                     tuple_edges, valid_degrees, ws_pairs)
 
 
 # ---------------------------------------------------------------- Graph type
@@ -62,6 +62,25 @@ def test_graph_rejects_non_integer_ids(bad):
 def test_graph_rejects_more_nodes_than_int32_ids_name():
     with pytest.raises(ValueError, match=r"^node count must be in 1\.\.2147483648, got 2147483649$"):
         Graph.from_edges(2 ** 31 + 1, [])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, [(0, 0)]), (4, [(0, 4)]), (4, [(0, 1), (1, 0)]), (4, [(0, 1), (0.5, 1)]),
+    (0, []), (2 ** 31 + 1, []), (4, [(0, 1, 2)]),
+])
+def test_constructor_validates_as_from_edges_does(n, edges):
+    with pytest.raises(ValueError) as direct:
+        Graph(n, np.array(edges) if edges else edges)
+    with pytest.raises(ValueError) as built:
+        Graph.from_edges(n, edges)
+    assert str(direct.value) == str(built.value)
+
+
+def test_constructor_canonicalizes():
+    g = Graph(3, np.array([[1, 0]]))
+    assert g == Graph.from_edges(3, [(1, 0)])
+    assert g.edges.dtype == np.int32 and not g.edges.flags.writeable
+    assert neighbours(Graph(3, [(0, 1)]), 1) == [0]
 
 
 def test_graph_arrays_are_read_only():
@@ -105,31 +124,40 @@ def test_from_edges_matches_the_tuple_reference(case):
 
 
 @pytest.mark.parametrize("n", [3, 20, 60, 100, 300, 2000])
-def test_generators_match_the_tuple_reference(monkeypatch, n):
-    # ws and ba hand from_edges a list of pairs; ncn and er are checked
-    # against the ring and the bisect pair decoding written out in tuples.
-    handed = []
-    build = Graph.from_edges
-
-    def recording(n, edges):
-        handed.append(edges)
-        return build(n, edges)
-
-    monkeypatch.setattr(Graph, "from_edges", staticmethod(recording))
+def test_generators_match_the_tuple_reference(n):
+    # each model against its draws written out in tuples: the ring, the
+    # bisect pair decoding, and the set-based ws and ba constructions
     for k in (k for k in (2, 4, 8) if k <= n - 1):
         for seed in (0, 1):
             for model in MODELS:
                 graph = generate(model, n, k, rng=random.Random(seed))
+                rng = random.Random(seed)
                 if model == "ncn":
                     pairs = [(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)]
                 elif model == "er":
-                    chosen = random.Random(seed).sample(range(n * (n - 1) // 2), n * k // 2)
-                    pairs = er_pairs(n, chosen)
+                    pairs = er_pairs(n, rng.sample(range(n * (n - 1) // 2), n * k // 2))
+                elif model == "ws":
+                    pairs = ws_pairs(n, k, 0.1, rng)
                 else:
-                    pairs = handed[-1]
+                    pairs = ba_pairs(n, k // 2, rng)
                 assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)], \
                     (model, k, seed)
                 assert [neighbours(graph, v) for v in range(n)] == adjacency_lists(graph)
+
+
+@pytest.mark.parametrize("p_rewire", [0.0, 0.5, 1.0])
+def test_ws_matches_the_tuple_reference_at_any_rewiring(p_rewire):
+    for n, k in ((5, 4), (40, 2), (41, 6)):
+        for seed in range(3):
+            graph = generate_ws(n, k, p_rewire, random.Random(seed))
+            pairs = ws_pairs(n, k, p_rewire, random.Random(seed))
+            assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)]
+
+
+def test_ba_with_every_node_in_the_core_is_complete():
+    graph = generate_ba(4, 3, random.Random(0))
+    assert graph.edges.tolist() == [list(e) for e in ba_pairs(4, 3, random.Random(0))]
+    assert graph.m == 6
 
 
 def test_graph_rejects_duplicate_edges():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -109,7 +110,7 @@ def test_summary_matches_naive_bfs_on_both_paths(seed):
     assert inst.dm.circle.dep == inst.dep
     for summarize in (lambda dep: all_pairs_shortest(inst.graph, dep),
                       lambda dep: topology._bit_parallel(inst.graph, dep),
-                      lambda dep: topology._scipy_paths(inst.graph, dep)):
+                      lambda dep: topology._deep_paths(inst.graph, dep)):
         assert_summary_matches(summarize, slow, (1, 2, 3, 4))
 
 
@@ -138,6 +139,39 @@ def ring_beside_clump():
                             + [(200 + u, 200 + v) for u, v in clump.edges.tolist()])
 
 
+def path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def caterpillar(n, spine_first):
+    """A path of n/2 spine nodes with one leaf on each: spine node i has id
+    i and its leaf n/2 + i, or the other way round."""
+    half = n // 2
+    spine, leaf = (0, half) if spine_first else (half, 0)
+    return Graph.from_edges(n, [(spine + i, spine + i + 1) for i in range(half - 1)]
+                            + [(spine + i, leaf + i) for i in range(half)])
+
+
+def ring_with_pendant_paths():
+    """A 200-node ring with a 10-node path hanging from every 20th node."""
+    edges = generate_ncn(200, 2).edges.tolist()
+    for t in range(10):
+        tail = list(range(200 + 10 * t, 210 + 10 * t))
+        edges += [(20 * t, tail[0])] + list(zip(tail, tail[1:]))
+    return Graph.from_edges(300, edges)
+
+
+def tree_beside_a_ring():
+    """A random 140-node tree, a 150-node ring and 10 isolated nodes, with
+    the ids shuffled."""
+    rng = random.Random(5)
+    label = list(range(300))
+    rng.shuffle(label)
+    tree = [(v, rng.randrange(v)) for v in range(1, 140)]
+    ring = [(140 + i, 140 + (i + 1) % 150) for i in range(150)]
+    return Graph.from_edges(300, [(label[u], label[v]) for u, v in tree + ring])
+
+
 @pytest.mark.parametrize("name, graph, deep", [
     ("ncn ring", generate_ncn(300, 2), True),
     ("ring beside a clump", ring_beside_clump(), True),
@@ -145,6 +179,11 @@ def ring_beside_clump():
     ("ba", generate_ba(300, 2, random.Random(2)), False),
     ("isolated nodes", sparse_evens(300), False),
     ("edgeless", Graph.from_edges(300, []), False),
+    ("path", path(300), True),
+    ("caterpillar, spine ids first", caterpillar(300, True), True),
+    ("caterpillar, leaf ids first", caterpillar(300, False), True),
+    ("ring with pendant paths", ring_with_pendant_paths(), True),
+    ("tree beside a ring and isolated nodes", tree_beside_a_ring(), True),
 ])
 def test_both_paths_match_networkx_at_n300(name, graph, deep):
     assert topology._too_deep(graph) == deep
@@ -152,6 +191,36 @@ def test_both_paths_match_networkx_at_n300(name, graph, deep):
     diameter = int(dist.max())
     deps = sorted({1, 3, max(diameter, 1), diameter + 2})
     assert_summary_matches(lambda dep: all_pairs_shortest(graph, dep), dist, deps)
+
+
+@pytest.mark.parametrize("seed", [8000, 8001])
+def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
+    # a rewired k=2 ring: a small 2-core with trees hanging from it
+    graph = generate("ws", 2000, 2, rng=random.Random(seed))
+    assert topology._too_deep(graph)
+    deep, flat = topology._deep_paths(graph, 3), topology._bit_parallel(graph, 3)
+    assert deep.levels == flat.levels
+    assert np.array_equal(deep.circle.bits, flat.circle.bits)
+    assert np.array_equal(deep._planes, flat._planes)
+
+
+@pytest.mark.parametrize("spine_first", [True, False], ids=["spine ids first", "leaf ids first"])
+def test_deep_path_keeps_few_rows_past_their_block(spine_first):
+    # The caterpillar is one tree rooted mid-spine, and every spine node has
+    # its spine child and its leaf as children. Visiting the leaf last would
+    # keep the row of every spine node of an arm, about 500 rows of 8 kB, to
+    # the arm's end: 8.9 MB in all. Visiting the heavier spine child last
+    # keeps O(log n) rows; the peak, 4.9 MB, is then the circle, the planes
+    # and a few blocks of rows.
+    graph = caterpillar(2000, spine_first)
+    topology._deep_paths(graph, 3)  # scipy imported and the CSR cached outside the trace
+    tracemalloc.start()
+    try:
+        topology._deep_paths(graph, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000
 
 
 def test_distance_raises_past_the_circle():
