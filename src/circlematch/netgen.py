@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class Graph:
         canonical = np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
         canonical.flags.writeable = False
         object.__setattr__(self, "edges", canonical)
-
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """``Graph(n, edges)``: the graph of an edge collection, normalized
-        and validated as the constructor does."""
-        return Graph(n, edges)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

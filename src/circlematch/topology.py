@@ -19,10 +19,11 @@ _SMALL_N = 128
 # A graph whose double-sweep depth bound exceeds this many levels takes the
 # deep path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
 # the deep path costs O(roots * (n + m)) for scipy's traversal from the roots
-# plus O(n) per pendant node, whatever the depth.
+# plus, for each layer of the pendant forest, its width times the histogram
+# width (the longest root histogram plus the number of layers).
 _LEVEL_BUDGET = 64
-# Rows per block on the deep path: scipy sources per call, and rows per
-# histogram update.
+# scipy sources per call, so the float64 rows scipy returns never take more
+# than this many at a time.
 _ROWS = 128
 _WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
 
@@ -50,6 +51,9 @@ class SocialCircle:
         self.bits.flags.writeable = False
 
     def contains(self, a: int, b: int) -> bool:
+        for v in (a, b):
+            if not 0 <= v < self.n:
+                raise ValueError(f"node id {v} outside 0..{self.n - 1}")
         return bool(self.bits[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
 
     def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -89,7 +93,8 @@ class DistanceMatrix:
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between two nodes of one circle, read from the bit
-        planes; raises ValueError for a pair more than ``dep`` hops apart."""
+        planes; raises ValueError for a pair more than ``dep`` hops apart or
+        a node id outside 0..n-1."""
         if not self.circle.contains(a, b):
             raise ValueError(f"nodes {a} and {b} are more than {self.circle.dep} hops apart")
         shift = int(b) & 63
@@ -208,11 +213,8 @@ def _pendant_forest(graph: Graph):
     """Peels nodes of degree <= 1 until none is left. A peeled node's
     parent is the one neighbour it still had, so the peeled nodes form trees
     hanging from the roots: the nodes of the 2-core, and the last node
-    peeled in each tree component. Lays the trees out in preorder, root by
-    root, with each node's heaviest child after its lighter subtrees, and
-    returns, by position in that order: the node there, its parent's
-    position (-1 for a root) and the end of its subtree, which is one
-    contiguous slice of positions."""
+    peeled in each tree component. Returns each node's parent (-1 for a
+    root) and its depth below its root, as arrays."""
     n = graph.n
     indptr, indices = (a.tolist() for a in graph.csr)
     degree = graph.degrees()
@@ -226,87 +228,66 @@ def _pendant_forest(graph: Graph):
                 degree[u] -= 1
                 if degree[u] == 1:
                     peel.append(u)
-    # a child peels before its parent, so peel order completes every subtree size
-    size = [1] * n
-    for v in peel:
+    depth = [0] * n
+    for v in reversed(peel):  # a parent peels after its children
         if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    children = [[] for _ in range(n)]
-    for v in sorted(peel, key=size.__getitem__, reverse=True):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    order, up, stop = [], [], []
-    for root in range(n):
-        if parent[root] < 0:
-            stack = [(root, -1)]  # heaviest child pushed first, so visited last
-            while stack:
-                v, above = stack.pop()
-                here = len(order)
-                order.append(v)
-                up.append(above)
-                stop.append(here + size[v])
-                stack += [(child, here) for child in children[v]]
-    return order, up, stop
-
-
-def _forest_rows(graph: Graph):
-    """Hop counts from every source, in blocks of up to ``_ROWS`` rows, with
-    the columns laid out as ``_pendant_forest`` orders the nodes; a column
-    the row's source cannot reach holds n or more. scipy's traversal gives
-    the roots' rows. A pendant node's row is its parent's plus 1, minus 2 on
-    the node's own subtree, since every path out of the subtree runs through
-    the parent. A row outlives its block, as a copy, only while children of
-    its node are still to come; with the heaviest child last, that is
-    O(log n) rows at a time."""
-    from scipy.sparse.csgraph import dijkstra
-    n = graph.n
-    order, up, stop = _pendant_forest(graph)
-    roots = [i for i, above in enumerate(up) if above < 0]
-    waiting = [0] * n  # children still to come, by position
-    for above in up:
-        if above >= 0:
-            waiting[above] += 1
-    pending = {}  # position -> row of a node with children still to come
-    block, filled = np.empty((_ROWS, n), dtype=np.int32), 0
-    adj = _csgraph(graph)
-    for lo in range(0, len(roots), _ROWS):
-        sources = roots[lo:lo + _ROWS]
-        raw = dijkstra(adj, indices=[order[i] for i in sources], unweighted=True)
-        raw[np.isinf(raw)] = n
-        rooted = raw.astype(np.int32)[:, order]
-        del raw
-        yield rooted
-        for root, row in zip(sources, rooted):
-            if waiting[root]:
-                pending[root] = row.copy()
-            for i in range(root + 1, stop[root]):
-                above = up[i]
-                row = block[filled]
-                np.add(pending[above], 1, out=row)
-                row[i:stop[i]] -= 2
-                waiting[above] -= 1
-                if not waiting[above]:
-                    del pending[above]
-                if waiting[i]:
-                    pending[i] = row.copy()
-                filled += 1
-                if filled == _ROWS:
-                    yield block
-                    filled = 0
-    yield block[:filled]
+            depth[v] = depth[parent[v]] + 1
+    return np.array(parent), np.array(depth)
 
 
 def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
     """Summary for deep graphs: the circle and the planes from the first
     ``dep`` levels of the multi-source BFS, whose generator then stops, and
-    the histogram from ``_forest_rows``, one block of rows at a time."""
+    the histogram from ``_pendant_forest``, one layer of equal depth at a
+    time. scipy's traversal counts each root's distances. Every path out of
+    a pendant node v's subtree runs through v's parent p, so with S_v[d] the
+    number of nodes d levels below v, v's histogram is p's shifted by one,
+    less S_v shifted by two (v's subtree as p counts it), plus S_v."""
+    from scipy.sparse.csgraph import dijkstra
     n = graph.n
     _, circle, planes = _circle_and_planes(_bfs_levels(graph), n, dep)
-    # a row's unreachable columns hold n plus its depth below its root: below 2n
-    counts = np.zeros(2 * n, dtype=np.int64)
-    for rows in _forest_rows(graph):
-        counts += np.bincount(rows.ravel(), minlength=2 * n)
-    levels = tuple(np.trim_zeros(counts[1:n], "b").tolist())
+    parent, depth = _pendant_forest(graph)
+    layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+    roots = layers[0]
+    has_children = np.zeros(n, dtype=bool)
+    has_children[parent[parent >= 0]] = True
+    layers[0] = roots[has_children[roots]]
+    at = np.empty(n, dtype=np.intp)  # each node's row in its layer's arrays
+    for layer in layers:
+        at[layer] = np.arange(len(layer))
+    # bottom-up: row i of below[t] counts the subtree of layers[t][i] by level
+    below = [None] * len(layers)
+    for t in range(len(layers) - 1, 0, -1):
+        below[t] = np.zeros((len(layers[t]), len(layers) - t), dtype=np.int32)
+        below[t][:, 0] = 1
+        if t + 1 < len(layers):
+            np.add.at(below[t][:, 1:], at[parent[layers[t + 1]]], below[t + 1])
+    total = np.zeros(n + len(layers), dtype=np.int64)  # wide enough for every histogram
+    kept = []
+    adj = _csgraph(graph)
+    for lo in range(0, len(roots), _ROWS):
+        sources = roots[lo:lo + _ROWS]
+        for root, row in zip(sources, dijkstra(adj, indices=sources, unweighted=True)):
+            counts = np.bincount(row[np.isfinite(row)].astype(np.intp))
+            total[:len(counts)] += counts
+            if has_children[root]:
+                kept.append(counts)
+    # a node t layers deep sees at most t levels farther than its root does
+    width = len(np.trim_zeros(total, "b")) + len(layers)
+    hist = np.zeros((len(kept), width), dtype=np.int32)
+    for row, counts in zip(hist, kept):
+        row[:len(counts)] = counts
+    # top-down: each layer's histograms from its parents', which then go
+    for t in range(1, len(layers)):
+        above = hist[at[parent[layers[t]]], :-1]
+        hist = np.zeros((len(above), width), dtype=np.int32)
+        hist[:, 1:] = above
+        size = below[t].shape[1]
+        hist[:, :size] += below[t]
+        hist[:, 2:size + 2] -= below[t]
+        below[t] = None
+        total[:width] += hist.sum(axis=0)
+    levels = tuple(np.trim_zeros(total[1:], "b").tolist())
     return DistanceMatrix(n, levels, circle, planes, functools.partial(_scipy_dist, graph))
 
 
@@ -332,10 +313,11 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
 
     Graphs whose depth bound fits the level budget go through one
     bit-parallel multi-source BFS. Deeper graphs take the circle from the
-    first ``dep`` levels of that BFS and the histogram from per-source rows:
-    scipy's traversal from the roots (the 2-core and one node per tree
-    component), and each pendant node's row derived from its parent's.
-    That costs roots x (n + m) plus pendant nodes x n. Neither path holds an
+    first ``dep`` levels of that BFS and the histogram from the pendant
+    forest: scipy's traversal from the roots (the 2-core and one node per
+    tree component), and each pendant node's histogram derived from its
+    parent's, one layer of equal depth at a time. That costs roots x (n + m)
+    plus, per layer, its width x the histogram width. Neither path holds an
     n x n matrix. Both give the same summary, and pairs in different
     components count as UNREACHABLE.
     """

@@ -38,7 +38,7 @@ PATH_MARKET = make_market(
     women=(0, 2), men=(1, 3),
     rank={0: (1, 3), 1: (2, 0), 2: (1, 3), 3: (2, 0)},
 )
-PATH_GRAPH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+PATH_GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)])
 PATH_DISTANCES = all_pairs_shortest(PATH_GRAPH, 1)
 PATH_CIRCLE = PATH_DISTANCES.circle
 

@@ -34,7 +34,7 @@ def neighbours(graph, v):
 
 
 def test_graph_normalizes_and_validates():
-    g = Graph.from_edges(4, [(2, 1), (3, 0)])
+    g = Graph(4, [(2, 1), (3, 0)])
     assert g.edges.tolist() == [[0, 3], [1, 2]]
     assert g.m == 2
     assert [1, 2] in g.edges.tolist() and [2, 1] not in g.edges.tolist()
@@ -50,18 +50,18 @@ def test_graph_normalizes_and_validates():
 ])
 def test_graph_rejects_bad_edges(bad):
     with pytest.raises(ValueError):
-        Graph.from_edges(4, [bad])
+        Graph(4, [bad])
 
 
 @pytest.mark.parametrize("bad", [(0.5, 1), (1.0, 2), (0, "1"), (None, 1)])
 def test_graph_rejects_non_integer_ids(bad):
     with pytest.raises(ValueError, match="^node ids must be integers$"):
-        Graph.from_edges(4, [(0, 1), bad])
+        Graph(4, [(0, 1), bad])
 
 
 def test_graph_rejects_more_nodes_than_int32_ids_name():
     with pytest.raises(ValueError, match=r"^node count must be in 1\.\.2147483648, got 2147483649$"):
-        Graph.from_edges(2 ** 31 + 1, [])
+        Graph(2 ** 31 + 1, [])
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -69,16 +69,17 @@ def test_graph_rejects_more_nodes_than_int32_ids_name():
     (0, []), (2 ** 31 + 1, []), (4, [(0, 1, 2)]),
 ])
 def test_constructor_validates_as_from_edges_does(n, edges):
-    with pytest.raises(ValueError) as direct:
+    # an (m, 2) array and the same edges as a list of tuples fail alike
+    with pytest.raises(ValueError) as from_array:
         Graph(n, np.array(edges) if edges else edges)
-    with pytest.raises(ValueError) as built:
-        Graph.from_edges(n, edges)
-    assert str(direct.value) == str(built.value)
+    with pytest.raises(ValueError) as from_list:
+        Graph(n, edges)
+    assert str(from_array.value) == str(from_list.value)
 
 
 def test_constructor_canonicalizes():
     g = Graph(3, np.array([[1, 0]]))
-    assert g == Graph.from_edges(3, [(1, 0)])
+    assert g == Graph(3, [(1, 0)])
     assert g.edges.dtype == np.int32 and not g.edges.flags.writeable
     assert neighbours(Graph(3, [(0, 1)]), 1) == [0]
 
@@ -114,10 +115,10 @@ def test_from_edges_matches_the_tuple_reference(case):
         want = tuple_edges(n, edges)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            Graph.from_edges(n, edges)
+            Graph(n, edges)
         assert str(got.value) == str(exc)
         return
-    graph = Graph.from_edges(n, edges)
+    graph = Graph(n, edges)
     assert graph.edges.tolist() == [list(e) for e in want]
     assert [neighbours(graph, v) for v in range(n)] == adjacency_lists(graph)
     assert graph.degrees() == [len(ns) for ns in adjacency_lists(graph)]
@@ -162,12 +163,12 @@ def test_ba_with_every_node_in_the_core_is_complete():
 
 def test_graph_rejects_duplicate_edges():
     with pytest.raises(ValueError):
-        Graph.from_edges(4, [(0, 1), (1, 0)])
+        Graph(4, [(0, 1), (1, 0)])
 
 
 def test_graph_rejects_nonpositive_n():
     with pytest.raises(ValueError):
-        Graph.from_edges(0, [])
+        Graph(0, [])
 
 
 # ------------------------------------------------------------------ ring NCN
@@ -350,7 +351,7 @@ def graphs(draw):
     n = draw(st.integers(1, 30))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else ()
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 @given(graphs())

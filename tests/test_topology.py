@@ -46,7 +46,7 @@ def test_shortest_paths_match_naive_bfs(seed):
 
 
 def test_disconnected_pairs_marked():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
+    g = Graph(5, [(0, 1), (2, 3)])
     dist = all_pairs_shortest(g, 3).dist
     assert dist[0, 1] == 1
     assert dist[0, 2] == UNREACHABLE
@@ -128,19 +128,19 @@ def networkx_distances(graph):
 def sparse_evens(n):
     """A random graph on the even nodes of 0..n-1: every odd node is isolated."""
     g = generate_er(n // 2, n, random.Random(3))
-    return Graph.from_edges(n, [(2 * u, 2 * v) for u, v in g.edges.tolist()])
+    return Graph(n, [(2 * u, 2 * v) for u, v in g.edges.tolist()])
 
 
 def ring_beside_clump():
     """A 200-node ring (diameter 100) beside a dense 100-node random graph
     that holds every node of top degree."""
     clump = generate_er(100, 2000, random.Random(4))
-    return Graph.from_edges(300, generate_ncn(200, 2).edges.tolist()
-                            + [(200 + u, 200 + v) for u, v in clump.edges.tolist()])
+    return Graph(300, generate_ncn(200, 2).edges.tolist()
+                 + [(200 + u, 200 + v) for u, v in clump.edges.tolist()])
 
 
 def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def caterpillar(n, spine_first):
@@ -148,8 +148,8 @@ def caterpillar(n, spine_first):
     i and its leaf n/2 + i, or the other way round."""
     half = n // 2
     spine, leaf = (0, half) if spine_first else (half, 0)
-    return Graph.from_edges(n, [(spine + i, spine + i + 1) for i in range(half - 1)]
-                            + [(spine + i, leaf + i) for i in range(half)])
+    return Graph(n, [(spine + i, spine + i + 1) for i in range(half - 1)]
+                 + [(spine + i, leaf + i) for i in range(half)])
 
 
 def ring_with_pendant_paths():
@@ -158,7 +158,7 @@ def ring_with_pendant_paths():
     for t in range(10):
         tail = list(range(200 + 10 * t, 210 + 10 * t))
         edges += [(20 * t, tail[0])] + list(zip(tail, tail[1:]))
-    return Graph.from_edges(300, edges)
+    return Graph(300, edges)
 
 
 def tree_beside_a_ring():
@@ -169,7 +169,25 @@ def tree_beside_a_ring():
     rng.shuffle(label)
     tree = [(v, rng.randrange(v)) for v in range(1, 140)]
     ring = [(140 + i, 140 + (i + 1) % 150) for i in range(150)]
-    return Graph.from_edges(300, [(label[u], label[v]) for u, v in tree + ring])
+    return Graph(300, [(label[u], label[v]) for u, v in tree + ring])
+
+
+def broom():
+    """A 200-node path with 100 leaves on its last node: one wide layer deep
+    in the forest."""
+    return Graph(300, [(i, i + 1) for i in range(199)] + [(199, 200 + j) for j in range(100)])
+
+
+def spider():
+    """A 100-node ring with arms of 1, 3, 7, 15, 31, 63 and 80 nodes off
+    ring nodes 0, 10, ..., 60: one forest layer mixes children of different
+    parents."""
+    edges, end = generate_ncn(100, 2).edges.tolist(), 100
+    for t, arm in enumerate((1, 3, 7, 15, 31, 63, 80)):
+        chain = [10 * t] + list(range(end, end + arm))
+        edges += list(zip(chain, chain[1:]))
+        end += arm
+    return Graph(end, edges)
 
 
 @pytest.mark.parametrize("name, graph, deep", [
@@ -178,12 +196,14 @@ def tree_beside_a_ring():
     ("er", generate_er(300, 600, random.Random(1)), False),
     ("ba", generate_ba(300, 2, random.Random(2)), False),
     ("isolated nodes", sparse_evens(300), False),
-    ("edgeless", Graph.from_edges(300, []), False),
+    ("edgeless", Graph(300, []), False),
     ("path", path(300), True),
     ("caterpillar, spine ids first", caterpillar(300, True), True),
     ("caterpillar, leaf ids first", caterpillar(300, False), True),
     ("ring with pendant paths", ring_with_pendant_paths(), True),
     ("tree beside a ring and isolated nodes", tree_beside_a_ring(), True),
+    ("broom", broom(), True),
+    ("spider", spider(), True),
 ])
 def test_both_paths_match_networkx_at_n300(name, graph, deep):
     assert topology._too_deep(graph) == deep
@@ -206,12 +226,12 @@ def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
 
 @pytest.mark.parametrize("spine_first", [True, False], ids=["spine ids first", "leaf ids first"])
 def test_deep_path_keeps_few_rows_past_their_block(spine_first):
-    # The caterpillar is one tree rooted mid-spine, and every spine node has
-    # its spine child and its leaf as children. Visiting the leaf last would
-    # keep the row of every spine node of an arm, about 500 rows of 8 kB, to
-    # the arm's end: 8.9 MB in all. Visiting the heavier spine child last
-    # keeps O(log n) rows; the peak, 4.9 MB, is then the circle, the planes
-    # and a few blocks of rows.
+    # The caterpillar is one tree rooted mid-spine: about 500 forest layers
+    # of four nodes. The bound guards that the deep path keeps no n-wide row
+    # per pendant node; 8 kB rows for the 1000 spine nodes alone would take
+    # 8 MB. The peak, 3.9 MB under either labeling, is the circle and the
+    # planes (1.5 MB), the per-layer subtree profiles (2.0 MB) and two
+    # layers of histograms.
     graph = caterpillar(2000, spine_first)
     topology._deep_paths(graph, 3)  # scipy imported and the CSR cached outside the trace
     tracemalloc.start()
@@ -223,13 +243,24 @@ def test_deep_path_keeps_few_rows_past_their_block(spine_first):
     assert peak <= 7_000_000
 
 
+def test_node_ids_outside_the_graph_raise():
+    dm = all_pairs_shortest(generate_ncn(10, 2), 2)
+    for a, b in ((-1, 8), (0, 10), (0, 70), (np.int64(12), 0)):
+        bad = a if not 0 <= a < 10 else b
+        with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
+            dm.distance(a, b)
+        with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
+            dm.circle.contains(a, b)
+    assert dm.distance(np.int64(9), np.int32(0)) == 1 and dm.circle.contains(np.uint8(8), 9)
+
+
 def test_distance_raises_past_the_circle():
     dm = all_pairs_shortest(CYCLE6, 2)
     assert [dm.distance(0, b) for b in (0, 1, 2, 4, 5)] == [0, 1, 2, 2, 1]
     with pytest.raises(ValueError, match="more than 2 hops"):
         dm.distance(0, 3)
     with pytest.raises(ValueError):
-        all_pairs_shortest(Graph.from_edges(4, [(0, 1)]), 3).distance(0, 2)
+        all_pairs_shortest(Graph(4, [(0, 1)]), 3).distance(0, 2)
     # numpy node ids, on a word whose top bit is set in every plane
     ring = all_pairs_shortest(generate_ncn(200, 2), 100)
     assert ring.distance(np.int64(0), np.int64(63)) == ring.distance(0, 63) == 63
@@ -268,7 +299,7 @@ def test_reading_dist_on_a_small_ring_never_loads_scipy():
 
 
 def test_diameter_of_edgeless_graph_is_none():
-    assert all_pairs_shortest(Graph.from_edges(4, []), 3).diameter() is None
+    assert all_pairs_shortest(Graph(4, []), 3).diameter() is None
 
 
 # ------------------------------------------------------------------- metrics
@@ -286,7 +317,7 @@ def test_cycle_metrics_frozen():
 
 
 def test_two_triangles_metrics():
-    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     dm = all_pairs_shortest(g, 3)
     assert reachable_pairs(dm) == 6
     assert average_path_length(dm) == pytest.approx(1.0)
@@ -295,7 +326,7 @@ def test_two_triangles_metrics():
 
 
 def test_edgeless_graph_metrics():
-    dm = all_pairs_shortest(Graph.from_edges(4, []), 3)
+    dm = all_pairs_shortest(Graph(4, []), 3)
     assert average_path_length(dm) is None
     assert reachable_pairs(dm) == 0
     assert connectivity(dm, 3) == 0.0
@@ -314,7 +345,7 @@ def test_connectivity_validation():
     with pytest.raises(ValueError):
         connectivity(dm, 0)
     with pytest.raises(ValueError):
-        connectivity(all_pairs_shortest(Graph.from_edges(1, []), 3), 3)
+        connectivity(all_pairs_shortest(Graph(1, []), 3), 3)
 
 
 # ------------------------------------------------------------------- poisson
