@@ -59,6 +59,11 @@ class SocialCircle:
     def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``contains`` for every (row, col) node pair, as a boolean array;
         unpacks only the requested rows."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        for ids in (rows, cols):
+            outside = (ids < 0) | (ids >= self.n)
+            if outside.any():
+                raise ValueError(f"node id {ids[outside][0]} outside 0..{self.n - 1}")
         return _unpack(self.bits[rows], self.n)[:, cols]
 
 
@@ -108,29 +113,56 @@ class DistanceMatrix:
 
 
 def _csgraph(graph: Graph):
-    from scipy.sparse import csr_matrix  # loaded on first use: small graphs never need scipy
+    from scipy.sparse import csr_matrix  # loaded on first use: only the deep path needs scipy
     indptr, indices = graph.csr
     return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
                       shape=(graph.n, graph.n))
 
 
 def _too_deep(graph: Graph) -> bool:
-    """Whether a double sweep proves some shortest path longer than the
-    level budget. In every component at once, the sweep runs one BFS from
-    some node and a second from the node farthest from it; the second's
-    depth is a lower bound on that component's diameter."""
+    """Whether a double sweep (Magnien, Latapy & Habib, "Fast computation of
+    empirically tight bounds for the diameter of massive graphs", JEA 2009)
+    proves some shortest path longer than the level budget. In every
+    component at once, a first BFS runs from the component's smallest node
+    and a second from the largest id among the nodes farthest from it; the
+    second's depth is a lower bound on the component's diameter. Either
+    sweep stops once it passes the budget, since the first's depth bounds
+    the second's from below. Each round is one pass over the edges of all
+    components together, so the cost does not grow with their number."""
     n = graph.n
     if n <= _SMALL_N:
         return False
-    from scipy.sparse.csgraph import connected_components, dijkstra
-    adj = _csgraph(graph)
-    _, component = connected_components(adj, directed=False)
-    _, first = np.unique(component, return_index=True)
-    depth = dijkstra(adj, indices=first, unweighted=True, min_only=True)
-    # the farthest node of each component comes last in (component, depth) order
-    order = np.lexsort((depth, component))
-    far = order[np.append(np.flatnonzero(np.diff(component[order])), n - 1)]
-    return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > _LEVEL_BUDGET
+    indptr, indices = graph.csr
+    source = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))  # each CSR entry's row
+    # After round r each node holds the smallest id within r hops, so the
+    # last round that changes a node's label is its distance from its
+    # component's smallest node.
+    label = np.arange(n, dtype=np.int32)
+    depth = np.zeros(n, dtype=np.int32)
+    for r in range(1, _LEVEL_BUDGET + 2):
+        nearer = label.copy()
+        np.minimum.at(nearer, indices, label[source])
+        changed = nearer != label
+        if not changed.any():
+            break
+        if r > _LEVEL_BUDGET:
+            return True
+        depth[changed] = r
+        label = nearer
+    # the farthest node of each component comes last in (label, depth) order
+    order = np.lexsort((depth, label))
+    far = order[np.append(np.flatnonzero(np.diff(label[order])), n - 1)]
+    frontier = np.zeros(n, dtype=bool)
+    frontier[far] = True
+    unseen = ~frontier
+    for _ in range(_LEVEL_BUDGET + 1):
+        reached = np.zeros(n, dtype=bool)
+        reached[indices[frontier[source]]] = True
+        frontier = reached & unseen
+        if not frontier.any():
+            return False
+        unseen &= ~frontier
+    return True
 
 
 def _plane_count(n: int, dep: int) -> int:
@@ -319,7 +351,9 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     parent's, one layer of equal depth at a time. That costs roots x (n + m)
     plus, per layer, its width x the histogram width. Neither path holds an
     n x n matrix. Both give the same summary, and pairs in different
-    components count as UNREACHABLE.
+    components count as UNREACHABLE. The choice between them is a numpy
+    double sweep, so scipy is loaded only for a graph that takes the deep
+    path.
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")

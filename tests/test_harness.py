@@ -342,3 +342,15 @@ def test_paper_scale_cell_never_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_shallow_cell_past_the_size_threshold_never_loads_scipy():
+    # the depth probe is numpy; only a graph that takes the deep path needs scipy
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys; from circlematch import harness, topology; "
+            "cell = harness.run_cell_full('er', 300, 4); dist = cell.dm.dist; "
+            "report = topology.analyze(cell.graph); "
+            "print(int(dist.max()), report.n, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split()[1:] == ["300", "False"]

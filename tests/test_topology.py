@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import circlematch
 from circlematch import topology
-from circlematch.netgen import Graph, generate, generate_ba, generate_er, generate_ncn
+from circlematch.netgen import MODELS, Graph, generate, generate_ba, generate_er, generate_ncn
 from circlematch.topology import (
     UNREACHABLE,
     all_pairs_shortest,
@@ -30,7 +30,7 @@ from circlematch.topology import (
     reachable_pairs,
 )
 
-from refimpl import naive_distances, random_instance, summary_from_dense
+from refimpl import naive_distances, random_instance, scipy_too_deep, summary_from_dense
 
 
 CYCLE6 = generate_ncn(6, 2)
@@ -213,6 +213,78 @@ def test_both_paths_match_networkx_at_n300(name, graph, deep):
     assert_summary_matches(lambda dep: all_pairs_shortest(graph, dep), dist, deps)
 
 
+@pytest.mark.parametrize("n", [129, 300, 2000])
+@pytest.mark.parametrize("model", MODELS)
+def test_depth_probe_matches_scipy_on_the_models(model, n):
+    decisions = []
+    for k in (2, 4):
+        for seed in range(3):
+            graph = generate(model, n, k, rng=random.Random(seed))
+            decisions.append(topology._too_deep(graph))
+            assert decisions[-1] == scipy_too_deep(graph), (k, seed)
+    if model in ("er", "ba"):
+        assert decisions == [False] * 6
+    elif n > 129:  # a 129-node ring is 64 hops across; the larger k=2 rings are deeper
+        assert decisions[:3] == [True] * 3
+
+
+def relabel(graph, seed):
+    """The graph with its node ids shuffled."""
+    label = list(range(graph.n))
+    random.Random(seed).shuffle(label)
+    return Graph(graph.n, [(label[u], label[v]) for u, v in graph.edges.tolist()])
+
+
+def deep_beside_shallow(deep_first):
+    """A 100-node path (99 hops) beside a dense 100-node random graph, the
+    path on ids 0..99 or on 100..199."""
+    clump = generate_er(100, 600, random.Random(6)).edges + (0 if deep_first else 100)
+    line = path(100).edges + (100 if deep_first else 0)
+    return Graph(200, np.concatenate([line, clump]))
+
+
+def random_forest(n, seed):
+    """Random trees on shuffled ids: each node joins an earlier one, or
+    starts a new tree one time in ten."""
+    rng = random.Random(seed)
+    return relabel(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)
+                             if rng.random() >= 0.1]), seed)
+
+
+@pytest.mark.parametrize("name, graph, deep", [
+    *[(f"path of {hops} hops beside isolated nodes", Graph(200, path(hops + 1).edges), hops > 64)
+      for hops in (64, 65, 66)],
+    *[(f"path of {hops} hops, shuffled", relabel(Graph(200, path(hops + 1).edges), hops), hops > 64)
+      for hops in (64, 65, 66)],
+    *[(f"forest, seed {seed}", random_forest(300, seed), None) for seed in range(4)],
+    ("1000 two-node components", Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)]), False),
+    ("deep beside shallow, deep ids first", deep_beside_shallow(True), True),
+    ("deep beside shallow, shallow ids first", deep_beside_shallow(False), True),
+    ("isolated nodes", sparse_evens(300), False),
+    ("edgeless", Graph(2000, []), False),
+    ("ring with pendant paths", ring_with_pendant_paths(), True),
+])
+def test_depth_probe_matches_scipy(name, graph, deep):
+    assert topology._too_deep(graph) == scipy_too_deep(graph)
+    if deep is not None:
+        assert topology._too_deep(graph) == deep
+
+
+@given(st.data())
+def test_depth_probe_matches_scipy_on_random_edge_sets(data):
+    # a shuffled path cut into pieces, plus chords that shorten it
+    n = data.draw(st.integers(129, 300))
+    order = data.draw(st.permutations(range(n)))
+    cuts = data.draw(st.sets(st.integers(0, n - 2), max_size=6))
+    chords = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                max_size=12))
+    edges = {(min(u, v), max(u, v)) for i, (u, v) in enumerate(zip(order, order[1:]))
+             if i not in cuts}
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
+    graph = Graph(n, sorted(edges))
+    assert topology._too_deep(graph) == scipy_too_deep(graph)
+
+
 @pytest.mark.parametrize("seed", [8000, 8001])
 def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
     # a rewired k=2 ring: a small 2-core with trees hanging from it
@@ -252,6 +324,15 @@ def test_node_ids_outside_the_graph_raise():
         with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
             dm.circle.contains(a, b)
     assert dm.distance(np.int64(9), np.int32(0)) == 1 and dm.circle.contains(np.uint8(8), 9)
+
+
+def test_mask_rejects_node_ids_outside_the_graph():
+    circle = all_pairs_shortest(generate_ncn(10, 2), 2).circle
+    for rows, cols, bad in (([-1], [8], -1), ([0], [12], 12), ([3, 10], [0, -2], 10)):
+        with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
+            circle.mask(np.array(rows), np.array(cols))
+    assert circle.mask(np.array([9]), np.array([8, 0, 4])).tolist() == [[True, True, False]]
+    assert circle.mask([9], [8, 0, 4]).tolist() == [[True, True, False]]
 
 
 def test_distance_raises_past_the_circle():
