@@ -32,10 +32,6 @@ def _add_graph_args(parser: argparse.ArgumentParser, *, model_required: bool = T
     parser.add_argument("--n", type=int, required=model_required, help="number of nodes")
     parser.add_argument("--k", type=int, required=model_required,
                         help="nominal average degree (even)")
-    parser.add_argument("--p-rewire", type=float, default=0.1,
-                        help="rewiring probability for ws (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed, as in match and sweep (default 0)")
 
 
 def _build_graph(args: argparse.Namespace) -> netgen.Graph:
@@ -89,49 +85,47 @@ def _cmd_preset(args: argparse.Namespace) -> None:
     _emit_results(harness.sweep(config), args)
 
 
-def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dep", type=int, default=3,
-                        help="recognition depth (default 3)")
-    parser.add_argument("--p-rewire", type=float, default=0.1,
-                        help="rewiring probability for ws (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument("--reps", type=int, default=50,
-                        help="replications per cell (default 50)")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circlematch",
         description="Stable matching restricted to social circles on structured networks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes these; main checks --seed and --p-rewire before running it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p-rewire", type=float, default=0.1,
+                        help="rewiring probability for ws (default 0.1)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="master seed, or a sweep's first seed (default 0)")
+    common.add_argument("--out", help="output path (default stdout)")
+    with_depth = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_depth.add_argument("--dep", type=int, default=3, help="recognition depth (default 3)")
+    sweeping = argparse.ArgumentParser(add_help=False, parents=[with_depth])
+    sweeping.add_argument("--reps", type=int, default=50,
+                          help="replications per cell (default 50)")
+    sweeping.add_argument("--format", choices=("csv", "json"), default="csv",
+                          help="output format (default csv)")
 
-    p_gen = sub.add_parser("generate", help="emit an edge list for one generated graph")
+    p_gen = sub.add_parser("generate", parents=[common],
+                           help="emit an edge list for one generated graph")
     _add_graph_args(p_gen)
-    p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=_cmd_generate)
 
-    p_met = sub.add_parser("metrics", help="topology report for a graph (JSON)")
+    p_met = sub.add_parser("metrics", parents=[with_depth],
+                           help="topology report for a graph (JSON)")
     p_met.add_argument("--in", dest="infile", help="read an edge-list file instead of generating")
     _add_graph_args(p_met, model_required=False)
-    p_met.add_argument("--dep", type=int, default=3, help="recognition depth (default 3)")
-    p_met.add_argument("--out", help="output path (default stdout)")
     p_met.set_defaults(func=_cmd_metrics)
 
-    p_match = sub.add_parser("match", help="run one matching and print it as JSON")
+    p_match = sub.add_parser("match", parents=[with_depth],
+                             help="run one matching and print it as JSON")
     _add_graph_args(p_match)
-    p_match.add_argument("--dep", type=int, default=3, help="recognition depth (default 3)")
-    p_match.add_argument("--out", help="output path (default stdout)")
     p_match.set_defaults(func=_cmd_match)
 
-    p_sweep = sub.add_parser("sweep", help="run a full experiment grid")
+    p_sweep = sub.add_parser("sweep", parents=[sweeping], help="run a full experiment grid")
     p_sweep.add_argument("--model", nargs="+", choices=MODELS, default=list(MODELS),
                          help="models to include (default: all four)")
     p_sweep.add_argument("--n", nargs="+", type=int, required=True, help="market sizes")
     p_sweep.add_argument("--k", nargs="+", type=int, required=True, help="nominal degrees")
-    _add_common_sweep_args(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     presets = (
@@ -141,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig3-6", harness.fig36_config, "path length and connectivity versus degree (n=100)"),
     )
     for name, config_fn, help_text in presets:
-        p = sub.add_parser(name, help=help_text)
-        _add_common_sweep_args(p)
-        p.set_defaults(func=_cmd_preset, preset=config_fn)
+        sub.add_parser(name, parents=[sweeping], help=help_text).set_defaults(
+            func=_cmd_preset, preset=config_fn)
 
     return parser
 
@@ -152,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        harness.check_seed_and_rewiring(args.seed, args.p_rewire)
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,14 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_seed_and_rewiring(seed: int, p_rewire: float) -> None:
+    """Raise ValueError unless ``seed`` fits in 64 bits and ``p_rewire`` is in [0, 1]."""
+    if not 0.0 <= p_rewire <= 1.0:
+        raise ValueError(f"rewiring probability must be in [0, 1], got {p_rewire}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seeds must fit in 64 bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Cross-product experiment grid: models x n_values x k_values x seeds."""
@@ -43,22 +51,18 @@ class ExperimentConfig:
     p_rewire: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.models:
-            raise ValueError("at least one model is required")
+        for name, what in (("models", "model"), ("n_values", "market size"),
+                           ("k_values", "nominal degree"), ("seeds", "seed")):
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ValueError(f"at least one {what} is required")
+            object.__setattr__(self, name, values)
         for model in self.models:
             if model not in MODELS:
                 raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-        if not self.n_values:
-            raise ValueError("at least one market size is required")
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
-        if not self.k_values:
-            raise ValueError("at least one nominal degree is required")
         for k in self.k_values:
             if k < 2 or k % 2:
                 raise ValueError(f"nominal degree must be even and >= 2, got {k}")
@@ -67,13 +71,8 @@ class ExperimentConfig:
                 raise ValueError("ring models need k <= n - 2 for every configured n")
         if self.dep < 1:
             raise ValueError(f"recognition depth must be >= 1, got {self.dep}")
-        if not 0.0 <= self.p_rewire <= 1.0:
-            raise ValueError(f"rewiring probability must be in [0, 1], got {self.p_rewire}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
         for seed in self.seeds:
-            if not 0 <= seed < 2 ** 64:
-                raise ValueError(f"seeds must fit in 64 bits, got {seed}")
+            check_seed_and_rewiring(seed, self.p_rewire)
 
     @staticmethod
     def replicated(models: Sequence[str], n_values: Sequence[int], k_values: Sequence[int],

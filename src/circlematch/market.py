@@ -10,9 +10,10 @@ balanced market.
 
 Preferences are held in side-local form: an agent's local index is its
 position in the sorted id array of its side, and each side has an h x h
-array of rank lists over the other side's local indices plus its inverse,
-the rank position of every candidate. Agent ids appear only at the
-boundary: in method arguments, matchings and the JSON form.
+array of rank lists over the other side's local indices, 2-byte entries
+while h < 2**15; the women's side also keeps its inverse, the rank position
+of every man. Agent ids appear only at the boundary: in method arguments,
+matchings and the JSON form.
 """
 
 from __future__ import annotations
@@ -27,13 +28,18 @@ import numpy as np
 
 from .topology import DistanceMatrix, SocialCircle
 
+def _rank_dtype(h: int) -> np.dtype:
+    """Rank entries among h candidates take 2 bytes while h fits in int16, else 4."""
+    return np.dtype("<i2" if h < 2 ** 15 else "<i4")
+
+
 def _positions_of(prefs: np.ndarray) -> np.ndarray:
     """Inverse of h x h rank lists whose entries lie in 0..h-1: the rank
     position of every candidate for every agent, by one flat scatter; -1
     marks a slot no entry filled."""
     h = len(prefs)
-    pos = np.full(h * h, -1, dtype=np.int32)
-    pos[np.arange(0, h * h, h)[:, None] + prefs] = np.arange(h, dtype=np.int32)
+    pos = np.full(h * h, -1, dtype=prefs.dtype)
+    pos[np.arange(0, h * h, h)[:, None] + prefs] = np.arange(h, dtype=prefs.dtype)
     return pos.reshape(h, h)
 
 
@@ -54,8 +60,8 @@ class Market:
     indices into ``men``; ``men_prefs`` likewise. Construction validates
     that the sides are equal, sorted and partition the id space, and that
     every rank list is a permutation of the other side; it derives the id
-    to local index map ``local`` and the position arrays ``women_pos``
-    (``women_pos[i, j]`` is woman i's rank of man j) and ``men_pos``.
+    to local index map ``local`` and the women's position array ``women_pos``
+    (``women_pos[i, j]`` is woman i's rank of man j), but no men's inverse.
     """
 
     women: np.ndarray
@@ -64,7 +70,6 @@ class Market:
     men_prefs: np.ndarray
     local: np.ndarray = field(init=False, repr=False)
     women_pos: np.ndarray = field(init=False, repr=False)
-    men_pos: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         women, men = np.asarray(self.women), np.asarray(self.men)
@@ -88,23 +93,24 @@ class Market:
                 raise ValueError("a rank list names an agent outside the other side")
         # A writeable rank array is copied, so that no caller can change a
         # validated market; build_market hands its rows over read-only.
-        women_prefs, men_prefs = (np.array(prefs, dtype=np.int32,
+        women_prefs, men_prefs = (np.array(prefs, dtype=_rank_dtype(h),
                                            copy=True if prefs.flags.writeable else None)
                                   for prefs in (women_prefs, men_prefs))
-        women_pos, men_pos = _positions_of(women_prefs), _positions_of(men_prefs)
-        for side, ids, pos in (("woman", women, women_pos), ("man", men, men_pos)):
-            # h entries per row fill all h slots exactly when the row is a permutation
+        women_pos = _positions_of(women_prefs)
+        # h entries per row fill all h slots exactly when the row is a permutation
+        for side, ids, pos in (("woman", women, women_pos),
+                               ("man", men, _positions_of(men_prefs))):
             if h and pos.min() < 0:
                 row = np.flatnonzero((pos < 0).any(axis=1))[0]
                 raise ValueError(f"rank list of {side} {ids[row]} "
                                  "is not a permutation of the other side")
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
-        for array in (sides, women_prefs, men_prefs, women_pos, men_pos, local):
+        for array in (sides, women_prefs, men_prefs, women_pos, local):
             array.flags.writeable = False
         for name, value in (("women", women), ("men", men), ("local", local),
                             ("women_prefs", women_prefs), ("men_prefs", men_prefs),
-                            ("women_pos", women_pos), ("men_pos", men_pos)):
+                            ("women_pos", women_pos)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -134,7 +140,7 @@ class Market:
         other_is_woman, b = self._locate(candidate)
         if is_woman == other_is_woman:
             raise ValueError(f"agents {agent} and {candidate} are on the same side")
-        return int((self.women_pos if is_woman else self.men_pos)[a, b])
+        return int(self.women_pos[a, b] if is_woman else (self.men_prefs[a] == b).argmax())
 
     def score(self, agent: int, candidate: int) -> float:
         """Score agent assigns candidate: 10 for the favorite down to 1 for
@@ -155,10 +161,10 @@ def build_market(n: int, rng: random.Random) -> Market:
     if n < 2 or n % 2:
         raise ValueError(f"agent count must be even and >= 2, got {n}")
     h = n // 2
-    width = 4 * h  # bytes in a rank row
     # Women's rows, then men's, each side in id order; allocated first, so a
     # size that cannot fit fails before the walk starts.
-    prefs = np.empty((n, h), dtype="<i4")
+    prefs = np.empty((n, h), dtype=_rank_dtype(h))
+    width = prefs.itemsize * h  # bytes in a rank row
     women = sorted(rng.sample(range(n), h))
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
@@ -166,10 +172,10 @@ def build_market(n: int, rng: random.Random) -> Market:
     offsets = np.empty(n, dtype=np.intp)  # byte offset of each agent's row
     offsets[np.concatenate((women, men))] = np.arange(0, n * width, width)
     # One shuffle per agent in id order. A shuffle's permutation does not depend
-    # on what the list holds, so the 4-byte little-endian local indices it
-    # permutes give the rank lists ids would, and a joined row is its int32 row.
+    # on what the list holds, so the little-endian local indices it permutes
+    # give the rank lists ids would, and a joined row is its rank row.
     out, getrandbits = memoryview(prefs).cast("B"), rng.getrandbits
-    base = [j.to_bytes(4, "little") for j in range(h)]
+    base = [j.to_bytes(prefs.itemsize, "little") for j in range(h)]
     steps = [(i, (i + 1).bit_length()) for i in range(h - 1, 0, -1)]
     for start in offsets.tolist():
         row = base.copy()
@@ -285,17 +291,25 @@ def pair_utility(market: Market, matching: Matching, woman: int, man: int) -> fl
     return (market.score(woman, man) + market.score(man, woman)) / 2.0
 
 
+def _pair_utilities(market: Market, matching: Matching) -> list[float]:
+    """``pair_utility`` of every matched pair, in pair order, the same floats;
+    each man's rank of his partner is found by one compare over his row."""
+    h = market.half
+    wi, mj = _pair_indices(market, matching)
+    partner = np.full(h, -1, dtype=market.men_prefs.dtype)  # same width: no upcast copy
+    partner[mj] = wi
+    his_rank = (market.men_prefs == partner[:, None]).argmax(axis=1)[mj]
+    return ((_score(h, market.women_pos[wi, mj]) + _score(h, his_rank)) / 2.0).tolist()
+
+
 def average_utility(market: Market, matching: Matching) -> float:
     """Sum of pair utilities divided by the number of potential pairs n/2.
 
     Unmatched agents contribute zero, so sparse matchings are penalized:
     the divisor stays n/2 regardless of how many pairs actually formed.
     """
-    h = market.half
-    wi, mj = _pair_indices(market, matching)
-    pair = (_score(h, market.women_pos[wi, mj]) + _score(h, market.men_pos[mj, wi])) / 2.0
     # Python's sum in pair order: the same float as adding pair_utility up.
-    return sum(pair.tolist()) / h
+    return sum(_pair_utilities(market, matching)) / market.half
 
 
 def find_blocking_pair(market: Market, circle: SocialCircle,
@@ -305,13 +319,13 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
     Returns None when the matching is stable."""
     h = market.half
     wi, mj = _pair_indices(market, matching)
-    her_cutoff = np.full(h, h)  # rank of her partner; h when unmatched
-    his_cutoff = np.full(h, h)
+    men_pos = _positions_of(market.men_prefs)
+    her_cutoff, his_cutoff = np.full((2, h), h)  # rank of the partner; h when unmatched
     her_cutoff[wi] = market.women_pos[wi, mj]
-    his_cutoff[mj] = market.men_pos[mj, wi]
+    his_cutoff[mj] = men_pos[mj, wi]
     blocking = (circle.mask(market.women, market.men)
                 & (market.women_pos < her_cutoff[:, None])
-                & (market.men_pos.T < his_cutoff[None, :]))
+                & (men_pos.T < his_cutoff[None, :]))
     rows = np.flatnonzero(blocking.any(axis=1))
     if rows.size == 0:
         return None
@@ -365,15 +379,8 @@ def market_from_dict(data: dict) -> Market:
 def matching_to_dict(market: Market, dm: DistanceMatrix, matching: Matching) -> dict:
     """JSON-ready form of a matching with per-pair distance, read from the
     graph's distance summary ``dm``, and utility."""
-    pairs = [
-        {
-            "woman": w,
-            "man": m,
-            "distance": dm.distance(w, m),
-            "pair_utility": pair_utility(market, matching, w, m),
-        }
-        for w, m in matching.pairs
-    ]
+    pairs = [{"woman": w, "man": m, "distance": dm.distance(w, m), "pair_utility": utility}
+             for (w, m), utility in zip(matching.pairs, _pair_utilities(market, matching))]
     return {
         "pairs": pairs,
         "unmatched_women": matching.unmatched_women(market),

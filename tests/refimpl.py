@@ -183,6 +183,16 @@ def stdlib_market(n: int, rng: random.Random) -> Market:
                   prefs[is_woman], prefs[~is_woman])
 
 
+def rank_positions(prefs: np.ndarray) -> np.ndarray:
+    """Inverse of rank lists, filled entry by entry: ``pos[a, b]`` is agent
+    a's rank of the other side's local index b; -1 where no entry names b."""
+    pos = np.full(np.shape(prefs), -1, dtype=np.intp)
+    for a, row in enumerate(np.asarray(prefs).tolist()):
+        for r, b in enumerate(row):
+            pos[a, b] = r
+    return pos
+
+
 def prefers(market: Market, agent: int, favored: int, other: int) -> bool:
     """True when ``agent`` ranks ``favored`` strictly ahead of ``other``."""
     return market.position(agent, favored) < market.position(agent, other)
@@ -242,13 +252,17 @@ def naive_deferred_acceptance(market: Market, circle: SocialCircle,
 def naive_blocking_pair(market: Market, circle: SocialCircle,
                         matching: Matching) -> Optional[tuple[int, int]]:
     """First in-circle pair that would both rather be together: women in id
-    order, each woman's list best-first."""
-    for i in market.women.tolist():
-        for j in ranking(market, i):
+    order, each woman's list best-first. Each man's ranks are read off
+    ``rank_positions`` of his list."""
+    women, men, local = market.women.tolist(), market.men.tolist(), market.local.tolist()
+    men_pos = rank_positions(market.men_prefs).tolist()
+    for i, row in zip(women, market.women_prefs.tolist()):
+        for j in (men[b] for b in row):
             if matching.by_woman.get(i) == j:
                 break  # she prefers her partner to everyone further down
             his = matching.by_man.get(j)
-            if circle.contains(i, j) and (his is None or prefers(market, j, i, his)):
+            if circle.contains(i, j) and (
+                    his is None or men_pos[local[j]][local[i]] < men_pos[local[j]][local[his]]):
                 return (i, j)
     return None
 

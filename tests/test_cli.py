@@ -179,6 +179,20 @@ def test_match_rejects_odd_k(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "metrics", "match", "sweep"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "seeds must fit in 64 bits, got -1"),
+    ("--seed", str(2 ** 64), f"seeds must fit in 64 bits, got {2 ** 64}"),
+    ("--p-rewire", "2", "rewiring probability must be in [0, 1], got 2.0"),
+    ("--p-rewire", "-1", "rewiring probability must be in [0, 1], got -1.0"),
+])
+def test_out_of_range_seed_or_rewiring_is_rejected_by_every_command(
+        capsys, command, flag, value, message):
+    code, out, err = run_cli(capsys, command, "--model", "ncn", "--n", "10", "--k", "2",
+                             flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_size_beyond_memory_exits_with_invalid_parameter_code(capsys, monkeypatch):
     def out_of_memory(n, rng):
         raise MemoryError(f"Unable to allocate the rank lists of {n} agents")

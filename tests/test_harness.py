@@ -211,7 +211,7 @@ def test_summary_arrays_are_read_only(cold_map):
     for model, n in (("ncn", 40), ("ncn", 300), ("er", 40), ("ba", 300)):
         run = run_cell_full(model, n, 2)
         arrays = (run.dm.circle.bits, run.dm._planes, run.market.women_prefs,
-                  run.market.men_pos)
+                  run.market.men_prefs, run.market.women_pos)
         assert not any(a.flags.writeable for a in arrays), model
 
 

@@ -24,13 +24,14 @@ from circlematch.market import (
     matching_to_dict,
     pair_utility,
     restricted_deferred_acceptance,
+    _rank_dtype,
 )
 from circlematch.netgen import MODELS, Graph
 from circlematch.topology import all_pairs_shortest
 
 from refimpl import (agent_utility, full_circle, make_market, naive_blocking_pair,
-                     naive_deferred_acceptance, prefers, random_instance, ranking,
-                     stdlib_market)
+                     naive_deferred_acceptance, prefers, random_instance, rank_positions,
+                     ranking, stdlib_market)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -58,7 +59,8 @@ def test_market_normalizes_input():
     assert m.men.tolist() == [2, 3]
     assert m.local.tolist() == [0, 1, 0, 1]
     assert m.women_prefs.tolist() == [[0, 1], [1, 0]]
-    assert m.men_pos.tolist() == [[0, 1], [1, 0]]
+    assert [[m.position(a, b) for b in (0, 1)] for a in (2, 3)] == \
+        rank_positions(m.men_prefs).tolist() == [[0, 1], [1, 0]]
     assert ranking(m, 0) == [2, 3]
     assert m.n == 4 and m.half == 2
 
@@ -115,9 +117,24 @@ def test_build_market_structure():
     for j, m in enumerate(market.men.tolist()):
         assert market.local[m] == j
         assert sorted(ranking(market, m)) == market.women.tolist()
-    rows = np.arange(6)[:, None]
-    assert (market.women_pos[rows, market.women_prefs] == np.arange(6)).all()
-    assert (market.men_pos[rows, market.men_prefs] == np.arange(6)).all()
+    assert np.array_equal(market.women_pos, rank_positions(market.women_prefs))
+    assert (rank_positions(market.men_prefs) >= 0).all()
+
+
+def test_market_keeps_6h2_bytes_of_int16_ranks():
+    market = build_market(2000, random.Random(0))
+    h = market.half
+    ranks = (market.women_prefs, market.men_prefs, market.women_pos)
+    assert all(a.dtype == np.int16 and not a.flags.writeable for a in ranks)
+    # both sides' rank lists are views of the one buffer build_market filled
+    assert market.women_prefs.base is market.men_prefs.base is not None
+    total = sum(getattr(market, f.name).nbytes for f in dataclasses.fields(market))
+    assert 6 * h * h <= total <= 6 * h * h + 32 * market.n
+
+
+def test_rank_width_grows_past_int16():
+    assert _rank_dtype(2 ** 15 - 1) == np.int16
+    assert _rank_dtype(2 ** 15) == np.int32
 
 
 def test_build_market_deterministic():
@@ -324,6 +341,26 @@ def test_average_utility_equals_mean_agent_utility(seed):
     # bit for bit the sum of pair utilities in pair order
     total = sum(pair_utility(inst.market, matching, w, m) for w, m in matching.pairs)
     assert average_utility(inst.market, matching) == total / inst.market.half
+    # and the sum of scores of ranks read off both sides' inverses
+    market, h = inst.market, inst.market.half
+    women_pos, men_pos = rank_positions(market.women_prefs), rank_positions(market.men_prefs)
+    local = market.local.tolist()
+
+    def score(r):
+        return 10.0 if h == 1 else 1.0 + 9.0 * (h - 1 - r) / (h - 1)
+
+    total = sum((score(int(women_pos[local[w], local[m]]))
+                 + score(int(men_pos[local[m], local[w]]))) / 2.0 for w, m in matching.pairs)
+    assert average_utility(market, matching) == total / h
+
+
+@given(st.integers(1, 20), st.integers(0, 2 ** 32))
+def test_position_reads_both_sides_inverse(half, seed):
+    market = build_market(2 * half, random.Random(seed))
+    women, men = market.women.tolist(), market.men.tolist()
+    for ids, other, prefs in ((women, men, market.women_prefs), (men, women, market.men_prefs)):
+        assert [[market.position(a, b) for b in other] for a in ids] == \
+            rank_positions(prefs).tolist()
 
 
 @given(st.integers(0, 200))
@@ -384,6 +421,8 @@ def test_matching_to_dict_reads_distances_without_a_dense_matrix():
     assert payload["pairs"]
     assert [p["distance"] for p in payload["pairs"]] == [
         inst.dm.dist[w, m] for w, m in matching.pairs]
+    assert [p["pair_utility"] for p in payload["pairs"]] == [
+        pair_utility(inst.market, matching, w, m) for w, m in matching.pairs]
 
 
 def test_circle_rejects_bad_depth():
