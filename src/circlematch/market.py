@@ -34,12 +34,14 @@ def _rank_dtype(h: int) -> np.dtype:
 
 
 def _positions_of(prefs: np.ndarray) -> np.ndarray:
-    """Inverse of h x h rank lists whose entries lie in 0..h-1: the rank
-    position of every candidate for every agent, by one flat scatter; -1
-    marks a slot no entry filled."""
+    """Inverse of h x h rank lists over 0..h-1 (-1 in a slot no entry fills),
+    scattered in row blocks of at most 2**16 entries, so the index stays small."""
     h = len(prefs)
-    pos = np.full(h * h, -1, dtype=prefs.dtype)
-    pos[np.arange(0, h * h, h)[:, None] + prefs] = np.arange(h, dtype=prefs.dtype)
+    pos, ranks = np.full(h * h, -1, dtype=prefs.dtype), np.arange(h, dtype=prefs.dtype)
+    rows = max(1, 2 ** 16 // (h or 1))
+    for start in range(0, h, rows):
+        block = prefs[start:start + rows]
+        pos[np.arange(start * h, start * h + block.size, h)[:, None] + block] = ranks
     return pos.reshape(h, h)
 
 
@@ -220,33 +222,24 @@ class Matching:
         return [m for m in market.men.tolist() if m not in self.by_man]
 
 
-def _pair_indices(market: Market, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """Side-local (woman, man) indices of the matched pairs."""
-    ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
-    if ((ids < 0) | (ids >= market.n)).any():
-        raise ValueError("matching names an agent outside the market")
-    wi, mj = market.local[ids[:, 0]], market.local[ids[:, 1]]
-    if not (np.array_equal(market.women[wi], ids[:, 0])
-            and np.array_equal(market.men[mj], ids[:, 1])):
-        raise ValueError("every matched pair must be a (woman, man) pair of the market")
-    return wi, mj
+def _candidates(market: Market, known: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pairs with ``known[j, i]`` (side-local), in each man's order, men in turn, as
+    (bounds, men, women, her_rank, his_rank); man j's are ``bounds[j]:bounds[j + 1]``."""
+    h = market.half
+    pos = np.flatnonzero(known[np.arange(h)[:, None], market.men_prefs])  # in each man's order
+    men = pos // h
+    women = market.men_prefs.reshape(-1)[pos]
+    her_rank = market.women_pos.reshape(-1)[h * women.astype(np.intp) + men]
+    return np.searchsorted(men, np.arange(h + 1)), men, women, her_rank, pos - h * men
 
 
 def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
-    """Man-proposing deferred acceptance; ``known[j, i]`` says whether man j
-    may propose to woman i (side-local indices)."""
+    """Man-proposing deferred acceptance over ``_candidates(market, known)``."""
     h = market.half
-    # Every man's candidate list, best first, concatenated; beside each
-    # candidate, her rank of the man proposing to her.
-    in_order = np.take_along_axis(known, market.men_prefs, axis=1)
-    counts = in_order.sum(axis=1)
-    flat = market.men_prefs[in_order]
-    her_rank = market.women_pos[flat, np.repeat(np.arange(h), counts)]
-    # Read in place: DA visits only the candidates men get to, often far
-    # fewer than a full list conversion would make.
-    candidates, ranks = memoryview(flat), memoryview(her_rank)
-    ends = np.cumsum(counts)
-    next_choice, ends = (ends - counts).tolist(), ends.tolist()
+    bounds, _, women, her_rank, _ = _candidates(market, known)
+    # Read in place: DA often visits far fewer entries than a list conversion makes.
+    candidates, ranks = memoryview(women), memoryview(her_rank)
+    next_choice, ends = bounds[:-1].tolist(), bounds[1:].tolist()
 
     fiance = [-1] * h
     fiance_rank = [h] * h  # a free woman accepts any man she knows
@@ -291,15 +284,29 @@ def pair_utility(market: Market, matching: Matching, woman: int, man: int) -> fl
     return (market.score(woman, man) + market.score(man, woman)) / 2.0
 
 
-def _pair_utilities(market: Market, matching: Matching) -> list[float]:
-    """``pair_utility`` of every matched pair, in pair order, the same floats;
-    each man's rank of his partner is found by one compare over his row."""
+def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]:
+    """Side-local (woman, man) indices of the matched pairs, then each woman's and
+    man's rank of their partner (h if unmatched); his by one compare over his row."""
     h = market.half
-    wi, mj = _pair_indices(market, matching)
-    partner = np.full(h, -1, dtype=market.men_prefs.dtype)  # same width: no upcast copy
+    ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
+    if ((ids < 0) | (ids >= market.n)).any():
+        raise ValueError("matching names an agent outside the market")
+    wi, mj = market.local[ids[:, 0]], market.local[ids[:, 1]]
+    if not (np.array_equal(market.women[wi], ids[:, 0])
+            and np.array_equal(market.men[mj], ids[:, 1])):
+        raise ValueError("every matched pair must be a (woman, man) pair of the market")
+    partner = np.full(h, -1, dtype=market.men_prefs.dtype)  # rank width: no upcast copy
     partner[mj] = wi
-    his_rank = (market.men_prefs == partner[:, None]).argmax(axis=1)[mj]
-    return ((_score(h, market.women_pos[wi, mj]) + _score(h, his_rank)) / 2.0).tolist()
+    her, his = np.full((2, h), h, dtype=market.men_prefs.dtype)
+    her[wi] = market.women_pos[wi, mj]
+    his[mj] = (market.men_prefs == partner[:, None]).argmax(axis=1)[mj]
+    return wi, mj, her, his
+
+
+def _pair_utilities(market: Market, matching: Matching) -> list[float]:
+    """``pair_utility`` of every matched pair, in pair order, the same floats."""
+    wi, mj, her, his = _partner_ranks(market, matching)
+    return ((_score(market.half, her[wi]) + _score(market.half, his[mj])) / 2.0).tolist()
 
 
 def average_utility(market: Market, matching: Matching) -> float:
@@ -317,21 +324,14 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
     """First in-circle (woman, man) pair in which both strictly gain by
     pairing up, scanning women in id order and their lists best-first.
     Returns None when the matching is stable."""
-    h = market.half
-    wi, mj = _pair_indices(market, matching)
-    men_pos = _positions_of(market.men_prefs)
-    her_cutoff, his_cutoff = np.full((2, h), h)  # rank of the partner; h when unmatched
-    her_cutoff[wi] = market.women_pos[wi, mj]
-    his_cutoff[mj] = men_pos[mj, wi]
-    blocking = (circle.mask(market.women, market.men)
-                & (market.women_pos < her_cutoff[:, None])
-                & (men_pos.T < his_cutoff[None, :]))
-    rows = np.flatnonzero(blocking.any(axis=1))
-    if rows.size == 0:
+    _, _, her_cut, his_cut = _partner_ranks(market, matching)
+    _, men, women, her_rank, his_rank = _candidates(market, circle.mask(market.men, market.women))
+    blocking = np.flatnonzero((her_rank < her_cut[women]) & (his_rank < his_cut[men]))
+    if blocking.size == 0:
         return None
-    i = rows[0]
-    j = np.where(blocking[i], market.women_pos[i], h).argmin()
-    return int(market.women[i]), int(market.men[j])
+    # local order is id order, so the least woman * h + her rank is the first pair
+    first = blocking[np.argmin(women[blocking].astype(np.intp) * market.half + her_rank[blocking])]
+    return int(market.women[women[first]]), int(market.men[men[first]])
 
 
 def is_stable(market: Market, circle: SocialCircle, matching: Matching) -> bool:

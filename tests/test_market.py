@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from circlematch.market import (
     matching_to_dict,
     pair_utility,
     restricted_deferred_acceptance,
+    _positions_of,
     _rank_dtype,
 )
 from circlematch.netgen import MODELS, Graph
@@ -130,6 +132,27 @@ def test_market_keeps_6h2_bytes_of_int16_ranks():
     assert market.women_prefs.base is market.men_prefs.base is not None
     total = sum(getattr(market, f.name).nbytes for f in dataclasses.fields(market))
     assert 6 * h * h <= total <= 6 * h * h + 32 * market.n
+
+
+def test_positions_of_scatters_in_row_blocks():
+    """Past one block of 2**16 entries the inverse is scattered block by
+    block: the same inverse, and at h=3000 a traced peak within 1.1 times
+    the h x h output plus 1 MiB, where one scatter of the whole array would
+    need an 8h² byte index."""
+    rng = np.random.default_rng(0)
+    prefs = np.array([rng.permutation(300) for _ in range(300)], dtype=np.int16)  # 2 blocks
+    assert np.array_equal(_positions_of(prefs), rank_positions(prefs))
+    h = 3000
+    prefs = np.add.outer(np.arange(h, dtype=np.int16), np.arange(h, dtype=np.int16)) % h
+    tracemalloc.start()
+    try:
+        pos = _positions_of(prefs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pos.dtype == np.int16 and peak <= 1.1 * pos.nbytes + 2 ** 20
+    for i in (0, 1, h - 1):  # row i is the cyclic shift by i
+        assert (pos[i][prefs[i]] == np.arange(h)).all()
 
 
 def test_rank_width_grows_past_int16():
@@ -363,18 +386,26 @@ def test_position_reads_both_sides_inverse(half, seed):
             rank_positions(prefs).tolist()
 
 
-@given(st.integers(0, 200))
-def test_blocking_pair_reports_mutual_gain(seed):
-    """Whenever a blocking pair is reported against an arbitrary matching,
-    both members must strictly gain; whenever none is reported the
-    stability predicate must agree."""
-    inst = random_instance(seed, n_pool=(4, 6, 8))
+# Seed 4 draws k=226 and dep=1 at n=400: each circle holds about half of the
+# 200 x 200 pairs, so a scrambled matching leaves many pairs blocking.
+@given(st.integers(0, 200), st.just((4, 6, 8)), st.just(MODELS), st.just(False))
+@example(4, (400,), ("er",), False)
+@example(4, (400,), ("er",), True)
+@example(4, (400,), ("ba",), False)
+@example(4, (400,), ("ba",), True)
+def test_blocking_pair_reports_mutual_gain(seed, n_pool, models, deferred):
+    """Whenever a blocking pair is reported against an arbitrary matching (a
+    scrambled partial one, or DA's), both members must strictly gain and it
+    is the reference's first; whenever none is reported the stability
+    predicate must agree."""
+    inst = random_instance(seed, n_pool=n_pool, models=models)
     scrambled_rng = random.Random(seed)
     women = list(inst.market.women)
     men = list(inst.market.men)
     scrambled_rng.shuffle(men)
     keep = scrambled_rng.randrange(len(women) + 1)
-    arbitrary = Matching.from_pairs(list(zip(women, men))[:keep])
+    arbitrary = (restricted_deferred_acceptance(inst.market, inst.circle) if deferred
+                 else Matching.from_pairs(list(zip(women, men))[:keep]))
     witness = find_blocking_pair(inst.market, inst.circle, arbitrary)
     assert witness == naive_blocking_pair(inst.market, inst.circle, arbitrary)
     if witness is None:
