@@ -9,11 +9,12 @@ each other, so deferred acceptance may leave agents unmatched even in a
 balanced market.
 
 Preferences are held in side-local form: an agent's local index is its
-position in the sorted id array of its side, and each side has an h x h
-array of rank lists over the other side's local indices, 2-byte entries
-while h < 2**15; the women's side also keeps its inverse, the rank position
-of every man. Agent ids appear only at the boundary: in method arguments,
-matchings and the JSON form.
+position in the sorted id array of its side. A market keeps two h x h
+arrays, 2-byte entries while h < 2**15: the men's rank lists over the
+women's local indices, and the women's rank position of every man, the
+inverse of their rank lists, which are derived from it when read. Agent ids
+appear only at the boundary: in method arguments, matchings and the JSON
+form.
 """
 
 from __future__ import annotations
@@ -33,16 +34,34 @@ def _rank_dtype(h: int) -> np.dtype:
     return np.dtype("<i2" if h < 2 ** 15 else "<i4")
 
 
+def _row_blocks(prefs: np.ndarray):
+    """(first row, block) over the rows of h x h ``prefs``, at most 2**16
+    entries a block, so that a block's temporaries stay small at any size."""
+    rows = max(1, 2 ** 16 // (len(prefs) or 1))
+    return ((start, prefs[start:start + rows]) for start in range(0, len(prefs), rows))
+
+
 def _positions_of(prefs: np.ndarray) -> np.ndarray:
-    """Inverse of h x h rank lists over 0..h-1 (-1 in a slot no entry fills),
-    scattered in row blocks of at most 2**16 entries, so the index stays small."""
+    """Read-only inverse of h x h rank lists, each a permutation of 0..h-1,
+    scattered one row block at a time."""
     h = len(prefs)
-    pos, ranks = np.full(h * h, -1, dtype=prefs.dtype), np.arange(h, dtype=prefs.dtype)
-    rows = max(1, 2 ** 16 // (h or 1))
-    for start in range(0, h, rows):
-        block = prefs[start:start + rows]
+    pos, ranks = np.empty(h * h, dtype=prefs.dtype), np.arange(h, dtype=prefs.dtype)
+    for start, block in _row_blocks(prefs):
         pos[np.arange(start * h, start * h + block.size, h)[:, None] + block] = ranks
+    pos.flags.writeable = False
     return pos.reshape(h, h)
+
+
+def _check_permutations(side: str, ids: np.ndarray, prefs: np.ndarray) -> None:
+    """Raises ValueError naming the first agent of ``ids`` whose row of h x h
+    ``prefs`` (entries in 0..h-1) is not a permutation of 0..h-1; sorts one
+    row block at a time."""
+    ranks = np.arange(len(prefs), dtype=prefs.dtype)
+    for start, block in _row_blocks(prefs):
+        wrong = np.sort(block, axis=1) != ranks
+        if wrong.any():
+            raise ValueError(f"rank list of {side} {ids[start + wrong.any(axis=1).argmax()]} "
+                             "is not a permutation of the other side")
 
 
 def _score(h: int, r):
@@ -53,28 +72,29 @@ def _score(h: int, r):
     return 1.0 + 9.0 * (h - 1 - r) / (h - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Market:
     """Balanced bipartition of agents 0..n-1 with strict mutual rankings.
 
-    ``women`` and ``men`` are the sorted ids of each side. Row i of
-    ``women_prefs`` is the i-th woman's rank list, best first, as local
-    indices into ``men``; ``men_prefs`` likewise. Construction validates
-    that the sides are equal, sorted and partition the id space, and that
-    every rank list is a permutation of the other side; it derives the id
-    to local index map ``local`` and the women's position array ``women_pos``
-    (``women_pos[i, j]`` is woman i's rank of man j), but no men's inverse.
+    ``Market(women, men, women_prefs, men_prefs)``: ``women`` and ``men``
+    are the sorted ids of each side. Row i of ``women_prefs`` is the i-th
+    woman's rank list, best first, as local indices into ``men``;
+    ``men_prefs`` likewise. Construction validates that the sides are equal,
+    sorted and partition the id space, and that every rank list is a
+    permutation of the other side; it derives the id to local index map
+    ``local`` and the women's position array ``women_pos`` (``women_pos[i,
+    j]`` is woman i's rank of man j). It keeps ``men_prefs`` and
+    ``women_pos``; ``women_prefs`` is read back from ``women_pos``.
     """
 
     women: np.ndarray
     men: np.ndarray
-    women_prefs: np.ndarray
     men_prefs: np.ndarray
-    local: np.ndarray = field(init=False, repr=False)
-    women_pos: np.ndarray = field(init=False, repr=False)
+    local: np.ndarray = field(repr=False)
+    women_pos: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        women, men = np.asarray(self.women), np.asarray(self.men)
+    def __init__(self, women, men, women_prefs, men_prefs):
+        women, men = np.asarray(women), np.asarray(men)
         if women.ndim != 1 or women.shape != men.shape:
             raise ValueError("women and men must be equally many")
         h = len(women)
@@ -87,39 +107,40 @@ class Market:
             raise ValueError("women and men must partition ids 0..n-1")
         if (np.diff(sides, axis=1) < 0).any():
             raise ValueError("women and men must be listed in increasing id order")
-        women_prefs, men_prefs = np.asarray(self.women_prefs), np.asarray(self.men_prefs)
+        women_prefs, men_prefs = np.asarray(women_prefs), np.asarray(men_prefs)
         if women_prefs.shape != (h, h) or men_prefs.shape != (h, h):
             raise ValueError(f"every agent must rank all {h} agents of the other side")
         for prefs in (women_prefs, men_prefs):
             if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
                 raise ValueError("a rank list names an agent outside the other side")
-        # A writeable rank array is copied, so that no caller can change a
-        # validated market; build_market hands its rows over read-only.
-        women_prefs, men_prefs = (np.array(prefs, dtype=_rank_dtype(h),
-                                           copy=True if prefs.flags.writeable else None)
-                                  for prefs in (women_prefs, men_prefs))
+        # The women's lists are read only to invert them. A writeable men's
+        # array is copied, so that no caller can change a validated market;
+        # build_market hands its rows over read-only.
+        women_prefs = women_prefs.astype(_rank_dtype(h), copy=False)
+        men_prefs = np.array(men_prefs, dtype=_rank_dtype(h),
+                             copy=True if men_prefs.flags.writeable else None)
+        _check_permutations("woman", women, women_prefs)
+        _check_permutations("man", men, men_prefs)
         women_pos = _positions_of(women_prefs)
-        # h entries per row fill all h slots exactly when the row is a permutation
-        for side, ids, pos in (("woman", women, women_pos),
-                               ("man", men, _positions_of(men_prefs))):
-            if h and pos.min() < 0:
-                row = np.flatnonzero((pos < 0).any(axis=1))[0]
-                raise ValueError(f"rank list of {side} {ids[row]} "
-                                 "is not a permutation of the other side")
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
-        for array in (sides, women_prefs, men_prefs, women_pos, local):
+        for array in (sides, men_prefs, local):
             array.flags.writeable = False
         for name, value in (("women", women), ("men", men), ("local", local),
-                            ("women_prefs", women_prefs), ("men_prefs", men_prefs),
-                            ("women_pos", women_pos)):
+                            ("men_prefs", men_prefs), ("women_pos", women_pos)):
             object.__setattr__(self, name, value)
+
+    @property
+    def women_prefs(self) -> np.ndarray:
+        """The women's rank lists, the inverse of ``women_pos``, derived on
+        every read (h² entries) and read-only."""
+        return _positions_of(self.women_pos)
 
     def __eq__(self, other):
         if not isinstance(other, Market):
             return NotImplemented
         return all(np.array_equal(getattr(self, a), getattr(other, a))
-                   for a in ("women", "men", "women_prefs", "men_prefs"))
+                   for a in ("women", "men", "women_pos", "men_prefs"))
 
     @property
     def n(self) -> int:
@@ -163,32 +184,35 @@ def build_market(n: int, rng: random.Random) -> Market:
     if n < 2 or n % 2:
         raise ValueError(f"agent count must be even and >= 2, got {n}")
     h = n // 2
-    # Women's rows, then men's, each side in id order; allocated first, so a
-    # size that cannot fit fails before the walk starts.
-    prefs = np.empty((n, h), dtype=_rank_dtype(h))
-    width = prefs.itemsize * h  # bytes in a rank row
+    # Men's rows, then women's, each side's block in id order; allocated first,
+    # so a size that cannot fit fails before the walk starts. Two blocks, so
+    # the women's is freed once the market has inverted it.
+    blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
+    itemsize = blocks[0].itemsize
+    width = itemsize * h  # bytes in a rank row
     women = sorted(rng.sample(range(n), h))
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
     women, men = np.flatnonzero(is_woman), np.flatnonzero(~is_woman)
-    offsets = np.empty(n, dtype=np.intp)  # byte offset of each agent's row
-    offsets[np.concatenate((women, men))] = np.arange(0, n * width, width)
+    offsets = np.empty(n, dtype=np.intp)  # byte offset of each agent's row in its block
+    offsets[women] = offsets[men] = np.arange(0, h * width, width)
     # One shuffle per agent in id order. A shuffle's permutation does not depend
     # on what the list holds, so the little-endian local indices it permutes
     # give the rank lists ids would, and a joined row is its rank row.
-    out, getrandbits = memoryview(prefs).cast("B"), rng.getrandbits
-    base = [j.to_bytes(prefs.itemsize, "little") for j in range(h)]
+    outs, getrandbits = [memoryview(block).cast("B") for block in blocks], rng.getrandbits
+    base = [j.to_bytes(itemsize, "little") for j in range(h)]
     steps = [(i, (i + 1).bit_length()) for i in range(h - 1, 0, -1)]
-    for start in offsets.tolist():
+    for woman, start in zip(is_woman.tolist(), offsets.tolist()):
         row = base.copy()
         for i, k in steps:  # j uniform in 0..i, drawn as Random._randbelow(i + 1) does
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
             row[i], row[j] = row[j], row[i]
-        out[start:start + width] = b"".join(row)
-    prefs.flags.writeable = False
-    return Market(women, men, prefs[:h], prefs[h:])
+        outs[woman][start:start + width] = b"".join(row)
+    for block in blocks:
+        block.flags.writeable = False
+    return Market(women, men, blocks[1], blocks[0])
 
 
 @dataclass(frozen=True)
@@ -377,13 +401,17 @@ def market_from_dict(data: dict) -> Market:
 
 
 def matching_to_dict(market: Market, dm: DistanceMatrix, matching: Matching) -> dict:
-    """JSON-ready form of a matching with per-pair distance, read from the
-    graph's distance summary ``dm``, and utility."""
-    pairs = [{"woman": w, "man": m, "distance": dm.distance(w, m), "pair_utility": utility}
-             for (w, m), utility in zip(matching.pairs, _pair_utilities(market, matching))]
+    """JSON-ready form of a matching with per-pair distance, searched from
+    the graph of the distance summary ``dm`` in one pass, and utility."""
+    utilities = _pair_utilities(market, matching)
+    ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
+    pairs = [{"woman": w, "man": m, "distance": d, "pair_utility": utility}
+             for (w, m), d, utility in zip(matching.pairs, dm.distances(*ids.T).tolist(),
+                                           utilities)]
     return {
         "pairs": pairs,
         "unmatched_women": matching.unmatched_women(market),
         "unmatched_men": matching.unmatched_men(market),
-        "average_utility": average_utility(market, matching),
+        # average_utility's float: Python's sum in pair order over h
+        "average_utility": sum(utilities) / market.half,
     }

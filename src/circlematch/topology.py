@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -26,6 +25,24 @@ _LEVEL_BUDGET = 64
 # than this many at a time.
 _ROWS = 128
 _WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
+
+
+def _checked(ids, n: int) -> np.ndarray:
+    """``ids`` as an array; raises ValueError naming the first outside 0..n-1."""
+    ids = np.asarray(ids)
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise ValueError(f"node id {ids[outside][0]} outside 0..{n - 1}")
+    return ids
+
+
+def _apart(a, b, dep: int) -> ValueError:
+    return ValueError(f"nodes {a} and {b} are more than {dep} hops apart")
+
+
+def _bit(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bit ``cols[i]`` of packed bitset row ``rows[i]`` for every i, as booleans."""
+    return (packed[rows, cols >> 6] >> (cols & 63).astype(_WORD) & np.uint64(1)).astype(bool)
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -59,11 +76,7 @@ class SocialCircle:
     def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``contains`` for every (row, col) node pair, as a boolean array;
         unpacks only the requested rows."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        for ids in (rows, cols):
-            outside = (ids < 0) | (ids >= self.n)
-            if outside.any():
-                raise ValueError(f"node id {ids[outside][0]} outside 0..{self.n - 1}")
+        rows, cols = _checked(rows, self.n), _checked(cols, self.n)
         return _unpack(self.bits[rows], self.n)[:, cols]
 
 
@@ -73,38 +86,50 @@ class DistanceMatrix:
 
     ``levels[d - 1]`` is the number of ordered node pairs at hop distance d,
     for d = 1..D with D the largest finite distance. ``circle`` is the
-    social circle at the depth the summary was built for. The hop counts of
-    the pairs inside the circle are kept bit-sliced: ``_planes[p]`` packs,
-    like the circle, bit p of each such pair's distance. A summary thus
-    holds 1 + min(dep, n - 1).bit_length() bitsets of n x n bits (three at
-    dep=3) and no n x n matrix, and every array in it is read-only.
-    ``_rebuild`` recomputes the dense matrix from the graph.
+    social circle at the depth the summary was built for, one read-only
+    bitset of n x n bits; a summary holds no other array. The hop count of
+    a pair inside the circle is searched from ``graph`` when it is asked
+    for, and ``_rebuild(graph)`` recomputes the dense matrix from it.
     """
 
     n: int
     levels: tuple[int, ...]
     circle: SocialCircle
-    _planes: np.ndarray = field(repr=False)
-    _rebuild: Callable[[], np.ndarray] = field(repr=False)
-
-    def __post_init__(self):
-        self._planes.flags.writeable = False
+    graph: Graph = field(repr=False)
+    _rebuild: Callable[[Graph], np.ndarray] = field(repr=False)
 
     @property
     def dist(self) -> np.ndarray:
         """The dense n x n int32 hop counts, UNREACHABLE between components;
         recomputed on every access and never kept."""
-        return self._rebuild()
+        return self._rebuild(self.graph)
 
     def distance(self, a: int, b: int) -> int:
-        """Hop distance between two nodes of one circle, read from the bit
-        planes; raises ValueError for a pair more than ``dep`` hops apart or
-        a node id outside 0..n-1."""
+        """Hop distance between two nodes of one circle; raises ValueError
+        for a pair more than ``dep`` hops apart or a node id outside 0..n-1."""
         if not self.circle.contains(a, b):
-            raise ValueError(f"nodes {a} and {b} are more than {self.circle.dep} hops apart")
-        shift = int(b) & 63
-        return sum((word >> shift & 1) << p
-                   for p, word in enumerate(self._planes[:, a, b >> 6].tolist()))
+            raise _apart(a, b, self.circle.dep)
+        return int(self.distances([a], [b])[0])
+
+    def distances(self, a, b) -> np.ndarray:
+        """``distance(a[i], b[i])`` for every i, from one breadth-first
+        search seeded with the distinct nodes of ``a`` only, which stops
+        once every pair is reached, at level ``dep`` at most."""
+        a, b = _checked(a, self.n).reshape(-1), _checked(b, self.n).reshape(-1)
+        if a.shape != b.shape:
+            raise ValueError("distances needs as many nodes b as nodes a")
+        sources, column = np.unique(a, return_inverse=True)
+        hops = np.zeros(len(a), dtype=np.intp)
+        pending = np.arange(len(a))
+        for d, (reached, _, _) in enumerate(_bfs_levels(self.graph, sources)):
+            hit = _bit(reached, b[pending], column[pending])
+            hops[pending[hit]] = d
+            pending = pending[~hit]
+            if not pending.size or d == self.circle.dep:
+                break
+        if pending.size:
+            raise _apart(a[pending[0]], b[pending[0]], self.circle.dep)
+        return hops
 
     def diameter(self) -> Optional[int]:
         """Largest finite distance between distinct nodes, or None if every
@@ -165,21 +190,17 @@ def _too_deep(graph: Graph) -> bool:
     return True
 
 
-def _plane_count(n: int, dep: int) -> int:
-    """Bits in the largest distance a circle at ``dep`` can hold."""
-    return min(dep, n - 1).bit_length()
-
-
-def _bfs_levels(graph: Graph):
-    """Breadth-first search from every node at once over packed bitsets
-    (Then et al., "The More the Merrier: Efficient Multi-Source Graph
-    Traversal", VLDB 2014): row v of the frontier holds the sources that
-    reached v at the last level, and one OR over each node's neighbour rows
-    gives the next level. Yields, for d = 0 up to the largest finite
-    distance, the packed pairs at distance d, their number and the packed
-    pairs farther apart than d, unreachable ones included. No yielded
-    array changes afterwards."""
+def _bfs_levels(graph: Graph, sources: Optional[np.ndarray] = None):
+    """Breadth-first search from every node of ``sources`` (all nodes by
+    default) at once over packed bitsets (Then et al., "The More the
+    Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014): bit i of
+    row v of the frontier is set when ``sources[i]`` reached v at the last
+    level, and one OR over each node's neighbour rows gives the next level.
+    Yields, for d = 0 up to the largest finite distance, the packed pairs at
+    distance d, their number and the packed pairs farther apart than d,
+    unreachable ones included. No yielded array changes afterwards."""
     n = graph.n
+    sources = np.arange(n) if sources is None else sources
     indptr, indices = graph.csr
     # reduceat mis-handles empty segments, so an isolated node gathers its own
     # row as its one neighbour: a row that holds only the node itself at the
@@ -190,11 +211,11 @@ def _bfs_levels(graph: Graph):
     if isolated.size:
         gather = np.insert(indices, indptr[isolated], isolated)
         starts = starts + np.searchsorted(isolated, np.arange(n))
-    reached = np.zeros((n, -(-n // 64)), dtype=_WORD)
-    nodes = np.arange(n)
-    reached.view(np.uint8)[nodes, nodes >> 3] = 1 << (nodes & 7)  # the identity
+    reached = np.zeros((n, -(-len(sources) // 64)), dtype=_WORD)
+    bits = np.arange(len(sources))
+    reached.view(np.uint8)[sources, bits >> 3] = 1 << (bits & 7)  # each source itself
     unseen = ~reached
-    count, pairs = n, n * n
+    count, pairs = len(sources), n * len(sources)
     while count:
         yield reached, count, unseen
         pairs -= count
@@ -206,31 +227,25 @@ def _bfs_levels(graph: Graph):
         unseen = unseen ^ reached
 
 
-def _circle_and_planes(bfs, n: int, dep: int):
+def _circle(bfs, n: int, dep: int):
     """Reads levels 0..``dep`` of a ``_bfs_levels`` generator and returns
-    their pair counts, the circle, every pair not beyond level ``dep`` (or
-    the last level, if sooner), and the bit planes of the distances in it.
-    Later levels are left unread."""
-    planes = np.zeros((_plane_count(n, dep), n, -(-n // 64)), dtype=_WORD)
+    their pair counts and the circle, every pair not beyond level ``dep``
+    (or the last level, if sooner). Later levels are left unread."""
     counts = []
-    for d, (reached, count, unseen) in enumerate(bfs):
+    for d, (_, count, unseen) in enumerate(bfs):
         counts.append(count)
-        for p in range(d.bit_length()):
-            if d >> p & 1:
-                planes[p] |= reached
         if d == dep:
             break
-    return counts, SocialCircle(n, dep, ~unseen), planes
+    return counts, SocialCircle(n, dep, ~unseen)
 
 
 def _bit_parallel(graph: Graph, dep: int) -> DistanceMatrix:
     """Summary from the multi-source BFS: the levels up to ``dep`` give the
-    circle and the planes, and a popcount per level gives the histogram."""
+    circle, and a popcount per level gives the histogram."""
     bfs = _bfs_levels(graph)
-    counts, circle, planes = _circle_and_planes(bfs, graph.n, dep)
+    counts, circle = _circle(bfs, graph.n, dep)
     counts += [count for _, count, _ in bfs]
-    return DistanceMatrix(graph.n, tuple(counts[1:]), circle, planes,
-                          functools.partial(_bit_parallel_dist, graph))
+    return DistanceMatrix(graph.n, tuple(counts[1:]), circle, graph, _bit_parallel_dist)
 
 
 def _bit_parallel_dist(graph: Graph) -> np.ndarray:
@@ -268,16 +283,16 @@ def _pendant_forest(graph: Graph):
 
 
 def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
-    """Summary for deep graphs: the circle and the planes from the first
-    ``dep`` levels of the multi-source BFS, whose generator then stops, and
-    the histogram from ``_pendant_forest``, one layer of equal depth at a
-    time. scipy's traversal counts each root's distances. Every path out of
-    a pendant node v's subtree runs through v's parent p, so with S_v[d] the
-    number of nodes d levels below v, v's histogram is p's shifted by one,
-    less S_v shifted by two (v's subtree as p counts it), plus S_v."""
+    """Summary for deep graphs: the circle from the first ``dep`` levels of
+    the multi-source BFS, whose generator then stops, and the histogram from
+    ``_pendant_forest``, one layer of equal depth at a time. scipy's
+    traversal counts each root's distances. Every path out of a pendant node
+    v's subtree runs through v's parent p, so with S_v[d] the number of nodes
+    d levels below v, v's histogram is p's shifted by one, less S_v shifted
+    by two (v's subtree as p counts it), plus S_v."""
     from scipy.sparse.csgraph import dijkstra
     n = graph.n
-    _, circle, planes = _circle_and_planes(_bfs_levels(graph), n, dep)
+    _, circle = _circle(_bfs_levels(graph), n, dep)
     parent, depth = _pendant_forest(graph)
     layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
     roots = layers[0]
@@ -320,7 +335,7 @@ def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
         below[t] = None
         total[:width] += hist.sum(axis=0)
     levels = tuple(np.trim_zeros(total[1:], "b").tolist())
-    return DistanceMatrix(n, levels, circle, planes, functools.partial(_scipy_dist, graph))
+    return DistanceMatrix(n, levels, circle, graph, _scipy_dist)
 
 
 def _scipy_dist(graph: Graph) -> np.ndarray:
@@ -340,8 +355,7 @@ def _scipy_dist(graph: Graph) -> np.ndarray:
 
 def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """Minimum hop count between every node pair, summarized in one pass:
-    the level histogram, the social circle of pairs within ``dep`` hops and
-    the distances inside it.
+    the level histogram and the social circle of pairs within ``dep`` hops.
 
     Graphs whose depth bound fits the level budget go through one
     bit-parallel multi-source BFS. Deeper graphs take the circle from the

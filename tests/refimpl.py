@@ -152,17 +152,16 @@ def pack(bits: np.ndarray) -> np.ndarray:
 
 def summary_from_dense(dist: np.ndarray, dep: int) -> DistanceMatrix:
     """The distance summary at ``dep`` of a dense hop-count matrix, built
-    the naive way; its ``dist`` gives a copy of the matrix."""
+    the naive way, over the graph of its pairs at distance 1; its ``dist``
+    gives a copy of the matrix."""
     dist = np.asarray(dist, dtype=np.int32)
     n = len(dist)
     diameter = int(dist.max(initial=0))
     levels = tuple(int((dist == d).sum()) for d in range(1, diameter + 1))
     within = (dist != UNREACHABLE) & (dist <= dep)
-    planes = np.array([pack(within & (dist >> p & 1).astype(bool))
-                       for p in range(topology._plane_count(n, dep))],
-                      dtype=np.uint64).reshape(-1, n, -(-n // 64))
-    return DistanceMatrix(n, levels, SocialCircle(n, dep, pack(within)), planes,
-                          dist.copy)
+    graph = Graph(n, np.argwhere(np.triu(dist == 1)))
+    return DistanceMatrix(n, levels, SocialCircle(n, dep, pack(within)), graph,
+                          lambda graph: dist.copy())
 
 
 def stdlib_market(n: int, rng: random.Random) -> Market:

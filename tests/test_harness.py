@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from circlematch.harness import (
     table2_config,
 )
 from circlematch.market import is_stable
+from circlematch.topology import UNREACHABLE
 
 
 # ---------------------------------------------------------------- seed paths
@@ -210,9 +212,13 @@ def test_map_holds_every_ncn_network_of_the_presets():
 def test_summary_arrays_are_read_only(cold_map):
     for model, n in (("ncn", 40), ("ncn", 300), ("er", 40), ("ba", 300)):
         run = run_cell_full(model, n, 2)
-        arrays = (run.dm.circle.bits, run.dm._planes, run.market.women_prefs,
+        arrays = (run.dm.circle.bits, run.market.women_prefs,
                   run.market.men_prefs, run.market.women_pos)
         assert not any(a.flags.writeable for a in arrays), model
+        # the summary's distances, searched on demand, match the dense matrix
+        dist = run.dm.dist
+        a, b = np.nonzero((dist != UNREACHABLE) & (dist <= run.dm.circle.dep))
+        assert np.array_equal(run.dm.distances(a, b), dist[a, b]), model
 
 
 def _perfbench_checks():

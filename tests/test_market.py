@@ -1,6 +1,7 @@
 """Markets, social circles, deferred acceptance and stability checks."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import statistics
@@ -28,7 +29,7 @@ from circlematch.market import (
     _positions_of,
     _rank_dtype,
 )
-from circlematch.netgen import MODELS, Graph
+from circlematch.netgen import MODELS, Graph, generate
 from circlematch.topology import all_pairs_shortest
 
 from refimpl import (agent_utility, full_circle, make_market, naive_blocking_pair,
@@ -97,6 +98,20 @@ def test_market_rejects_malformed_arrays(women, men, women_prefs, men_prefs):
         Market(women, men, np.array(women_prefs), np.array(men_prefs))
 
 
+@pytest.mark.parametrize("side", ["woman", "man"])
+def test_non_permutation_names_the_first_bad_agent(side):
+    # 218 rows to a sort block at h=300, so the bad rows sit in the second block
+    h = 300
+    rows = np.tile(np.arange(h), (h, 1))
+    bad = rows.copy()
+    bad[[250, 260], 1] = 0  # two repeats; the first names the agent
+    women, men = np.arange(1, 2 * h, 2), np.arange(0, 2 * h, 2)
+    prefs = (bad, rows) if side == "woman" else (rows, bad)
+    ids = women if side == "woman" else men
+    with pytest.raises(ValueError, match=rf"^rank list of {side} {ids[250]} is not a permutation"):
+        Market(women, men, *prefs)
+
+
 def test_market_arrays_are_read_only():
     market = build_market(6, random.Random(0))
     with pytest.raises(ValueError):
@@ -123,15 +138,72 @@ def test_build_market_structure():
     assert (rank_positions(market.men_prefs) >= 0).all()
 
 
-def test_market_keeps_6h2_bytes_of_int16_ranks():
+def test_market_keeps_4h2_bytes_of_int16_ranks():
     market = build_market(2000, random.Random(0))
     h = market.half
-    ranks = (market.women_prefs, market.men_prefs, market.women_pos)
+    ranks = (market.men_prefs, market.women_pos, market.women_prefs)
     assert all(a.dtype == np.int16 and not a.flags.writeable for a in ranks)
-    # both sides' rank lists are views of the one buffer build_market filled
-    assert market.women_prefs.base is market.men_prefs.base is not None
-    total = sum(getattr(market, f.name).nbytes for f in dataclasses.fields(market))
-    assert 6 * h * h <= total <= 6 * h * h + 32 * market.n
+    # the men's rows are build_market's own block, not a view of a larger buffer
+    assert market.men_prefs.base is None
+    stored = [getattr(market, f.name) for f in dataclasses.fields(market)]
+    assert all(isinstance(a, np.ndarray) for a in stored)
+    assert 4 * h * h <= sum(a.nbytes for a in stored) <= 4 * h * h + 32 * market.n
+
+
+def test_live_bytes_stay_within_4h2_plus_the_circle():
+    """After a market and a summary are built, tracemalloc's live bytes stay
+    within the men's lists and the women's positions (4h²), the circle
+    (n²/8) and 128 KiB for the id arrays; the market's construction peaks
+    within 6h² plus 1 MiB, so the men's rows are not copied."""
+    n, h = 2000, 1000
+    graph = generate("er", n, 4, rng=random.Random(0))
+    graph.csr  # the caller's graph, built before the trace
+    tracemalloc.start()
+    try:
+        market = build_market(n, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+        dm = all_pairs_shortest(graph, 3)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert market.half == h and dm.n == n
+    assert peak <= 6 * h * h + 2 ** 20
+    assert live <= 4 * h * h + n * n // 8 + 2 ** 17
+
+
+def test_women_prefs_reads_back_the_given_rows():
+    rng = np.random.default_rng(1)
+    for h in (1, 5, 300):
+        rows = np.array([rng.permutation(h) for _ in range(h)])
+        women_prefs = rows.copy()  # int64 and writeable
+        market = Market(np.arange(h), np.arange(h, 2 * h), women_prefs,
+                        np.array([rng.permutation(h) for _ in range(h)]))
+        women_prefs[:] = 0  # the market does not read the caller's array again
+        first, second = market.women_prefs, market.women_prefs
+        assert np.array_equal(first, rows) and first.dtype == np.int16
+        assert not first.flags.writeable and not np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+
+def test_market_json_is_pinned():
+    """The JSON form of a drawn market, women's lists included, hashes as it
+    did when the market stored those lists."""
+    for n, seed, digest in ((40, 7, "4afe183393d31160"), (2000, 0, "9c9112a89649b411")):
+        text = json.dumps(market_to_dict(build_market(n, random.Random(seed))))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_equality_compares_all_four_lists():
+    market = build_market(8, random.Random(2))
+    rows = {"women": market.women, "men": market.men,
+            "women_prefs": market.women_prefs, "men_prefs": market.men_prefs}
+    assert Market(**{k: v.astype(np.int64) for k, v in rows.items()}) == market
+    for side in ("women_prefs", "men_prefs"):
+        swapped = rows[side].copy()
+        swapped[3, [0, 1]] = swapped[3, [1, 0]]
+        assert Market(**{**rows, side: swapped}) != market
+    assert Market(market.men, market.women, market.women_prefs, market.men_prefs) != market
 
 
 def test_positions_of_scatters_in_row_blocks():
@@ -444,7 +516,7 @@ def test_matching_to_dict_reads_distances_without_a_dense_matrix():
     inst = random_instance(4, n_pool=(40,), dep_pool=(3,), models=("er",))
     matching = restricted_deferred_acceptance(inst.market, inst.circle)
 
-    def refuse():
+    def refuse(graph):
         raise AssertionError("the dense matrix was built")
 
     summary = dataclasses.replace(inst.dm, _rebuild=refuse)
@@ -454,6 +526,18 @@ def test_matching_to_dict_reads_distances_without_a_dense_matrix():
         inst.dm.dist[w, m] for w, m in matching.pairs]
     assert [p["pair_utility"] for p in payload["pairs"]] == [
         pair_utility(inst.market, matching, w, m) for w, m in matching.pairs]
+
+
+@given(st.integers(0, 200))
+def test_matching_to_dict_average_is_average_utility(seed):
+    """One pass of pair utilities gives the per-pair fields and, summed in
+    pair order over h, the float ``average_utility`` returns."""
+    inst = random_instance(seed)
+    matching = restricted_deferred_acceptance(inst.market, inst.circle)
+    payload = matching_to_dict(inst.market, inst.dm, matching)
+    assert payload["average_utility"] == average_utility(inst.market, matching)
+    assert [p["distance"] for p in payload["pairs"]] == [
+        inst.dm.dist[w, m] for w, m in matching.pairs]
 
 
 def test_circle_rejects_bad_depth():

@@ -30,7 +30,7 @@ from circlematch.topology import (
     reachable_pairs,
 )
 
-from refimpl import naive_distances, random_instance, scipy_too_deep, summary_from_dense
+from refimpl import naive_distances, random_instance, scipy_too_deep
 
 
 CYCLE6 = generate_ncn(6, 2)
@@ -72,8 +72,8 @@ def distance_or_none(dm, a, b):
 def assert_summary_matches(summarize, dist, deps):
     """Every summary ``summarize(dep)`` builds, one per depth in ``deps``,
     equals the value derived from the dense reference ``dist``: the
-    distances, the histogram, the metrics, each circle bit and the
-    reference summary's bit planes."""
+    distances of every pair inside the circle, the histogram, the metrics
+    and each circle bit."""
     n = len(dist)
     finite = dist[(dist != UNREACHABLE) & ~np.eye(n, dtype=bool)]
     diameter = int(finite.max()) if finite.size else None
@@ -83,10 +83,15 @@ def assert_summary_matches(summarize, dist, deps):
     for dep in deps:
         dm = summarize(dep)
         within = (dist != UNREACHABLE) & (dist <= dep)
-        # distance() reads the bit planes, and answers for circle pairs only
-        assert [[distance_or_none(dm, a, b) for b in range(n)] for a in range(n)] == \
-            np.where(within, dist, None).tolist()
-        assert np.array_equal(dm._planes, summary_from_dense(dist, dep)._planes)
+        # distances() answers every circle pair in one search; distance()
+        # answers one at a time, for circle pairs only
+        a, b = np.nonzero(within)
+        assert np.array_equal(dm.distances(a, b), dist[a, b])
+        step = -(-len(a) // 20)  # 20 pairs spread over the circle, one search each
+        assert [dm.distance(a, b) for a, b in zip(a[::step], b[::step])] == \
+            dist[a[::step], b[::step]].tolist()
+        assert [[distance_or_none(dm, a, b) for b in range(n) if not within[a, b]]
+                for a in range(n)] == [[None] * int((~row).sum()) for row in within]
         assert np.array_equal(dm.dist, dist)
         assert dm.levels == tuple(int((finite == d).sum())
                                   for d in range(1, (diameter or 0) + 1))
@@ -293,7 +298,12 @@ def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
     deep, flat = topology._deep_paths(graph, 3), topology._bit_parallel(graph, 3)
     assert deep.levels == flat.levels
     assert np.array_equal(deep.circle.bits, flat.circle.bits)
-    assert np.array_equal(deep._planes, flat._planes)
+    # every in-circle pair's distance, on each path, against the dense matrix
+    a, b = np.nonzero(topology._unpack(flat.circle.bits, graph.n))
+    reference = flat.dist[a, b]
+    assert reference.max() == 3
+    assert np.array_equal(deep.distances(a, b), reference)
+    assert np.array_equal(flat.distances(a, b), reference)
 
 
 @pytest.mark.parametrize("spine_first", [True, False], ids=["spine ids first", "leaf ids first"])
@@ -301,9 +311,8 @@ def test_deep_path_keeps_few_rows_past_their_block(spine_first):
     # The caterpillar is one tree rooted mid-spine: about 500 forest layers
     # of four nodes. The bound guards that the deep path keeps no n-wide row
     # per pendant node; 8 kB rows for the 1000 spine nodes alone would take
-    # 8 MB. The peak, 3.9 MB under either labeling, is the circle and the
-    # planes (1.5 MB), the per-layer subtree profiles (2.0 MB) and two
-    # layers of histograms.
+    # 8 MB. The peak, 2.9 MB under either labeling, is the circle (0.5 MB),
+    # the per-layer subtree profiles (2.0 MB) and two layers of histograms.
     graph = caterpillar(2000, spine_first)
     topology._deep_paths(graph, 3)  # scipy imported and the CSR cached outside the trace
     tracemalloc.start()
@@ -360,12 +369,18 @@ def test_dense_matrix_is_rebuilt_on_every_read(graph):
 
 def test_summary_holds_read_only_packed_bits_only():
     n = 300
-    for graph in (generate_ncn(n, 2), generate_er(n, 600, random.Random(1))):
+    for graph in (generate_ncn(n, 2), generate_er(n, 600, random.Random(1)), sparse_evens(n)):
         dm = all_pairs_shortest(graph, 3)
-        arrays = (dm.circle.bits, dm._planes)
-        assert [a.dtype for a in arrays] == [np.uint64] * 2
-        assert dm._planes.shape == (2, n, -(-n // 64))  # bits 0 and 1 of distances 1..3
-        assert not any(a.flags.writeable for a in arrays)
+        # the circle is the one array a summary holds; the graph is the caller's
+        arrays = [v for v in vars(dm).values() if isinstance(v, np.ndarray)]
+        assert arrays == [] and dm.graph is graph
+        bits = dm.circle.bits
+        assert bits.dtype == np.uint64 and bits.shape == (n, -(-n // 64))
+        assert not bits.flags.writeable
+        # distances come from the graph on demand, isolated nodes included
+        dist = naive_distances(graph)
+        a, b = np.nonzero((dist != UNREACHABLE) & (dist <= 3))
+        assert np.array_equal(dm.distances(a, b), dist[a, b])
 
 
 def test_reading_dist_on_a_small_ring_never_loads_scipy():
