@@ -6,13 +6,11 @@ measures them, ``market`` holds preferences and the matching procedures, and
 """
 
 from .harness import (CellRun, ExperimentConfig, ExperimentResult, derive_seed,
-                      fig1_config, fig2_config, fig36_config, results_to_csv,
-                      results_to_json, run_cell, run_cell_full, summarize, sweep,
-                      table2_config)
-from .market import (Market, Matching, average_utility,
-                     build_market, classical_gs, find_blocking_pair, is_stable,
-                     market_from_dict, market_to_dict, matching_to_dict,
-                     pair_utility, restricted_deferred_acceptance)
+                      fig2_config, fig36_config, results_to_csv, results_to_json,
+                      run_cell, run_cell_full, summarize, sweep, table2_config)
+from .market import (Market, Matching, average_utility, build_market, classical_gs,
+                     find_blocking_pair, is_stable, matching_to_dict,
+                     restricted_deferred_acceptance)
 from .netgen import (MODELS, Graph, generate, generate_ba, generate_er, generate_ncn,
                      generate_ws, read_edge_list, write_edge_list)
 from .topology import (UNREACHABLE, DistanceMatrix, SocialCircle, TopologyReport,

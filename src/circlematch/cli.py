@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     presets = (
         ("table2", harness.table2_config, "utility by model and market size (k=2)"),
-        ("fig1", harness.fig1_config, "utility versus market size"),
+        ("fig1", harness.table2_config, "utility versus market size (table2's grid)"),
         ("fig2", harness.fig2_config, "utility versus nominal degree (n=60)"),
         ("fig3-6", harness.fig36_config, "path length and connectivity versus degree (n=100)"),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import random
 import statistics
 import time
@@ -57,18 +58,12 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"at least one {what} is required")
             object.__setattr__(self, name, values)
-        for model in self.models:
-            if model not in MODELS:
-                raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
-        for k in self.k_values:
-            if k < 2 or k % 2:
-                raise ValueError(f"nominal degree must be even and >= 2, got {k}")
-        if set(self.models) & {"ncn", "ws"}:
-            if max(self.k_values) > min(self.n_values) - 2:
-                raise ValueError("ring models need k <= n - 2 for every configured n")
+        # every cell's network, checked before a sweep runs any cell
+        for model, n, k in itertools.product(self.models, self.n_values, self.k_values):
+            netgen.check_model_params(model, n, k)
         if self.dep < 1:
             raise ValueError(f"recognition depth must be >= 1, got {self.dep}")
         for seed in self.seeds:
@@ -121,44 +116,27 @@ def cell_graph(model: str, n: int, k: int, seed: int, p_rewire: float) -> Graph:
     return netgen.generate(model, n, k, p_rewire=p_rewire, rng=rng)
 
 
-# Networks that draw nothing from their random source are the same under every
-# seed (today only ncn), so run_cell_full summarizes each once and keeps it here,
-# keyed by (model, n, k, p_rewire, dep); the oldest leaves first. The bound holds
-# the 13 distinct ncn networks of the three presets.
-_SEED_FREE_NETWORKS = 16
-_seed_free: dict[tuple, tuple[Graph, DistanceMatrix]] = {}
-_UNTOUCHED = random.Random(0).getstate()
-
-
-@functools.lru_cache(maxsize=64)  # the 60 parameter sets of the three presets
-def _draws(model: str, n: int, k: int, p_rewire: float) -> bool:
-    """Whether generating this network draws from its random source: before its first
-    draw a generator's path depends on its parameters alone, so one probe decides."""
-    probe = random.Random()
-    probe.setstate(_UNTOUCHED)
-    netgen.generate(model, n, k, p_rewire=p_rewire, rng=probe)
-    return probe.getstate() != _UNTOUCHED
+@functools.lru_cache(maxsize=16)  # the 13 distinct ncn networks of the three presets
+def _ncn_network(n: int, k: int, dep: int) -> tuple[Graph, DistanceMatrix]:
+    """The ring lattice and its distance summary at ``dep``, built once: ncn
+    draws nothing, so every seed and rewiring probability gets this network."""
+    graph = netgen.generate("ncn", n, k)
+    return graph, all_pairs_shortest(graph, dep)
 
 
 def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
                   p_rewire: float) -> tuple[Graph, DistanceMatrix]:
     """``cell_graph`` and its distance summary at ``dep``."""
-    key = (model, n, k, p_rewire, dep)
-    if key in _seed_free:
-        return _seed_free[key]
+    if model == "ncn":
+        return _ncn_network(n, k, dep)
     graph = cell_graph(model, n, k, seed, p_rewire)
-    network = graph, all_pairs_shortest(graph, dep)
-    if not _draws(model, n, k, p_rewire):
-        if len(_seed_free) == _SEED_FREE_NETWORKS:
-            del _seed_free[next(iter(_seed_free))]
-        _seed_free[key] = network
-    return network
+    return graph, all_pairs_shortest(graph, dep)
 
 
 def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
                   p_rewire: float = 0.1) -> CellRun:
     """Run one replication and keep every intermediate object. The graph and
-    distance summary of a seed-free network are shared between its cells."""
+    distance summary of an ncn network are shared between its cells."""
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")))
     graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)
@@ -250,12 +228,6 @@ def table2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
     """All models across market sizes 20..100 at nominal degree 2."""
     return ExperimentConfig.replicated(MODELS, (20, 40, 60, 80, 100), (2,),
                                        base_seed, replications, dep=dep, p_rewire=p_rewire)
-
-
-def fig1_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                p_rewire: float = 0.1) -> ExperimentConfig:
-    """Utility versus market size: same grid as ``table2_config``."""
-    return table2_config(replications, base_seed, dep=dep, p_rewire=p_rewire)
 
 
 def fig2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,

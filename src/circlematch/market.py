@@ -12,9 +12,8 @@ Preferences are held in side-local form: an agent's local index is its
 position in the sorted id array of its side. A market keeps two h x h
 arrays, 2-byte entries while h < 2**15: the men's rank lists over the
 women's local indices, and the women's rank position of every man, the
-inverse of their rank lists, which are derived from it when read. Agent ids
-appear only at the boundary: in method arguments, matchings and the JSON
-form.
+inverse of their rank lists. Agent ids appear only at the boundary: in the
+constructor's id arrays and in matchings.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class Market:
     permutation of the other side; it derives the id to local index map
     ``local`` and the women's position array ``women_pos`` (``women_pos[i,
     j]`` is woman i's rank of man j). It keeps ``men_prefs`` and
-    ``women_pos``; ``women_prefs`` is read back from ``women_pos``.
+    ``women_pos``, not the women's lists.
     """
 
     women: np.ndarray
@@ -130,12 +129,6 @@ class Market:
                             ("men_prefs", men_prefs), ("women_pos", women_pos)):
             object.__setattr__(self, name, value)
 
-    @property
-    def women_prefs(self) -> np.ndarray:
-        """The women's rank lists, the inverse of ``women_pos``, derived on
-        every read (h² entries) and read-only."""
-        return _positions_of(self.women_pos)
-
     def __eq__(self, other):
         if not isinstance(other, Market):
             return NotImplemented
@@ -149,27 +142,6 @@ class Market:
     @property
     def half(self) -> int:
         return len(self.women)
-
-    def _locate(self, agent: int) -> tuple[bool, int]:
-        """(whether ``agent`` is a woman, its side-local index)."""
-        if not 0 <= agent < self.n:
-            raise ValueError(f"unknown agent id {agent}")
-        i = int(self.local[agent])
-        return bool(self.women[i] == agent), i
-
-    def position(self, agent: int, candidate: int) -> int:
-        """0-based rank of ``candidate`` in ``agent``'s list (0 = favorite)."""
-        is_woman, a = self._locate(agent)
-        other_is_woman, b = self._locate(candidate)
-        if is_woman == other_is_woman:
-            raise ValueError(f"agents {agent} and {candidate} are on the same side")
-        return int(self.women_pos[a, b] if is_woman else (self.men_prefs[a] == b).argmax())
-
-    def score(self, agent: int, candidate: int) -> float:
-        """Score agent assigns candidate: 10 for the favorite down to 1 for
-        the last of h candidates, linear in rank position."""
-        return _score(self.half, self.position(agent, candidate))
-
 
 def build_market(n: int, rng: random.Random) -> Market:
     """Draw a random market: genders by a uniform balanced partition, every
@@ -301,13 +273,6 @@ def classical_gs(market: Market) -> Matching:
     return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool))
 
 
-def pair_utility(market: Market, matching: Matching, woman: int, man: int) -> float:
-    """Mean of the two partners' scores for each other; pair must be matched."""
-    if matching.by_woman.get(woman) != man:
-        raise ValueError(f"({woman}, {man}) is not a matched pair")
-    return (market.score(woman, man) + market.score(man, woman)) / 2.0
-
-
 def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]:
     """Side-local (woman, man) indices of the matched pairs, then each woman's and
     man's rank of their partner (h if unmatched); his by one compare over his row."""
@@ -328,7 +293,8 @@ def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]
 
 
 def _pair_utilities(market: Market, matching: Matching) -> list[float]:
-    """``pair_utility`` of every matched pair, in pair order, the same floats."""
+    """Mean of the two partners' scores for each other, for every matched
+    pair in pair order."""
     wi, mj, her, his = _partner_ranks(market, matching)
     return ((_score(market.half, her[wi]) + _score(market.half, his[mj])) / 2.0).tolist()
 
@@ -339,7 +305,7 @@ def average_utility(market: Market, matching: Matching) -> float:
     Unmatched agents contribute zero, so sparse matchings are penalized:
     the divisor stays n/2 regardless of how many pairs actually formed.
     """
-    # Python's sum in pair order: the same float as adding pair_utility up.
+    # Python's sum in pair order, so matching_to_dict's average is the same float.
     return sum(_pair_utilities(market, matching)) / market.half
 
 
@@ -361,43 +327,6 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
 def is_stable(market: Market, circle: SocialCircle, matching: Matching) -> bool:
     """True when no in-circle pair would rather be with each other."""
     return find_blocking_pair(market, circle, matching) is None
-
-
-def market_to_dict(market: Market) -> dict:
-    """JSON-ready form of a market: genders plus rank lists of agent ids."""
-    ranked = np.empty((market.n, market.half), dtype=np.intp)
-    ranked[market.women] = market.men[market.women_prefs]
-    ranked[market.men] = market.women[market.men_prefs]
-    return {
-        "women": market.women.tolist(),
-        "men": market.men.tolist(),
-        "rank": {str(a): row for a, row in enumerate(ranked.tolist())},
-    }
-
-
-def market_from_dict(data: dict) -> Market:
-    """Rebuild a market serialized by ``market_to_dict``; raises ValueError
-    when the data does not describe a valid market."""
-    try:
-        women, men = sorted(data["women"]), sorted(data["men"])
-        rank = {int(a): list(ranked) for a, ranked in data["rank"].items()}
-    except KeyError as missing:
-        raise ValueError(f"market data has no {missing} field") from None
-    except (TypeError, AttributeError):
-        raise ValueError("'women', 'men' and each 'rank' entry must list agent ids") from None
-
-    def prefs(own: list[int], other: list[int], side: str) -> np.ndarray:
-        index = {b: j for j, b in enumerate(other)}
-        rows = []
-        for a in own:
-            ranked = rank.get(a, [])
-            if len(ranked) != len(other):
-                raise ValueError(f"rank list of {side} {a} has {len(ranked)} entries, "
-                                 f"expected {len(other)}")
-            rows.append([index.get(b, -1) for b in ranked])
-        return np.array(rows, dtype=np.intp).reshape(len(own), len(other))
-
-    return Market(women, men, prefs(women, men, "woman"), prefs(men, women, "man"))
 
 
 def matching_to_dict(market: Market, dm: DistanceMatrix, matching: Matching) -> dict:

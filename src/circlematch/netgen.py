@@ -102,6 +102,36 @@ def _check_ring_params(n: int, k: int) -> None:
         raise ValueError(f"coupling degree {k} out of range for {n} nodes")
 
 
+def _check_er_params(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    total = n * (n - 1) // 2
+    if not 0 <= m <= total:
+        raise ValueError(f"edge count {m} out of range for {n} nodes (max {total})")
+
+
+def _check_ba_params(n: int, m_attach: int) -> None:
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    if not 1 <= m_attach < n:
+        raise ValueError(f"attachment count {m_attach} out of range for {n} nodes")
+
+
+def check_model_params(model: str, n: int, k: int) -> None:
+    """Raise ValueError unless ``generate(model, n, k)`` can build its graph:
+    a known model, an even k >= 2 and the bounds of the generator it maps to."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if k < 2 or k % 2:
+        raise ValueError(f"nominal degree must be even and >= 2, got {k}")
+    if model in ("ncn", "ws"):
+        _check_ring_params(n, k)
+    elif model == "er":
+        _check_er_params(n, n * k // 2)
+    else:
+        _check_ba_params(n, k // 2)
+
+
 def generate_ncn(n: int, k: int) -> Graph:
     """Nearest-coupled ring lattice: node i linked to i +- 1 .. i +- k/2 mod n.
 
@@ -129,12 +159,8 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
         m: edge count, 0 <= m <= n*(n-1)/2.
         rng: seeded random source.
     """
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    total = n * (n - 1) // 2
-    if not 0 <= m <= total:
-        raise ValueError(f"edge count {m} out of range for {n} nodes (max {total})")
-    chosen = np.array(rng.sample(range(total), m), dtype=np.int64)
+    _check_er_params(n, m)
+    chosen = np.array(rng.sample(range(n * (n - 1) // 2), m), dtype=np.int64)
     # starts[i] is the index of pair (i, i + 1) in lexicographic pair order
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
     first = np.searchsorted(starts, chosen, side="right") - 1
@@ -197,10 +223,7 @@ def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
         m_attach: links added per incoming node, 1 <= m_attach < n.
         rng: seeded random source.
     """
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    if not 1 <= m_attach < n:
-        raise ValueError(f"attachment count {m_attach} out of range for {n} nodes")
+    _check_ba_params(n, m_attach)
     core = m_attach + 1
     # one entry per unit of degree; sampling from it is degree-proportional
     repeated = [node for node in range(core) for _ in range(m_attach)]
@@ -232,10 +255,7 @@ def generate(model: str, n: int, k: int, *, p_rewire: float = 0.1,
         p_rewire: rewiring probability (ws only).
         rng: seeded random source; required for every model except ncn.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if k < 2 or k % 2:
-        raise ValueError(f"nominal degree must be even and >= 2, got {k}")
+    check_model_params(model, n, k)
     if model == "ncn":
         return generate_ncn(n, k)
     if rng is None:

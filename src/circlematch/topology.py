@@ -36,10 +36,6 @@ def _checked(ids, n: int) -> np.ndarray:
     return ids
 
 
-def _apart(a, b, dep: int) -> ValueError:
-    return ValueError(f"nodes {a} and {b} are more than {dep} hops apart")
-
-
 def _bit(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bit ``cols[i]`` of packed bitset row ``rows[i]`` for every i, as booleans."""
     return (packed[rows, cols >> 6] >> (cols & 63).astype(_WORD) & np.uint64(1)).astype(bool)
@@ -104,17 +100,11 @@ class DistanceMatrix:
         recomputed on every access and never kept."""
         return self._rebuild(self.graph)
 
-    def distance(self, a: int, b: int) -> int:
-        """Hop distance between two nodes of one circle; raises ValueError
-        for a pair more than ``dep`` hops apart or a node id outside 0..n-1."""
-        if not self.circle.contains(a, b):
-            raise _apart(a, b, self.circle.dep)
-        return int(self.distances([a], [b])[0])
-
     def distances(self, a, b) -> np.ndarray:
-        """``distance(a[i], b[i])`` for every i, from one breadth-first
-        search seeded with the distinct nodes of ``a`` only, which stops
-        once every pair is reached, at level ``dep`` at most."""
+        """Hop distance of every pair (a[i], b[i]), from one breadth-first search
+        seeded with the distinct nodes of ``a`` only, which stops once every pair
+        is reached, at level ``dep`` at most; ValueError for a pair farther apart
+        or a node id outside 0..n-1."""
         a, b = _checked(a, self.n).reshape(-1), _checked(b, self.n).reshape(-1)
         if a.shape != b.shape:
             raise ValueError("distances needs as many nodes b as nodes a")
@@ -128,7 +118,8 @@ class DistanceMatrix:
             if not pending.size or d == self.circle.dep:
                 break
         if pending.size:
-            raise _apart(a[pending[0]], b[pending[0]], self.circle.dep)
+            raise ValueError(f"nodes {a[pending[0]]} and {b[pending[0]]} are more than "
+                             f"{self.circle.dep} hops apart")
         return hops
 
     def diameter(self) -> Optional[int]:

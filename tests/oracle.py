@@ -12,6 +12,8 @@ from typing import Sequence
 from circlematch.market import Market, Matching, is_stable
 from circlematch.topology import SocialCircle
 
+from refimpl import position
+
 MAX_ORACLE_AGENTS = 12
 
 
@@ -68,7 +70,7 @@ def man_optimal(candidates: Sequence[Matching], market: Market) -> Matching:
 
     def outcome(matching: Matching) -> tuple[int, ...]:
         return tuple(
-            market.position(j, matching.by_man[j]) if j in matching.by_man else worst
+            position(market, j, matching.by_man[j]) if j in matching.by_man else worst
             for j in market.men.tolist())
 
     vectors = [outcome(c) for c in candidates]

@@ -17,7 +17,7 @@ import numpy as np
 
 from circlematch import topology
 from circlematch.harness import derive_seed
-from circlematch.market import Market, Matching, build_market, market_from_dict
+from circlematch.market import Market, Matching, build_market
 from circlematch.netgen import MODELS, Graph, generate, generate_er
 from circlematch.topology import UNREACHABLE, DistanceMatrix, SocialCircle, all_pairs_shortest
 
@@ -192,9 +192,58 @@ def rank_positions(prefs: np.ndarray) -> np.ndarray:
     return pos
 
 
+def make_market(women: Sequence[int], men: Sequence[int],
+                rank: dict[int, Sequence[int]]) -> Market:
+    """Market from each agent's rank list of agent ids, best first: ``rank[a]``
+    is agent a's list. The sides are sorted; nothing else is checked here."""
+    women, men = sorted(women), sorted(men)
+    local = {a: i for side in (women, men) for i, a in enumerate(side)}
+    return Market(women, men, *([[local[b] for b in rank[a]] for a in side]
+                                for side in (women, men)))
+
+
+def women_prefs(market: Market) -> np.ndarray:
+    """The women's rank lists, best first, as local indices into ``men``:
+    the inverse of ``women_pos``."""
+    return rank_positions(market.women_pos)
+
+
+def market_to_dict(market: Market) -> dict:
+    """JSON-ready form of a market: genders plus rank lists of agent ids."""
+    ranked = np.empty((market.n, market.half), dtype=np.intp)
+    ranked[market.women] = market.men[women_prefs(market)]
+    ranked[market.men] = market.women[market.men_prefs]
+    return {
+        "women": market.women.tolist(),
+        "men": market.men.tolist(),
+        "rank": {str(a): row for a, row in enumerate(ranked.tolist())},
+    }
+
+
+def position(market: Market, agent: int, candidate: int) -> int:
+    """0-based rank of ``candidate`` in ``agent``'s list (0 = favorite): a
+    woman's is read off ``women_pos``, a man's searched for in his row."""
+    a, b = int(market.local[agent]), int(market.local[candidate])
+    if agent in market.women.tolist():
+        return int(market.women_pos[a, b])
+    return market.men_prefs[a].tolist().index(b)
+
+
+def score(market: Market, agent: int, candidate: int) -> float:
+    """Score ``agent`` gives ``candidate``: 10 for the favorite down to 1 for
+    the last of h candidates, linear in rank position."""
+    h = market.half
+    return 10.0 if h == 1 else 1.0 + 9.0 * (h - 1 - position(market, agent, candidate)) / (h - 1)
+
+
+def pair_utility(market: Market, woman: int, man: int) -> float:
+    """Mean of the two partners' scores for each other."""
+    return (score(market, woman, man) + score(market, man, woman)) / 2.0
+
+
 def prefers(market: Market, agent: int, favored: int, other: int) -> bool:
     """True when ``agent`` ranks ``favored`` strictly ahead of ``other``."""
-    return market.position(agent, favored) < market.position(agent, other)
+    return position(market, agent, favored) < position(market, agent, other)
 
 
 def agent_utility(market: Market, matching: Matching, agent: int) -> float:
@@ -205,20 +254,14 @@ def agent_utility(market: Market, matching: Matching, agent: int) -> float:
         partner = matching.by_man.get(agent)
     else:
         raise ValueError(f"unknown agent id {agent}")
-    return 0.0 if partner is None else market.score(agent, partner)
-
-
-def make_market(women: Sequence[int], men: Sequence[int],
-                rank: dict[int, Sequence[int]]) -> Market:
-    """Market from rank lists of agent ids, read through the JSON form."""
-    return market_from_dict({"women": list(women), "men": list(men), "rank": rank})
+    return 0.0 if partner is None else score(market, agent, partner)
 
 
 def ranking(market: Market, agent: int) -> list[int]:
     """``agent``'s rank list as agent ids, best first, read off ``position``."""
     women = market.women.tolist()
     other = market.men.tolist() if agent in women else women
-    return sorted(other, key=lambda b: market.position(agent, b))
+    return sorted(other, key=lambda b: position(market, agent, b))
 
 
 def naive_deferred_acceptance(market: Market, circle: SocialCircle,
@@ -255,7 +298,7 @@ def naive_blocking_pair(market: Market, circle: SocialCircle,
     ``rank_positions`` of his list."""
     women, men, local = market.women.tolist(), market.men.tolist(), market.local.tolist()
     men_pos = rank_positions(market.men_prefs).tolist()
-    for i, row in zip(women, market.women_prefs.tolist()):
+    for i, row in zip(women, women_prefs(market).tolist()):
         for j in (men[b] for b in row):
             if matching.by_woman.get(i) == j:
                 break  # she prefers her partner to everyone further down

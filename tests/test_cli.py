@@ -239,6 +239,17 @@ def test_sweep_rejects_unusable_grid(capsys):
     assert "error" in err
 
 
+def test_sweep_checks_every_network_before_running_a_cell(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "run_cell", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--n", "200", "4", "--k", "4",
+                             "--model", "er", "--reps", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: edge count 8 out of range for 4 nodes (max 6)\n"
+
+
 # ------------------------------------------------------------------- presets
 
 def test_preset_runs_small_replication_count(capsys):
@@ -246,6 +257,12 @@ def test_preset_runs_small_replication_count(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 1 + 4 * 1 * 4 * 1
+
+
+def test_fig1_prints_table2(capsys):
+    _, table2, _ = run_cli(capsys, "table2", "--reps", "3")
+    code, fig1, _ = run_cli(capsys, "fig1", "--reps", "3")
+    assert code == 0 and fig1 == table2 and table2.startswith("model,")
 
 
 def test_preset_names_exist(capsys):

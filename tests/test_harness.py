@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -17,13 +18,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import circlematch
-from circlematch import harness
+from circlematch import harness, netgen
 from circlematch.harness import (
     CSV_FIELDS,
     ExperimentConfig,
     ExperimentResult,
     derive_seed,
-    fig1_config,
     fig2_config,
     fig36_config,
     results_to_csv,
@@ -82,6 +82,39 @@ def test_config_rejects_bad_parameters(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("model, n, k", [("er", 4, 4), ("ba", 4, 8), ("ncn", 4, 4),
+                                         ("ws", 6, 6)])
+def test_config_checks_every_cell_network(model, n, k):
+    """A grid with one cell whose network cannot be built is refused as a
+    whole, with the generator's own message."""
+    with pytest.raises(ValueError) as from_config:
+        ExperimentConfig((model,), (200, n), (2, k), (0,))
+    with pytest.raises(ValueError) as from_generate:
+        netgen.generate(model, n, k, rng=random.Random(0))
+    assert str(from_config.value) == str(from_generate.value)
+    ExperimentConfig((model,), (200, n + 2), (2, k - 2), (0,))  # one size or degree less
+
+
+def test_public_api_is_pinned():
+    """The package exports exactly these names, so API that only tests use
+    cannot come back unnoticed."""
+    exported = {name for name, value in vars(circlematch).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {
+        "CellRun", "ExperimentConfig", "ExperimentResult", "derive_seed", "fig2_config",
+        "fig36_config", "results_to_csv", "results_to_json", "run_cell", "run_cell_full",
+        "summarize", "sweep", "table2_config",
+        "Market", "Matching", "average_utility", "build_market", "classical_gs",
+        "find_blocking_pair", "is_stable", "matching_to_dict",
+        "restricted_deferred_acceptance",
+        "MODELS", "Graph", "generate", "generate_ba", "generate_er", "generate_ncn",
+        "generate_ws", "read_edge_list", "write_edge_list",
+        "UNREACHABLE", "DistanceMatrix", "SocialCircle", "TopologyReport",
+        "all_pairs_shortest", "analyze", "average_degree", "average_path_length",
+        "connectivity", "degree_distribution", "poisson_connectivity", "reachable_pairs",
+    }
+
+
 def test_replicated_builds_consecutive_seeds():
     cfg = ExperimentConfig.replicated(("er",), (20,), (2,), 100, 5)
     assert cfg.seeds == (100, 101, 102, 103, 104)
@@ -93,7 +126,6 @@ def test_presets_cover_their_grids():
     assert t2.n_values == (20, 40, 60, 80, 100)
     assert t2.k_values == (2,)
     assert len(t2.seeds) == 3
-    assert fig1_config(replications=3) == t2
     assert fig2_config().n_values == (60,)
     assert fig2_config().k_values == (2, 4, 8, 16)
     assert fig36_config().n_values == (100,)
@@ -125,15 +157,13 @@ def test_run_cell_full_is_internally_consistent():
     assert run.result.apl is not None
 
 
-# ------------------------------------------------------ seed-free networks
+# ------------------------------------------------------------ ncn networks
 
 @pytest.fixture
 def cold_map():
-    harness._seed_free.clear()
-    harness._draws.cache_clear()
+    harness._ncn_network.cache_clear()
     yield
-    harness._seed_free.clear()
-    harness._draws.cache_clear()
+    harness._ncn_network.cache_clear()
 
 
 def test_seed_free_network_is_summarized_once(cold_map):
@@ -141,7 +171,8 @@ def test_seed_free_network_is_summarized_once(cold_map):
     second = run_cell_full("ncn", 40, 2, seed=1)
     assert second.dm is first.dm and second.graph is first.graph
     assert second.market != first.market
-    assert list(harness._seed_free) == [("ncn", 40, 2, 0.1, 3)]
+    info = harness._ncn_network.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert run_cell_full("ncn", 40, 2, dep=2).dm is not first.dm
 
 
@@ -152,7 +183,7 @@ def test_served_cells_equal_cold_runs(cold_map):
     served = [strip(run_cell("ncn", n, k, dep, seed)) for n, k, dep, seed in cells]
     cold = []
     for n, k, dep, seed in cells:
-        harness._seed_free.clear()
+        harness._ncn_network.cache_clear()
         cold.append(strip(run_cell("ncn", n, k, dep, seed)))
     assert served == cold
 
@@ -163,57 +194,43 @@ def test_drawn_networks_never_enter_the_map(cold_map, model, p_rewire):
     # ws at p_rewire 0 keeps the ring, but still draws one number per edge
     for seed in range(2):
         run_cell_full(model, 20, 2, seed=seed, p_rewire=p_rewire)
-    assert not harness._seed_free
+    assert harness._ncn_network.cache_info().currsize == 0
 
 
-def test_seed_freeness_is_decided_once_per_parameter_set(cold_map, monkeypatch):
-    calls = []
-    getstate = random.Random.getstate
-
-    def counting(self):
-        calls.append(self)
-        return getstate(self)
-
-    monkeypatch.setattr(random.Random, "getstate", counting)
+def test_sweep_summarizes_each_ncn_network_once(cold_map):
     config = ExperimentConfig(circlematch.MODELS, (20, 40), (2, 4), tuple(range(6)))
     sweep(config)
-    parameter_sets = len(config.models) * len(config.n_values) * len(config.k_values)
-    assert len(calls) <= parameter_sets
-    # ncn is served from the map; er, ws and ba never enter it
-    assert {key[0] for key in harness._seed_free} == {"ncn"}
+    # ncn is served from the cache, once per (n, k); er, ws and ba never enter it
+    info = harness._ncn_network.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 4 * 5, 4)
     assert run_cell_full("ncn", 40, 4, seed=7).graph is run_cell_full("ncn", 40, 4, seed=8).graph
-    assert len(calls) <= parameter_sets
-
-
-def test_draw_check_memory_is_bounded(cold_map):
-    bound = harness._draws.cache_info().maxsize
-    assert bound >= 60  # the parameter sets of the three presets
-    for n in range(4, 4 + 2 * (bound + 3), 2):
-        run_cell_full("er", n, 2)
-        assert harness._draws.cache_info().currsize <= bound
 
 
 def test_map_never_exceeds_its_bound(cold_map):
-    bound = harness._SEED_FREE_NETWORKS
+    bound = harness._ncn_network.cache_info().maxsize
     sizes = range(4, 4 + 2 * (bound + 3), 2)
     for n in sizes:
         run_cell_full("ncn", n, 2)
-        assert len(harness._seed_free) <= bound
-    # the oldest networks left first
-    assert [key[1] for key in harness._seed_free] == list(sizes)[-bound:]
+        assert harness._ncn_network.cache_info().currsize <= bound
+    # the oldest networks left first: the newest are served, the oldest summarized again
+    misses = harness._ncn_network.cache_info().misses
+    for n in list(sizes)[-bound:]:
+        harness._ncn_network(n, 2, 3)
+    assert harness._ncn_network.cache_info().misses == misses
+    harness._ncn_network(sizes[0], 2, 3)
+    assert harness._ncn_network.cache_info().misses == misses + 1
 
 
 def test_map_holds_every_ncn_network_of_the_presets():
     configs = (table2_config(1), fig2_config(1), fig36_config(1))
     networks = {(n, k) for cfg in configs for n in cfg.n_values for k in cfg.k_values}
-    assert len(networks) == 13 <= harness._SEED_FREE_NETWORKS
+    assert len(networks) == 13 <= harness._ncn_network.cache_info().maxsize
 
 
 def test_summary_arrays_are_read_only(cold_map):
     for model, n in (("ncn", 40), ("ncn", 300), ("er", 40), ("ba", 300)):
         run = run_cell_full(model, n, 2)
-        arrays = (run.dm.circle.bits, run.market.women_prefs,
-                  run.market.men_prefs, run.market.women_pos)
+        arrays = (run.dm.circle.bits, run.market.men_prefs, run.market.women_pos)
         assert not any(a.flags.writeable for a in arrays), model
         # the summary's distances, searched on demand, match the dense matrix
         dist = run.dm.dist

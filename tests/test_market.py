@@ -21,10 +21,7 @@ from circlematch.market import (
     classical_gs,
     find_blocking_pair,
     is_stable,
-    market_from_dict,
-    market_to_dict,
     matching_to_dict,
-    pair_utility,
     restricted_deferred_acceptance,
     _positions_of,
     _rank_dtype,
@@ -32,9 +29,10 @@ from circlematch.market import (
 from circlematch.netgen import MODELS, Graph, generate
 from circlematch.topology import all_pairs_shortest
 
-from refimpl import (agent_utility, full_circle, make_market, naive_blocking_pair,
-                     naive_deferred_acceptance, prefers, random_instance, rank_positions,
-                     ranking, stdlib_market)
+from refimpl import (agent_utility, full_circle, make_market, market_to_dict,
+                     naive_blocking_pair, naive_deferred_acceptance, pair_utility, position,
+                     prefers, random_instance, rank_positions, ranking, score, stdlib_market,
+                     women_prefs)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -56,32 +54,15 @@ UNANIMOUS = make_market(
 # -------------------------------------------------------------------- market
 
 def test_market_normalizes_input():
-    m = market_from_dict({"women": [1, 0], "men": [3, 2],
-                          "rank": {"0": [2, 3], "1": [3, 2], "2": [0, 1], "3": [1, 0]}})
+    m = make_market([1, 0], [3, 2], {0: [2, 3], 1: [3, 2], 2: [0, 1], 3: [1, 0]})
     assert m.women.tolist() == [0, 1]
     assert m.men.tolist() == [2, 3]
     assert m.local.tolist() == [0, 1, 0, 1]
-    assert m.women_prefs.tolist() == [[0, 1], [1, 0]]
-    assert [[m.position(a, b) for b in (0, 1)] for a in (2, 3)] == \
+    assert women_prefs(m).tolist() == [[0, 1], [1, 0]]
+    assert [[position(m, a, b) for b in (0, 1)] for a in (2, 3)] == \
         rank_positions(m.men_prefs).tolist() == [[0, 1], [1, 0]]
     assert ranking(m, 0) == [2, 3]
     assert m.n == 4 and m.half == 2
-
-
-@pytest.mark.parametrize("women,men,rank", [
-    ((0,), (1, 2), {0: (1, 2), 1: (0,), 2: (0,)}),      # unequal sides
-    ((0, 1), (1, 2), {}),                               # overlap
-    ((0, 1), (2, 4), {}),                               # not a partition
-    ((0, 1), (2, 3), {0: (2,), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # short list
-    ((0, 1), (2, 3), {0: (2, 2), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # repeat
-    ((0, 1), (2, 3), {0: (2, 9), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # unknown id
-    ((0, 1), (2, 3), {0: (2, 1), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # same side
-    ((0, 1), (2, 3), {0: (2, 3), 1: (2, 3), 2: (0, 1)}),  # missing list
-    ((0, 1), (2, 3), {0: (2, 3), 1: (2, 3), 2: (0, 1), "x": (0, 1)}),  # bad key
-])
-def test_market_rejects_malformed(women, men, rank):
-    with pytest.raises(ValueError):
-        make_market(women, men, rank)
 
 
 @pytest.mark.parametrize("women,men,women_prefs,men_prefs", [
@@ -92,6 +73,9 @@ def test_market_rejects_malformed(women, men, rank):
     ((0, 1), (2, 3), [[0, 1]], [[0, 1], [0, 1]]),          # missing row
     ((0, 1), (2, 3), [[0.0, 1.0], [0, 1]], [[0, 1], [0, 1]]),  # not integers
     ((0.5, 1), (2, 3), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # id not an integer
+    ((0,), (1, 2), [[0, 1]], [[0], [0]]),                  # unequal sides
+    ((0, 1), (1, 2), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # overlap
+    ((0, 1), (2, 4), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # not a partition
 ])
 def test_market_rejects_malformed_arrays(women, men, women_prefs, men_prefs):
     with pytest.raises(ValueError):
@@ -115,12 +99,12 @@ def test_non_permutation_names_the_first_bad_agent(side):
 def test_market_arrays_are_read_only():
     market = build_market(6, random.Random(0))
     with pytest.raises(ValueError):
-        market.women_prefs[0, 0] = 1
+        market.women_pos[0, 0] = 1
     # a writeable rank array is copied: changing it leaves the market as built
-    women_prefs = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    market = Market((0, 1), (2, 3), women_prefs, np.array([[0, 1], [0, 1]]))
-    women_prefs[0] = (1, 0)
-    assert market.women_prefs.tolist() == [[0, 1], [1, 0]]
+    rows = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    market = Market((0, 1), (2, 3), rows, np.array([[0, 1], [0, 1]]))
+    rows[0] = (1, 0)
+    assert women_prefs(market).tolist() == [[0, 1], [1, 0]]
     assert market.women_pos.tolist() == [[0, 1], [1, 0]]
 
 
@@ -134,14 +118,14 @@ def test_build_market_structure():
     for j, m in enumerate(market.men.tolist()):
         assert market.local[m] == j
         assert sorted(ranking(market, m)) == market.women.tolist()
-    assert np.array_equal(market.women_pos, rank_positions(market.women_prefs))
+    assert np.array_equal(market.women_pos, rank_positions(women_prefs(market)))
     assert (rank_positions(market.men_prefs) >= 0).all()
 
 
 def test_market_keeps_4h2_bytes_of_int16_ranks():
     market = build_market(2000, random.Random(0))
     h = market.half
-    ranks = (market.men_prefs, market.women_pos, market.women_prefs)
+    ranks = (market.men_prefs, market.women_pos)
     assert all(a.dtype == np.int16 and not a.flags.writeable for a in ranks)
     # the men's rows are build_market's own block, not a view of a larger buffer
     assert market.men_prefs.base is None
@@ -175,20 +159,18 @@ def test_women_prefs_reads_back_the_given_rows():
     rng = np.random.default_rng(1)
     for h in (1, 5, 300):
         rows = np.array([rng.permutation(h) for _ in range(h)])
-        women_prefs = rows.copy()  # int64 and writeable
-        market = Market(np.arange(h), np.arange(h, 2 * h), women_prefs,
+        given = rows.copy()  # int64 and writeable
+        market = Market(np.arange(h), np.arange(h, 2 * h), given,
                         np.array([rng.permutation(h) for _ in range(h)]))
-        women_prefs[:] = 0  # the market does not read the caller's array again
-        first, second = market.women_prefs, market.women_prefs
-        assert np.array_equal(first, rows) and first.dtype == np.int16
-        assert not first.flags.writeable and not np.shares_memory(first, second)
-        with pytest.raises(ValueError):
-            first[0, 0] = 1
+        given[:] = 0  # the market does not read the caller's array again
+        assert np.array_equal(women_prefs(market), rows)
+        assert market.women_pos.dtype == np.int16 and not market.women_pos.flags.writeable
 
 
 def test_market_json_is_pinned():
     """The JSON form of a drawn market, women's lists included, hashes as it
-    did when the market stored those lists."""
+    did when the library wrote that form: the draw and the women's inverse
+    are unchanged."""
     for n, seed, digest in ((40, 7, "4afe183393d31160"), (2000, 0, "9c9112a89649b411")):
         text = json.dumps(market_to_dict(build_market(n, random.Random(seed))))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -197,13 +179,13 @@ def test_market_json_is_pinned():
 def test_equality_compares_all_four_lists():
     market = build_market(8, random.Random(2))
     rows = {"women": market.women, "men": market.men,
-            "women_prefs": market.women_prefs, "men_prefs": market.men_prefs}
+            "women_prefs": women_prefs(market), "men_prefs": market.men_prefs}
     assert Market(**{k: v.astype(np.int64) for k, v in rows.items()}) == market
     for side in ("women_prefs", "men_prefs"):
         swapped = rows[side].copy()
         swapped[3, [0, 1]] = swapped[3, [1, 0]]
         assert Market(**{**rows, side: swapped}) != market
-    assert Market(market.men, market.women, market.women_prefs, market.men_prefs) != market
+    assert Market(market.men, market.women, rows["women_prefs"], market.men_prefs) != market
 
 
 def test_positions_of_scatters_in_row_blocks():
@@ -269,23 +251,23 @@ def test_score_endpoints_and_midpoint():
     market = build_market(20, random.Random(1))
     w = market.women[0]
     ranked = ranking(market, w)
-    assert market.score(w, ranked[0]) == pytest.approx(10.0)
-    assert market.score(w, ranked[-1]) == pytest.approx(1.0)
-    assert market.score(w, ranked[4]) == pytest.approx(6.0)
+    assert score(market, w, ranked[0]) == pytest.approx(10.0)
+    assert score(market, w, ranked[-1]) == pytest.approx(1.0)
+    assert score(market, w, ranked[4]) == pytest.approx(6.0)
 
 
 def test_score_single_candidate_gets_top_score():
-    assert UNANIMOUS.score(0, 2) == 10.0
+    assert score(UNANIMOUS, 0, 2) == 10.0
     tiny = make_market(women=(0,), men=(1,), rank={0: (1,), 1: (0,)})
-    assert tiny.score(0, 1) == 10.0
-    assert tiny.score(1, 0) == 10.0
+    assert score(tiny, 0, 1) == 10.0
+    assert score(tiny, 1, 0) == 10.0
 
 
 @given(st.integers(0, 200))
 def test_score_strictly_decreasing_down_the_list(seed):
     market = build_market(8, random.Random(seed))
     agent = market.women[0]
-    scores = [market.score(agent, other) for other in ranking(market, agent)]
+    scores = [score(market, agent, other) for other in ranking(market, agent)]
     assert all(a > b for a, b in zip(scores, scores[1:]))
     assert scores[0] == 10.0 and scores[-1] == 1.0
 
@@ -294,10 +276,6 @@ def test_prefers_follows_rank():
     assert prefers(UNANIMOUS, 0, 2, 3)
     assert not prefers(UNANIMOUS, 0, 3, 2)
     assert not prefers(UNANIMOUS, 0, 2, 2)
-    with pytest.raises(ValueError):
-        UNANIMOUS.position(0, 1)  # both women
-    with pytest.raises(ValueError):
-        UNANIMOUS.position(0, 4)  # no such agent
 
 
 # ----------------------------------------------------------------- matchings
@@ -346,7 +324,7 @@ def test_path_market_leaves_far_ends_unmatched():
 
 def test_path_market_utilities():
     matching = restricted_deferred_acceptance(PATH_MARKET, PATH_CIRCLE)
-    assert pair_utility(PATH_MARKET, matching, 2, 1) == pytest.approx(10.0)
+    assert pair_utility(PATH_MARKET, 2, 1) == pytest.approx(10.0)
     assert average_utility(PATH_MARKET, matching) == pytest.approx(5.0)
     assert agent_utility(PATH_MARKET, matching, 0) == 0.0
     assert agent_utility(PATH_MARKET, matching, 2) == pytest.approx(10.0)
@@ -368,8 +346,6 @@ def test_utility_error_cases():
     matching = restricted_deferred_acceptance(PATH_MARKET, PATH_CIRCLE)
     with pytest.raises(ValueError):
         agent_utility(PATH_MARKET, matching, 99)
-    with pytest.raises(ValueError):
-        pair_utility(PATH_MARKET, matching, 0, 3)
 
 
 # ----------------------------------------------------------------- properties
@@ -434,28 +410,19 @@ def test_average_utility_equals_mean_agent_utility(seed):
         agent_utility(inst.market, matching, a) for a in range(inst.market.n))
     assert average_utility(inst.market, matching) == pytest.approx(per_agent)
     # bit for bit the sum of pair utilities in pair order
-    total = sum(pair_utility(inst.market, matching, w, m) for w, m in matching.pairs)
+    total = sum(pair_utility(inst.market, w, m) for w, m in matching.pairs)
     assert average_utility(inst.market, matching) == total / inst.market.half
     # and the sum of scores of ranks read off both sides' inverses
     market, h = inst.market, inst.market.half
-    women_pos, men_pos = rank_positions(market.women_prefs), rank_positions(market.men_prefs)
+    women_pos, men_pos = rank_positions(women_prefs(market)), rank_positions(market.men_prefs)
     local = market.local.tolist()
 
-    def score(r):
+    def score_of(r):
         return 10.0 if h == 1 else 1.0 + 9.0 * (h - 1 - r) / (h - 1)
 
-    total = sum((score(int(women_pos[local[w], local[m]]))
-                 + score(int(men_pos[local[m], local[w]]))) / 2.0 for w, m in matching.pairs)
+    total = sum((score_of(int(women_pos[local[w], local[m]]))
+                 + score_of(int(men_pos[local[m], local[w]]))) / 2.0 for w, m in matching.pairs)
     assert average_utility(market, matching) == total / h
-
-
-@given(st.integers(1, 20), st.integers(0, 2 ** 32))
-def test_position_reads_both_sides_inverse(half, seed):
-    market = build_market(2 * half, random.Random(seed))
-    women, men = market.women.tolist(), market.men.tolist()
-    for ids, other, prefs in ((women, men, market.women_prefs), (men, women, market.men_prefs)):
-        assert [[market.position(a, b) for b in other] for a in ids] == \
-            rank_positions(prefs).tolist()
 
 
 # Seed 4 draws k=226 and dep=1 at n=400: each circle holds about half of the
@@ -493,25 +460,6 @@ def test_blocking_pair_reports_mutual_gain(seed, n_pool, models, deferred):
 
 # -------------------------------------------------------------- serialization
 
-@given(st.integers(1, 20), st.integers(0, 2 ** 32))
-@example(5, 5)
-def test_market_round_trip(half, seed):
-    market = build_market(2 * half, random.Random(seed))
-    data = json.loads(json.dumps(market_to_dict(market)))
-    assert market_from_dict(data) == market
-
-
-@pytest.mark.parametrize("data, field", [
-    ({"women": [0], "men": [1]}, "rank"),
-    ({"men": [1], "rank": {"0": [1], "1": [0]}}, "women"),
-    ({"women": [0], "rank": {"0": [1], "1": [0]}}, "men"),
-    ({"women": [0], "men": [1], "rank": {"0": 5, "1": [0]}}, "rank"),
-])
-def test_market_from_dict_names_the_bad_field(data, field):
-    with pytest.raises(ValueError, match=field):
-        market_from_dict(data)
-
-
 def test_matching_to_dict_reads_distances_without_a_dense_matrix():
     inst = random_instance(4, n_pool=(40,), dep_pool=(3,), models=("er",))
     matching = restricted_deferred_acceptance(inst.market, inst.circle)
@@ -525,7 +473,7 @@ def test_matching_to_dict_reads_distances_without_a_dense_matrix():
     assert [p["distance"] for p in payload["pairs"]] == [
         inst.dm.dist[w, m] for w, m in matching.pairs]
     assert [p["pair_utility"] for p in payload["pairs"]] == [
-        pair_utility(inst.market, matching, w, m) for w, m in matching.pairs]
+        pair_utility(inst.market, w, m) for w, m in matching.pairs]
 
 
 @given(st.integers(0, 200))

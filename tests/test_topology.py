@@ -62,11 +62,9 @@ def test_cycle_distances_frozen():
     assert dm.levels == (12, 12, 6)
 
 
-def distance_or_none(dm, a, b):
-    try:
-        return dm.distance(a, b)
-    except ValueError:
-        return None
+def distance(dm, a, b):
+    """The hop distance of one pair, one search of ``dm.distances``."""
+    return int(dm.distances([a], [b])[0])
 
 
 def assert_summary_matches(summarize, dist, deps):
@@ -83,15 +81,23 @@ def assert_summary_matches(summarize, dist, deps):
     for dep in deps:
         dm = summarize(dep)
         within = (dist != UNREACHABLE) & (dist <= dep)
-        # distances() answers every circle pair in one search; distance()
-        # answers one at a time, for circle pairs only
+        # distances() answers every circle pair in one search, and one pair
+        # at a time for 20 pairs spread over the circle
         a, b = np.nonzero(within)
         assert np.array_equal(dm.distances(a, b), dist[a, b])
-        step = -(-len(a) // 20)  # 20 pairs spread over the circle, one search each
-        assert [dm.distance(a, b) for a, b in zip(a[::step], b[::step])] == \
+        step = -(-len(a) // 20)
+        assert [distance(dm, a, b) for a, b in zip(a[::step], b[::step])] == \
             dist[a[::step], b[::step]].tolist()
-        assert [[distance_or_none(dm, a, b) for b in range(n) if not within[a, b]]
-                for a in range(n)] == [[None] * int((~row).sum()) for row in within]
+        # it refuses the pairs past the circle, naming the first of them, and
+        # each of 20 such pairs spread over them asked alone
+        a, b = np.nonzero(~within)
+        if a.size:
+            with pytest.raises(ValueError, match=rf"^nodes {a[0]} and {b[0]} are more than"):
+                dm.distances(a, b)
+            step = -(-len(a) // 20)
+            for a, b in zip(a[::step], b[::step]):
+                with pytest.raises(ValueError, match=rf"more than {dep} hops apart$"):
+                    dm.distances([a], [b])
         assert np.array_equal(dm.dist, dist)
         assert dm.levels == tuple(int((finite == d).sum())
                                   for d in range(1, (diameter or 0) + 1))
@@ -329,10 +335,10 @@ def test_node_ids_outside_the_graph_raise():
     for a, b in ((-1, 8), (0, 10), (0, 70), (np.int64(12), 0)):
         bad = a if not 0 <= a < 10 else b
         with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
-            dm.distance(a, b)
+            distance(dm, a, b)
         with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
             dm.circle.contains(a, b)
-    assert dm.distance(np.int64(9), np.int32(0)) == 1 and dm.circle.contains(np.uint8(8), 9)
+    assert distance(dm, np.int64(9), np.int32(0)) == 1 and dm.circle.contains(np.uint8(8), 9)
 
 
 def test_mask_rejects_node_ids_outside_the_graph():
@@ -346,14 +352,14 @@ def test_mask_rejects_node_ids_outside_the_graph():
 
 def test_distance_raises_past_the_circle():
     dm = all_pairs_shortest(CYCLE6, 2)
-    assert [dm.distance(0, b) for b in (0, 1, 2, 4, 5)] == [0, 1, 2, 2, 1]
+    assert [distance(dm, 0, b) for b in (0, 1, 2, 4, 5)] == [0, 1, 2, 2, 1]
     with pytest.raises(ValueError, match="more than 2 hops"):
-        dm.distance(0, 3)
+        distance(dm, 0, 3)
     with pytest.raises(ValueError):
-        all_pairs_shortest(Graph(4, [(0, 1)]), 3).distance(0, 2)
-    # numpy node ids, on a word whose top bit is set in every plane
+        distance(all_pairs_shortest(Graph(4, [(0, 1)]), 3), 0, 2)
+    # numpy node ids, on a word whose top bit is set
     ring = all_pairs_shortest(generate_ncn(200, 2), 100)
-    assert ring.distance(np.int64(0), np.int64(63)) == ring.distance(0, 63) == 63
+    assert distance(ring, np.int64(0), np.int64(63)) == distance(ring, 0, 63) == 63
 
 
 @pytest.mark.parametrize("graph", [generate_ncn(40, 2), generate_ncn(300, 2)],
