@@ -195,11 +195,16 @@ def rank_positions(prefs: np.ndarray) -> np.ndarray:
 def make_market(women: Sequence[int], men: Sequence[int],
                 rank: dict[int, Sequence[int]]) -> Market:
     """Market from each agent's rank list of agent ids, best first: ``rank[a]``
-    is agent a's list. The sides are sorted; nothing else is checked here."""
+    is agent a's list. The sides are sorted; nothing else is checked here: an
+    id not on the other side becomes -1 and a missing list an empty row, so
+    malformed input reaches the constructor's own checks."""
     women, men = sorted(women), sorted(men)
-    local = {a: i for side in (women, men) for i, a in enumerate(side)}
-    return Market(women, men, *([[local[b] for b in rank[a]] for a in side]
-                                for side in (women, men)))
+
+    def rows(own: list[int], other: list[int]) -> list[list[int]]:
+        index = {b: j for j, b in enumerate(other)}
+        return [[index.get(b, -1) for b in rank.get(a, ())] for a in own]
+
+    return Market(women, men, rows(women, men), rows(men, women))
 
 
 def women_prefs(market: Market) -> np.ndarray:

@@ -65,6 +65,22 @@ def test_market_normalizes_input():
     assert m.n == 4 and m.half == 2
 
 
+@pytest.mark.parametrize("women,men,rank", [
+    ((0,), (1, 2), {0: (1, 2), 1: (0,), 2: (0,)}),      # unequal sides
+    ((0, 1), (1, 2), {}),                               # overlap
+    ((0, 1), (2, 4), {}),                               # not a partition
+    ((0, 1), (2, 3), {0: (2,), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # short list
+    ((0, 1), (2, 3), {0: (2, 2), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # repeat
+    ((0, 1), (2, 3), {0: (2, 9), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # unknown id
+    ((0, 1), (2, 3), {0: (2, 1), 1: (2, 3), 2: (0, 1), 3: (0, 1)}),  # same side
+    ((0, 1), (2, 3), {0: (2, 3), 1: (2, 3), 2: (0, 1)}),  # missing list
+    ((0, 1), (2, 3), {0: (2, 3), 1: (2, 3), 2: (0, 1), "x": (0, 1)}),  # bad key
+])
+def test_market_rejects_malformed(women, men, rank):
+    with pytest.raises(ValueError):
+        make_market(women, men, rank)
+
+
 @pytest.mark.parametrize("women,men,women_prefs,men_prefs", [
     ((1, 0), (2, 3), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # sides not sorted
     ((0, 1), (2, 3), [[0, 2], [0, 1]], [[0, 1], [0, 1]]),  # entry out of range
@@ -73,9 +89,6 @@ def test_market_normalizes_input():
     ((0, 1), (2, 3), [[0, 1]], [[0, 1], [0, 1]]),          # missing row
     ((0, 1), (2, 3), [[0.0, 1.0], [0, 1]], [[0, 1], [0, 1]]),  # not integers
     ((0.5, 1), (2, 3), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # id not an integer
-    ((0,), (1, 2), [[0, 1]], [[0], [0]]),                  # unequal sides
-    ((0, 1), (1, 2), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # overlap
-    ((0, 1), (2, 4), [[0, 1], [0, 1]], [[0, 1], [0, 1]]),  # not a partition
 ])
 def test_market_rejects_malformed_arrays(women, men, women_prefs, men_prefs):
     with pytest.raises(ValueError):
@@ -423,6 +436,15 @@ def test_average_utility_equals_mean_agent_utility(seed):
     total = sum((score_of(int(women_pos[local[w], local[m]]))
                  + score_of(int(men_pos[local[m], local[w]]))) / 2.0 for w, m in matching.pairs)
     assert average_utility(market, matching) == total / h
+
+
+@given(st.integers(1, 20), st.integers(0, 2 ** 32))
+def test_position_reads_both_sides_inverse(half, seed):
+    market = build_market(2 * half, random.Random(seed))
+    women, men = market.women.tolist(), market.men.tolist()
+    for ids, other, prefs in ((women, men, women_prefs(market)), (men, women, market.men_prefs)):
+        assert [[position(market, a, b) for b in other] for a in ids] == \
+            rank_positions(prefs).tolist()
 
 
 # Seed 4 draws k=226 and dep=1 at n=400: each circle holds about half of the
