@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import harness, netgen
-from .market import matching_to_dict
+from .market import DEFAULT_STREAM, STREAMS, matching_to_dict
 from .netgen import MODELS
 from .topology import analyze
 
@@ -32,6 +32,13 @@ def _add_graph_args(parser: argparse.ArgumentParser, *, model_required: bool = T
     parser.add_argument("--n", type=int, required=model_required, help="number of nodes")
     parser.add_argument("--k", type=int, required=model_required,
                         help="nominal average degree (even)")
+
+
+def _add_stream_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--stream", choices=STREAMS, default=default,
+                        help=f"preference stream (default {default}): v1 shuffles each rank "
+                             "list bit for bit as random.shuffle; v2 sorts random keys, "
+                             "about 3x faster at n=2000")
 
 
 def _build_graph(args: argparse.Namespace) -> netgen.Graph:
@@ -58,8 +65,8 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 def _cmd_match(args: argparse.Namespace) -> None:
     run = harness.run_cell_full(args.model, args.n, args.k, args.dep,
-                                args.seed, args.p_rewire)
-    payload = matching_to_dict(run.market, run.dm, run.matching)
+                                args.seed, args.p_rewire, args.stream)
+    payload = {**matching_to_dict(run.market, run.dm, run.matching), "stream": args.stream}
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
 
 
@@ -76,12 +83,13 @@ def _emit_results(results, args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     config = harness.ExperimentConfig.replicated(
         args.model, args.n, args.k, args.seed, args.reps,
-        dep=args.dep, p_rewire=args.p_rewire)
+        dep=args.dep, p_rewire=args.p_rewire, stream=args.stream)
     _emit_results(harness.sweep(config), args)
 
 
 def _cmd_preset(args: argparse.Namespace) -> None:
-    config = args.preset(args.reps, args.seed, dep=args.dep, p_rewire=args.p_rewire)
+    config = args.preset(args.reps, args.seed, dep=args.dep, p_rewire=args.p_rewire,
+                         stream=args.stream)
     _emit_results(harness.sweep(config), args)
 
 
@@ -119,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", parents=[with_depth],
                              help="run one matching and print it as JSON")
     _add_graph_args(p_match)
+    _add_stream_arg(p_match, DEFAULT_STREAM)
     p_match.set_defaults(func=_cmd_match)
 
     p_sweep = sub.add_parser("sweep", parents=[sweeping], help="run a full experiment grid")
@@ -126,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="models to include (default: all four)")
     p_sweep.add_argument("--n", nargs="+", type=int, required=True, help="market sizes")
     p_sweep.add_argument("--k", nargs="+", type=int, required=True, help="nominal degrees")
+    _add_stream_arg(p_sweep, DEFAULT_STREAM)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     presets = (
@@ -135,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig3-6", harness.fig36_config, "path length and connectivity versus degree (n=100)"),
     )
     for name, config_fn, help_text in presets:
-        sub.add_parser(name, parents=[sweeping], help=help_text).set_defaults(
-            func=_cmd_preset, preset=config_fn)
+        p_preset = sub.add_parser(name, parents=[sweeping], help=help_text)
+        _add_stream_arg(p_preset, harness.PRESET_STREAM)
+        p_preset.set_defaults(func=_cmd_preset, preset=config_fn)
 
     return parser
 

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 from . import netgen
-from .market import (Market, Matching, average_utility, build_market,
-                     restricted_deferred_acceptance)
+from .market import (DEFAULT_STREAM, Market, Matching, _rank_dtype, average_utility,
+                     build_market, check_stream, restricted_deferred_acceptance)
 from .netgen import MODELS, Graph
 from .topology import (DistanceMatrix, SocialCircle, all_pairs_shortest,
                        average_path_length, connectivity)
@@ -30,6 +30,25 @@ def derive_seed(master_seed: int, label: str) -> int:
     """Stable 64-bit sub-seed for one role of one replication."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _available_bytes() -> Optional[int]:
+    """``MemAvailable`` from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _cell_bytes(n: int) -> int:
+    """Estimated peak bytes of one cell of size n: the market's two rank blocks
+    and the women's positions (3h² rank entries), plus the circle's n² bits."""
+    h = n // 2
+    return 3 * h * h * _rank_dtype(h).itemsize + n * n // 8
 
 
 def check_seed_and_rewiring(seed: int, p_rewire: float) -> None:
@@ -50,6 +69,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     dep: int = 3
     p_rewire: float = 0.1
+    stream: str = DEFAULT_STREAM
 
     def __post_init__(self):
         for name, what in (("models", "model"), ("n_values", "market size"),
@@ -58,9 +78,14 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"at least one {what} is required")
             object.__setattr__(self, name, values)
+        available = _available_bytes()
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
+            # every size must fit before a sweep runs its first cell
+            if available is not None and _cell_bytes(n) > available:
+                raise ValueError(f"market size {n} needs about {_cell_bytes(n) / 2 ** 30:.1f} "
+                                 f"GiB, more than the {available / 2 ** 30:.1f} GiB available")
         # every cell's network, checked before a sweep runs any cell
         for model, n, k in itertools.product(self.models, self.n_values, self.k_values):
             netgen.check_model_params(model, n, k)
@@ -68,17 +93,18 @@ class ExperimentConfig:
             raise ValueError(f"recognition depth must be >= 1, got {self.dep}")
         for seed in self.seeds:
             check_seed_and_rewiring(seed, self.p_rewire)
+        check_stream(self.stream)
 
     @staticmethod
     def replicated(models: Sequence[str], n_values: Sequence[int], k_values: Sequence[int],
                    base_seed: int, replications: int, *, dep: int = 3,
-                   p_rewire: float = 0.1) -> "ExperimentConfig":
+                   p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> "ExperimentConfig":
         """Grid with ``replications`` consecutive master seeds from ``base_seed``."""
         if replications < 1:
             raise ValueError(f"replication count must be >= 1, got {replications}")
         seeds = tuple(range(base_seed, base_seed + replications))
         return ExperimentConfig(tuple(models), tuple(n_values), tuple(k_values),
-                                seeds, dep=dep, p_rewire=p_rewire)
+                                seeds, dep=dep, p_rewire=p_rewire, stream=stream)
 
 
 @dataclass(frozen=True)
@@ -96,6 +122,7 @@ class ExperimentResult:
     connectivity: float
     matched_pairs: int
     runtime_ms: float
+    stream: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +161,12 @@ def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
 
 
 def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
-                  p_rewire: float = 0.1) -> CellRun:
+                  p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> CellRun:
     """Run one replication and keep every intermediate object. The graph and
-    distance summary of an ncn network are shared between its cells."""
+    distance summary of an ncn network are shared between its cells; the
+    market's rank lists come from preference stream ``stream``."""
     start = time.perf_counter()
-    market = build_market(n, random.Random(derive_seed(seed, "market")))
+    market = build_market(n, random.Random(derive_seed(seed, "market")), stream)
     graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)
     matching = restricted_deferred_acceptance(market, dm.circle)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -149,16 +177,17 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
         connectivity=connectivity(dm, dep),
         matched_pairs=len(matching.pairs),
         runtime_ms=runtime_ms,
+        stream=stream,
     )
     return CellRun(graph=graph, dm=dm, circle=dm.circle, market=market,
                    matching=matching, result=result)
 
 
 def run_cell(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
-             p_rewire: float = 0.1) -> ExperimentResult:
+             p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> ExperimentResult:
     """Run one replication: build market and graph from the seed, restrict by
     circle, match, and measure."""
-    return run_cell_full(model, n, k, dep, seed, p_rewire).result
+    return run_cell_full(model, n, k, dep, seed, p_rewire, stream).result
 
 
 def sweep(config: ExperimentConfig) -> list[ExperimentResult]:
@@ -168,7 +197,8 @@ def sweep(config: ExperimentConfig) -> list[ExperimentResult]:
         for n in config.n_values:
             for k in config.k_values:
                 for seed in config.seeds:
-                    results.append(run_cell(model, n, k, config.dep, seed, config.p_rewire))
+                    results.append(run_cell(model, n, k, config.dep, seed, config.p_rewire,
+                                            config.stream))
     return results
 
 
@@ -211,11 +241,14 @@ CSV_FIELDS = ("model", "n", "k", "dep", "p_rewire", "seed",
 
 
 def results_to_csv(results: Iterable[ExperimentResult], out: IO[str]) -> None:
-    """Write results as CSV with the fixed schema; byte-identical on reruns."""
+    """Write results as CSV with the fixed schema, plus a trailing ``stream``
+    column when a result is not from stream v1; byte-identical on reruns."""
+    results = list(results)
+    fields = CSV_FIELDS if all(r.stream == "v1" for r in results) else CSV_FIELDS + ("stream",)
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
+    writer.writerow(fields)
     for r in results:
-        writer.writerow([getattr(r, f) for f in CSV_FIELDS])
+        writer.writerow([getattr(r, f) for f in fields])
 
 
 def results_to_json(results: Iterable[ExperimentResult]) -> list[dict]:
@@ -223,22 +256,29 @@ def results_to_json(results: Iterable[ExperimentResult]) -> list[dict]:
     return [asdict(r) for r in results]
 
 
+# The presets' output, pinned by their digests, is drawn from stream v1.
+PRESET_STREAM = "v1"
+
+
 def table2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                  p_rewire: float = 0.1) -> ExperimentConfig:
+                  p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
     """All models across market sizes 20..100 at nominal degree 2."""
     return ExperimentConfig.replicated(MODELS, (20, 40, 60, 80, 100), (2,),
-                                       base_seed, replications, dep=dep, p_rewire=p_rewire)
+                                       base_seed, replications, dep=dep, p_rewire=p_rewire,
+                                       stream=stream)
 
 
 def fig2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                p_rewire: float = 0.1) -> ExperimentConfig:
+                p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
     """Utility versus nominal degree at fixed market size 60."""
     return ExperimentConfig.replicated(MODELS, (60,), (2, 4, 8, 16),
-                                       base_seed, replications, dep=dep, p_rewire=p_rewire)
+                                       base_seed, replications, dep=dep, p_rewire=p_rewire,
+                                       stream=stream)
 
 
 def fig36_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                 p_rewire: float = 0.1) -> ExperimentConfig:
+                 p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
     """Path length and connectivity versus nominal degree at market size 100."""
     return ExperimentConfig.replicated(MODELS, (100,), (2, 4, 6, 8, 10, 12),
-                                       base_seed, replications, dep=dep, p_rewire=p_rewire)
+                                       base_seed, replications, dep=dep, p_rewire=p_rewire,
+                                       stream=stream)

@@ -143,34 +143,29 @@ class Market:
     def half(self) -> int:
         return len(self.women)
 
-def build_market(n: int, rng: random.Random) -> Market:
-    """Draw a random market: genders by a uniform balanced partition, every
-    rank list an independent uniform permutation of the opposite side, drawn
-    bit for bit as ``rng.shuffle`` would, through ``rng.getrandbits``, the
-    primitive ``Random.shuffle`` uses.
 
-    Args:
-        n: total number of agents; must be even and at least 2.
-        rng: seeded random source.
-    """
-    if n < 2 or n % 2:
-        raise ValueError(f"agent count must be even and >= 2, got {n}")
-    h = n // 2
-    # Men's rows, then women's, each side's block in id order; allocated first,
-    # so a size that cannot fit fails before the walk starts. Two blocks, so
-    # the women's is freed once the market has inverted it.
-    blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
+STREAMS = ("v1", "v2")  # how build_market draws rank lists from its rng
+DEFAULT_STREAM = "v2"
+
+
+def check_stream(stream: str) -> None:
+    """Raise ValueError unless ``stream`` names a preference stream."""
+    if stream not in STREAMS:
+        raise ValueError(f"preference stream must be one of {', '.join(STREAMS)}, got {stream!r}")
+
+
+def _draw_shuffled(rng: random.Random, blocks: list[np.ndarray], is_woman: np.ndarray) -> None:
+    """Stream v1: one shuffle per agent in id order, into its row of its side's
+    block (``blocks[1]`` for women), bit for bit as ``rng.shuffle`` would,
+    through ``rng.getrandbits``, the primitive ``Random.shuffle`` uses."""
+    h = len(blocks[0])
     itemsize = blocks[0].itemsize
     width = itemsize * h  # bytes in a rank row
-    women = sorted(rng.sample(range(n), h))
-    is_woman = np.zeros(n, dtype=bool)
-    is_woman[women] = True
-    women, men = np.flatnonzero(is_woman), np.flatnonzero(~is_woman)
-    offsets = np.empty(n, dtype=np.intp)  # byte offset of each agent's row in its block
-    offsets[women] = offsets[men] = np.arange(0, h * width, width)
-    # One shuffle per agent in id order. A shuffle's permutation does not depend
-    # on what the list holds, so the little-endian local indices it permutes
-    # give the rank lists ids would, and a joined row is its rank row.
+    offsets = np.empty(len(is_woman), dtype=np.intp)  # byte offset of each agent's row
+    offsets[is_woman] = offsets[~is_woman] = np.arange(0, h * width, width)
+    # A shuffle's permutation does not depend on what the list holds, so the
+    # little-endian local indices it permutes give the rank lists ids would,
+    # and a joined row is its rank row.
     outs, getrandbits = [memoryview(block).cast("B") for block in blocks], rng.getrandbits
     base = [j.to_bytes(itemsize, "little") for j in range(h)]
     steps = [(i, (i + 1).bit_length()) for i in range(h - 1, 0, -1)]
@@ -182,9 +177,63 @@ def build_market(n: int, rng: random.Random) -> Market:
                 j = getrandbits(k)
             row[i], row[j] = row[j], row[i]
         outs[woman][start:start + width] = b"".join(row)
+
+
+def _draw_sorted(rng: random.Random, prefs: np.ndarray) -> None:
+    """Stream v2: fill h x h ``prefs`` row by row with uniform permutations of
+    0..h-1, a row block at a time. A row takes h little-endian 64-bit words
+    from ``rng.randbytes``, overwrites each word's low b bits with its column
+    index and sorts them; the low bits of the sorted keys are the rank row.
+    The random high parts are iid, so when they are distinct their order is a
+    uniform permutation; a row in which two of them tie is drawn again."""
+    h = len(prefs)
+    low = np.uint64((1 << max(1, (h - 1).bit_length())) - 1)
+    cols = np.arange(h, dtype="<u8")
+    for _, out in _row_blocks(prefs):
+        rows = np.arange(len(out))
+        while rows.size:
+            size = h * rows.size
+            keys = (np.frombuffer(rng.randbytes(8 * size), "<u8") & ~low).reshape(-1, h)
+            keys |= cols
+            keys.sort(axis=1)
+            tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+            keys &= low
+            out[rows] = keys  # a tied row is overwritten by its redraw
+            rows = rows[tied]
+
+
+def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Market:
+    """Draw a random market: genders by a uniform balanced partition
+    (``rng.sample``), then every rank list an independent uniform permutation
+    of the opposite side.
+
+    Args:
+        n: total number of agents; must be even and at least 2.
+        rng: seeded random source.
+        stream: how the rank lists are drawn from ``rng``. ``"v2"`` sorts
+            random keys, the men's rows then the women's (``_draw_sorted``);
+            ``"v1"`` is ``rng.shuffle`` per agent in id order, bit for bit
+            (``_draw_shuffled``). Both split the genders alike.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"agent count must be even and >= 2, got {n}")
+    check_stream(stream)
+    h = n // 2
+    # Men's rows, then women's, each side's block in id order; allocated first,
+    # so a size that cannot fit fails before the draw starts. Two blocks, so
+    # the women's is freed once the market has inverted it.
+    blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
+    women = sorted(rng.sample(range(n), h))
+    is_woman = np.zeros(n, dtype=bool)
+    is_woman[women] = True
+    if stream == "v1":
+        _draw_shuffled(rng, blocks, is_woman)
+    else:
+        for block in blocks:
+            _draw_sorted(rng, block)
     for block in blocks:
         block.flags.writeable = False
-    return Market(women, men, blocks[1], blocks[0])
+    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1], blocks[0])
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,27 @@ def stdlib_market(n: int, rng: random.Random) -> Market:
                   prefs[is_woman], prefs[~is_woman])
 
 
+def sorted_keys_market(n: int, rng: random.Random) -> Market:
+    """Random market drawn as stream v2 specifies, one row at a time in pure
+    Python: genders by ``rng.sample``, then the men's rows and the women's,
+    each from h little-endian 64-bit words of ``rng.randbytes``: the columns
+    in the order of the words' bits above the low b, a row drawn again at
+    once if two of those agree. ``build_market`` redraws tied rows at the end
+    of a row block, so the two agree whenever no row ties."""
+    h = n // 2
+    women = sorted(rng.sample(range(n), h))
+    is_woman = np.zeros(n, dtype=bool)
+    is_woman[women] = True
+    bits = max(1, (h - 1).bit_length())
+    rows = []
+    while len(rows) < n:
+        data = rng.randbytes(8 * h)
+        words = [int.from_bytes(data[8 * j:8 * j + 8], "little") >> bits for j in range(h)]
+        if len(set(words)) == h:
+            rows.append(sorted(range(h), key=words.__getitem__))
+    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), rows[h:], rows[:h])
+
+
 def rank_positions(prefs: np.ndarray) -> np.ndarray:
     """Inverse of rank lists, filled entry by entry: ``pos[a, b]`` is agent
     a's rank of the other side's local index b; -1 where no entry names b."""
@@ -341,7 +362,7 @@ def random_instance(seed: int,
                     n_pool: Sequence[int] = tuple(range(4, 41, 2)),
                     dep_pool: Sequence[int] = (1, 2, 3, 4),
                     models: Sequence[str] = MODELS,
-                    p_rewire: float = 0.1) -> Instance:
+                    p_rewire: float = 0.1, stream: str = "v2") -> Instance:
     """One reproducible market-plus-graph draw, seeded the same way the
     experiment harness seeds its cells."""
     picker = random.Random(derive_seed(seed, "instance"))
@@ -349,7 +370,7 @@ def random_instance(seed: int,
     n = picker.choice(list(n_pool))
     k = picker.choice(valid_degrees(n))
     dep = picker.choice(list(dep_pool))
-    market = build_market(n, random.Random(derive_seed(seed, "market")))
+    market = build_market(n, random.Random(derive_seed(seed, "market")), stream)
     graph = generate(model, n, k, p_rewire=p_rewire,
                      rng=random.Random(derive_seed(seed, f"graph:{model}")))
     dm = all_pairs_shortest(graph, dep)

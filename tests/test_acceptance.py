@@ -62,7 +62,7 @@ def mean_by_cell(rows, field="average_utility"):
 def size_sweep():
     """Every model at nominal degree 2 across all market sizes, 200
     replications per cell."""
-    cfg = ExperimentConfig.replicated(MODELS, SIZES, (2,), 0, 200)
+    cfg = ExperimentConfig.replicated(MODELS, SIZES, (2,), 0, 200, stream="v1")
     return sweep(cfg)
 
 
@@ -70,11 +70,11 @@ def size_sweep():
 def degree_sweep():
     """Every model at market size 60 across nominal degrees, plus the
     complete-information baseline over the same market seeds."""
-    cfg = ExperimentConfig.replicated(MODELS, (60,), (2, 4, 8, 16), 0, 100)
+    cfg = ExperimentConfig.replicated(MODELS, (60,), (2, 4, 8, 16), 0, 100, stream="v1")
     rows = sweep(cfg)
     baseline = statistics.fmean(
         average_utility(market, classical_gs(market))
-        for market in (build_market(60, random.Random(derive_seed(s, "market")))
+        for market in (build_market(60, random.Random(derive_seed(s, "market")), "v1")
                        for s in cfg.seeds))
     return rows, baseline
 
@@ -83,7 +83,7 @@ def test_01_restricted_matching_is_always_stable(capsys):
     start = time.perf_counter()
     checked = 0
     for seed in range(1000):
-        inst = random_instance(seed)
+        inst = random_instance(seed, stream="v1")
         matching = restricted_deferred_acceptance(inst.market, inst.circle)
         assert is_stable(inst.market, inst.circle, matching), (
             f"unstable output on seed {seed}: {inst.model} n={inst.n} "
@@ -98,7 +98,7 @@ def test_01_restricted_matching_is_always_stable(capsys):
 def test_02_matches_brute_force_enumeration(capsys):
     agree = 0
     for seed in range(200):
-        inst = random_instance(seed, n_pool=(4, 6, 8))
+        inst = random_instance(seed, n_pool=(4, 6, 8), stream="v1")
         matching = restricted_deferred_acceptance(inst.market, inst.circle)
         stable = enumerate_stable_matchings(inst.market, inst.circle)
         assert matching.pairs in {m.pairs for m in stable}, f"seed {seed}"
@@ -112,7 +112,7 @@ def test_03_full_recognition_recovers_complete_information(capsys):
     collected = 0
     seed = 0
     while collected < 200:
-        inst = random_instance(seed)
+        inst = random_instance(seed, stream="v1")
         seed += 1
         diameter = inst.dm.diameter()
         if diameter is None or (inst.dm.dist == UNREACHABLE).any():
@@ -204,7 +204,8 @@ def test_06_utility_saturates_with_degree(capsys, degree_sweep):
 
 
 def test_07_path_length_anticorrelates_with_connectivity(capsys):
-    cfg = ExperimentConfig.replicated(MODELS, (100,), (2, 4, 6, 8, 10, 12), 0, 50)
+    cfg = ExperimentConfig.replicated(MODELS, (100,), (2, 4, 6, 8, 10, 12), 0, 50,
+                                      stream="v1")
     rows = sweep(cfg)
     spearman, pearson = {}, {}
     for model in MODELS:
@@ -270,7 +271,7 @@ def test_09_series_predictor_value_and_decay(capsys):
 def test_10_sweeps_are_byte_identical(capsys, tmp_path):
     from circlematch.cli import main
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep", "--n", "12", "20", "--k", "2", "--reps", "3"]
+    args = ["sweep", "--n", "12", "20", "--k", "2", "--reps", "3", "--stream", "v1"]
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     same = first.read_bytes() == second.read_bytes()

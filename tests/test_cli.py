@@ -145,7 +145,8 @@ def test_match_reports_a_stable_assignment(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"pairs", "unmatched_women", "unmatched_men",
-                            "average_utility"}
+                            "average_utility", "stream"}
+    assert payload["stream"] == "v2"
     assert payload["pairs"], "a dozen agents on a dense ring should pair up"
     for pair in payload["pairs"]:
         assert pair["distance"] <= 3
@@ -194,7 +195,7 @@ def test_out_of_range_seed_or_rewiring_is_rejected_by_every_command(
 
 
 def test_size_beyond_memory_exits_with_invalid_parameter_code(capsys, monkeypatch):
-    def out_of_memory(n, rng):
+    def out_of_memory(n, rng, stream):
         raise MemoryError(f"Unable to allocate the rank lists of {n} agents")
 
     monkeypatch.setattr(harness, "build_market", out_of_memory)
@@ -211,8 +212,14 @@ def test_sweep_csv_shape(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["model", "n", "k", "dep", "p_rewire", "seed",
-                       "average_utility", "apl", "connectivity", "matched_pairs"]
+                       "average_utility", "apl", "connectivity", "matched_pairs", "stream"]
     assert len(rows) == 1 + 2 * 2 * 1 * 3
+    assert {row[-1] for row in rows[1:]} == {"v2"}
+    # stream v1 writes the schema without the stream column
+    code, out, _ = run_cli(capsys, "sweep", "--model", "ncn", "er",
+                           "--n", "8", "12", "--k", "2", "--reps", "3", "--stream", "v1")
+    assert code == 0
+    assert out.splitlines()[0] == ",".join(rows[0][:-1])
 
 
 def test_sweep_json_format(capsys):
@@ -250,7 +257,48 @@ def test_sweep_checks_every_network_before_running_a_cell(capsys, monkeypatch):
     assert err == "error: edge count 8 out of range for 4 nodes (max 6)\n"
 
 
+def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran or a market was drawn")
+
+    monkeypatch.setattr(harness, "run_cell", refuse)
+    monkeypatch.setattr(harness, "build_market", refuse)
+    monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
+    code, out, err = run_cli(capsys, "sweep", "--n", "20", "10000000", "--k", "2",
+                             "--model", "er", "--reps", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: market size 10000000 needs about 291038.3 GiB, "
+                   "more than the 8.0 GiB available\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["match", "--model", "er", "--n", "10", "--k", "2"],
+    ["sweep", "--n", "10", "--k", "2"],
+    ["table2"], ["fig1"], ["fig2"], ["fig3-6"],
+])
+def test_unknown_stream_exits_with_invalid_parameter_code(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--stream", "v3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'v3'" in capsys.readouterr().err
+
+
+def test_match_under_v1_pairs_as_the_v1_cell(capsys):
+    code, out, _ = run_cli(capsys, "match", "--model", "er", "--n", "40", "--k", "4",
+                           "--stream", "v1")
+    payload = json.loads(out)
+    run = harness.run_cell_full("er", 40, 4, stream="v1")
+    assert code == 0 and payload["stream"] == "v1"
+    assert [(p["woman"], p["man"]) for p in payload["pairs"]] == list(run.matching.pairs)
+
+
 # ------------------------------------------------------------------- presets
+
+def test_preset_default_stream_is_v1(capsys):
+    _, default, _ = run_cli(capsys, "table2", "--reps", "5")
+    _, v1, _ = run_cli(capsys, "table2", "--reps", "5", "--stream", "v1")
+    assert default == v1 and "stream" not in default.splitlines()[0]
+
 
 def test_preset_runs_small_replication_count(capsys):
     code, out, _ = run_cli(capsys, "fig2", "--reps", "1")

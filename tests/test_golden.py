@@ -1,8 +1,9 @@
-"""Golden outputs: the preset CSVs at seed 0 pin the random stream.
+"""Golden outputs: the preset CSVs at seed 0 pin the random streams.
 
 A refactor of the market draw, the graph generators or the CSV writer that
 keeps these digests has kept every byte of the presets' output. A change
-that moves one must say why.
+that moves one must say why. The presets draw from stream v1 by default;
+the v2 digests pin the same runs under ``--stream v2``.
 """
 
 import hashlib
@@ -19,8 +20,35 @@ PRESET_DIGESTS = {
 }
 
 
+# The same under `--stream v2`.
+PRESET_V2_DIGESTS = {
+    "table2": "c2fb78e1b53ec67a",
+    "fig2": "d64666e07093afc0",
+    "fig3-6": "497b37709e936507",
+}
+
+# `circlematch sweep --n 2000 --k 2 --reps 1 --stream v1`: all four models at
+# the int16 rank width, through both distance paths (er and ba shallow, ncn
+# and ws deep).
+SWEEP_V1_N2000_DIGEST = "06f70ffde5701a3b"
+
+
+def stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
 def test_preset_csv_digest(capsys, preset):
-    assert main([preset, "--reps", "5"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("ascii")).hexdigest()[:16] == PRESET_DIGESTS[preset]
+    assert stdout_digest(capsys, [preset, "--reps", "5"]) == PRESET_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_V2_DIGESTS))
+def test_preset_csv_digest_under_v2(capsys, preset):
+    digest = stdout_digest(capsys, [preset, "--reps", "5", "--stream", "v2"])
+    assert digest == PRESET_V2_DIGESTS[preset]
+
+
+def test_v1_sweep_digest_at_n2000(capsys):
+    argv = ["sweep", "--n", "2000", "--k", "2", "--reps", "1", "--stream", "v1"]
+    assert stdout_digest(capsys, argv) == SWEEP_V1_N2000_DIGEST

@@ -76,6 +76,7 @@ def test_config_normalizes_sequences():
     dict(models=("ncn",), n_values=(20,), k_values=(2,), seeds=()),
     dict(models=("ncn",), n_values=(20,), k_values=(2,), seeds=(0,), dep=0),
     dict(models=("ncn",), n_values=(20,), k_values=(2,), seeds=(0,), p_rewire=1.5),
+    dict(models=("ncn",), n_values=(20,), k_values=(2,), seeds=(0,), stream="v3"),
 ])
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -93,6 +94,38 @@ def test_config_checks_every_cell_network(model, n, k):
         netgen.generate(model, n, k, rng=random.Random(0))
     assert str(from_config.value) == str(from_generate.value)
     ExperimentConfig((model,), (200, n + 2), (2, k - 2), (0,))  # one size or degree less
+
+
+def test_config_refuses_a_size_that_cannot_fit(monkeypatch):
+    available = harness._available_bytes()
+    assert available is None or available > 0
+    monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
+    # 3h² int32 rank entries and n² circle bits at n = 10**7: about 290 TiB
+    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 291038\.3 GiB, "
+                                         r"more than the 8\.0 GiB available$"):
+        ExperimentConfig(("er",), (20, 10 ** 7), (2,), (0,))
+    ExperimentConfig(("er",), (20, 2000), (2,), (0,))
+
+
+def test_config_skips_the_size_check_without_meminfo(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(harness, "open", unreadable, raising=False)
+    assert harness._available_bytes() is None
+    assert ExperimentConfig(("er",), (10 ** 7,), (2,), (0,)).n_values == (10 ** 7,)
+
+
+def test_streams_default_to_v2_and_the_presets_to_v1():
+    assert ExperimentConfig(("er",), (20,), (2,), (0,)).stream == "v2"
+    assert ExperimentConfig.replicated(("er",), (20,), (2,), 0, 1).stream == "v2"
+    assert {f(1).stream for f in (table2_config, fig2_config, fig36_config)} == {"v1"}
+    assert table2_config(1, stream="v2").stream == "v2"
+    for stream in ("v1", "v2"):
+        rows = sweep(ExperimentConfig(("er",), (20,), (2,), (3,), stream=stream))
+        cell = run_cell_full("er", 20, 2, seed=3, stream=stream)
+        assert rows[0].stream == cell.result.stream == stream
+        assert rows[0].average_utility == cell.result.average_utility
 
 
 def test_public_api_is_pinned():
@@ -318,10 +351,10 @@ def _tiny_results():
     return [
         ExperimentResult(model="ncn", n=10, k=2, dep=3, p_rewire=0.1, seed=0,
                          average_utility=5.5, apl=2.5, connectivity=0.9,
-                         matched_pairs=4, runtime_ms=1.25),
+                         matched_pairs=4, runtime_ms=1.25, stream="v1"),
         ExperimentResult(model="er", n=10, k=2, dep=3, p_rewire=0.1, seed=1,
                          average_utility=4.0, apl=None, connectivity=0.0,
-                         matched_pairs=0, runtime_ms=0.75),
+                         matched_pairs=0, runtime_ms=0.75, stream="v1"),
     ]
 
 
@@ -355,6 +388,16 @@ def test_sweep_csv_identical_across_runs():
     results_to_csv(sweep(cfg), first)
     results_to_csv(sweep(cfg), second)
     assert first.getvalue() == second.getvalue()
+
+
+def test_import_and_a_paper_scale_cell_never_load_numpy_random():
+    # numpy.random costs setup time and resident memory; no stream uses it
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys, circlematch; from circlematch import harness; "
+            "harness.run_cell('er', 100, 4); print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_paper_scale_cell_never_loads_scipy():

@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import statistics
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from circlematch.topology import all_pairs_shortest
 
 from refimpl import (agent_utility, full_circle, make_market, market_to_dict,
                      naive_blocking_pair, naive_deferred_acceptance, pair_utility, position,
-                     prefers, random_instance, rank_positions, ranking, score, stdlib_market,
-                     women_prefs)
+                     prefers, random_instance, rank_positions, ranking, score, sorted_keys_market,
+                     stdlib_market, women_prefs)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -157,7 +159,7 @@ def test_live_bytes_stay_within_4h2_plus_the_circle():
     graph.csr  # the caller's graph, built before the trace
     tracemalloc.start()
     try:
-        market = build_market(n, random.Random(0))
+        market = build_market(n, random.Random(0), "v1")
         peak = tracemalloc.get_traced_memory()[1]
         dm = all_pairs_shortest(graph, 3)
         live = tracemalloc.get_traced_memory()[0]
@@ -185,7 +187,7 @@ def test_market_json_is_pinned():
     did when the library wrote that form: the draw and the women's inverse
     are unchanged."""
     for n, seed, digest in ((40, 7, "4afe183393d31160"), (2000, 0, "9c9112a89649b411")):
-        text = json.dumps(market_to_dict(build_market(n, random.Random(seed))))
+        text = json.dumps(market_to_dict(build_market(n, random.Random(seed), "v1")))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -236,7 +238,7 @@ def test_build_market_deterministic():
 
 def assert_draws_like_stdlib(n, seed):
     fast, reference = random.Random(seed), random.Random(seed)
-    assert build_market(n, fast) == stdlib_market(n, reference)
+    assert build_market(n, fast, "v1") == stdlib_market(n, reference)
     assert fast.getstate() == reference.getstate()
 
 
@@ -253,6 +255,103 @@ def test_build_market_draws_the_stdlib_shuffle_for_any_seed(half, seed):
 
 def test_build_market_draws_the_stdlib_shuffle_at_n2000():
     assert_draws_like_stdlib(2000, 6)
+
+
+# ------------------------------------------------------------ stream v2
+
+def test_v2_market_json_is_pinned():
+    for n, seed, digest in ((40, 7, "f9b90718fed0e1c3"), (2000, 0, "7b251a6347c4617f")):
+        text = json.dumps(market_to_dict(build_market(n, random.Random(seed))))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n", [2, 4, 40, 600, 1000])
+def test_v2_draws_row_by_row_across_block_boundaries(n):
+    """h=300 and h=500 do not divide a block of 2**16 entries (218 and 131
+    rows a block); the blocked draw reads the rng as the row-by-row reference
+    does, to its end state."""
+    fast, reference = random.Random(n), random.Random(n)
+    assert build_market(n, fast) == sorted_keys_market(n, reference)
+    assert fast.getstate() == reference.getstate()
+
+
+def test_streams_split_genders_alike():
+    for n, seed in ((2, 0), (10, 3), (300, 5)):
+        v1, v2 = (build_market(n, random.Random(seed), stream) for stream in ("v1", "v2"))
+        assert np.array_equal(v1.women, v2.women) and np.array_equal(v1.men, v2.men)
+        assert not np.array_equal(v1.men_prefs, v2.men_prefs) or n == 2
+
+
+def _rank_row(data: bytes, h: int) -> list[int]:
+    bits = max(1, (h - 1).bit_length())
+    words = [int.from_bytes(data[8 * j:8 * j + 8], "little") >> bits for j in range(h)]
+    return sorted(range(h), key=words.__getitem__)
+
+
+class TieOnFirstDraw:
+    """A seeded rng whose first ``randbytes`` repeats its first 64-bit word
+    as its second, so that the first row drawn has two equal keys."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = random.Random(seed), []
+
+    def sample(self, population, k):
+        return self.rng.sample(population, k)
+
+    def randbytes(self, size):
+        data = self.rng.randbytes(size)
+        if not self.calls:
+            data = data[:8] * 2 + data[16:]
+        self.calls.append(size)
+        return data
+
+
+def test_v2_redraws_a_row_whose_keys_tie():
+    h = 4
+    rng = TieOnFirstDraw(11)
+    market = build_market(2 * h, rng)
+    # the men's block, one row again, the women's block
+    assert rng.calls == [8 * h * h, 8 * h, 8 * h * h]
+    replay = random.Random(11)
+    replay.sample(range(2 * h), h)
+    men_block, redraw, women_block = (replay.randbytes(size) for size in rng.calls)
+    men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
+    men_rows[0] = _rank_row(redraw, h)
+    women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
+    assert market.men_prefs.tolist() == men_rows
+    assert women_prefs(market).tolist() == women_rows
+
+
+@pytest.mark.parametrize("h, markets, critical", [
+    (3, 3000, 20.52),  # chi-square 0.999 quantiles: 5 and 23 degrees of freedom
+    (4, 1500, 49.73),
+])
+def test_v2_rank_rows_are_uniform_permutations(h, markets, critical):
+    counts = Counter()
+    for seed in range(markets):
+        market = build_market(2 * h, random.Random(seed))
+        counts.update(map(tuple, market.men_prefs.tolist() + women_prefs(market).tolist()))
+    cells = math.factorial(h)
+    expected = 2 * h * markets / cells
+    assert len(counts) == cells
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < critical
+
+
+def test_v2_construction_peaks_within_6h2():
+    h = 1000
+    tracemalloc.start()
+    try:
+        market = build_market(2 * h, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert market.men_prefs.base is None
+    assert peak <= 6 * h * h + 2 ** 20
+
+
+def test_build_market_rejects_unknown_stream():
+    with pytest.raises(ValueError, match="preference stream must be one of v1, v2, got 'v3'"):
+        build_market(4, random.Random(0), "v3")
 
 
 def test_build_market_rejects_odd():

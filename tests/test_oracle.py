@@ -32,7 +32,7 @@ def test_enumeration_finds_both_lattice_ends():
     """First random six-agent market with more than one stable matching
     under complete information: master seed 0 gives exactly two, and the
     proposing side's optimum coincides with the classical result."""
-    market = build_market(6, random.Random(derive_seed(0, "market")))
+    market = build_market(6, random.Random(derive_seed(0, "market")), "v1")
     found = enumerate_stable_matchings(market, full_circle(6))
     assert sorted(m.pairs for m in found) == [
         ((3, 1), (4, 0), (5, 2)),
