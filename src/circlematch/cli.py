@@ -34,10 +34,10 @@ def _add_graph_args(parser: argparse.ArgumentParser, *, model_required: bool = T
                         help="nominal average degree (even)")
 
 
-def _add_stream_arg(parser: argparse.ArgumentParser, default: str) -> None:
-    parser.add_argument("--stream", choices=STREAMS, default=default,
-                        help=f"preference stream (default {default}): v1 shuffles each rank "
-                             "list bit for bit as random.shuffle; v2 sorts random keys, "
+def _add_stream_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--stream", choices=STREAMS, default=DEFAULT_STREAM,
+                        help=f"preference stream (default {DEFAULT_STREAM}): v1 shuffles each "
+                             "rank list bit for bit as random.shuffle; v2 sorts random keys, "
                              "about 3x faster at n=2000")
 
 
@@ -88,8 +88,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_preset(args: argparse.Namespace) -> None:
-    config = args.preset(args.reps, args.seed, dep=args.dep, p_rewire=args.p_rewire,
-                         stream=args.stream)
+    config = args.preset(args.reps, args.seed, dep=args.dep, p_rewire=args.p_rewire)
     _emit_results(harness.sweep(config), args)
 
 
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", parents=[with_depth],
                              help="run one matching and print it as JSON")
     _add_graph_args(p_match)
-    _add_stream_arg(p_match, DEFAULT_STREAM)
+    _add_stream_arg(p_match)
     p_match.set_defaults(func=_cmd_match)
 
     p_sweep = sub.add_parser("sweep", parents=[sweeping], help="run a full experiment grid")
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="models to include (default: all four)")
     p_sweep.add_argument("--n", nargs="+", type=int, required=True, help="market sizes")
     p_sweep.add_argument("--k", nargs="+", type=int, required=True, help="nominal degrees")
-    _add_stream_arg(p_sweep, DEFAULT_STREAM)
+    _add_stream_arg(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     presets = (
@@ -146,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, config_fn, help_text in presets:
         p_preset = sub.add_parser(name, parents=[sweeping], help=help_text)
-        _add_stream_arg(p_preset, harness.PRESET_STREAM)
         p_preset.set_defaults(func=_cmd_preset, preset=config_fn)
 
     return parser

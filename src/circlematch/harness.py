@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 from . import netgen
-from .market import (DEFAULT_STREAM, Market, Matching, _rank_dtype, average_utility,
-                     build_market, check_stream, restricted_deferred_acceptance)
+from .market import (DEFAULT_STREAM, Market, Matching, average_utility, build_market,
+                     check_stream, market_bytes, restricted_deferred_acceptance)
 from .netgen import MODELS, Graph
 from .topology import (DistanceMatrix, SocialCircle, all_pairs_shortest,
                        average_path_length, connectivity)
@@ -45,10 +45,9 @@ def _available_bytes() -> Optional[int]:
 
 
 def _cell_bytes(n: int) -> int:
-    """Estimated peak bytes of one cell of size n: the market's two rank blocks
-    and the women's positions (3h² rank entries), plus the circle's n² bits."""
-    h = n // 2
-    return 3 * h * h * _rank_dtype(h).itemsize + n * n // 8
+    """Estimated peak bytes of one cell of size n: the market's, plus the
+    circle's n² bits."""
+    return market_bytes(n) + n * n // 8
 
 
 def check_seed_and_rewiring(seed: int, p_rewire: float) -> None:
@@ -261,24 +260,24 @@ PRESET_STREAM = "v1"
 
 
 def table2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                  p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
+                  p_rewire: float = 0.1) -> ExperimentConfig:
     """All models across market sizes 20..100 at nominal degree 2."""
     return ExperimentConfig.replicated(MODELS, (20, 40, 60, 80, 100), (2,),
                                        base_seed, replications, dep=dep, p_rewire=p_rewire,
-                                       stream=stream)
+                                       stream=PRESET_STREAM)
 
 
 def fig2_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
+                p_rewire: float = 0.1) -> ExperimentConfig:
     """Utility versus nominal degree at fixed market size 60."""
     return ExperimentConfig.replicated(MODELS, (60,), (2, 4, 8, 16),
                                        base_seed, replications, dep=dep, p_rewire=p_rewire,
-                                       stream=stream)
+                                       stream=PRESET_STREAM)
 
 
 def fig36_config(replications: int = 50, base_seed: int = 0, *, dep: int = 3,
-                 p_rewire: float = 0.1, stream: str = PRESET_STREAM) -> ExperimentConfig:
+                 p_rewire: float = 0.1) -> ExperimentConfig:
     """Path length and connectivity versus nominal degree at market size 100."""
     return ExperimentConfig.replicated(MODELS, (100,), (2, 4, 6, 8, 10, 12),
                                        base_seed, replications, dep=dep, p_rewire=p_rewire,
-                                       stream=stream)
+                                       stream=PRESET_STREAM)

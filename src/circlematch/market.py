@@ -33,6 +33,13 @@ def _rank_dtype(h: int) -> np.dtype:
     return np.dtype("<i2" if h < 2 ** 15 else "<i4")
 
 
+def market_bytes(n: int) -> int:
+    """Peak bytes of the rank arrays while ``build_market(n)`` builds a market:
+    the two drawn (h, h) blocks plus the women's positions inverted from one."""
+    h = n // 2
+    return 3 * h * h * _rank_dtype(h).itemsize
+
+
 def _row_blocks(prefs: np.ndarray):
     """(first row, block) over the rows of h x h ``prefs``, at most 2**16
     entries a block, so that a block's temporaries stay small at any size."""

@@ -274,7 +274,6 @@ def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch)
 @pytest.mark.parametrize("command", [
     ["match", "--model", "er", "--n", "10", "--k", "2"],
     ["sweep", "--n", "10", "--k", "2"],
-    ["table2"], ["fig1"], ["fig2"], ["fig3-6"],
 ])
 def test_unknown_stream_exits_with_invalid_parameter_code(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -293,12 +292,6 @@ def test_match_under_v1_pairs_as_the_v1_cell(capsys):
 
 
 # ------------------------------------------------------------------- presets
-
-def test_preset_default_stream_is_v1(capsys):
-    _, default, _ = run_cli(capsys, "table2", "--reps", "5")
-    _, v1, _ = run_cli(capsys, "table2", "--reps", "5", "--stream", "v1")
-    assert default == v1 and "stream" not in default.splitlines()[0]
-
 
 def test_preset_runs_small_replication_count(capsys):
     code, out, _ = run_cli(capsys, "fig2", "--reps", "1")

@@ -2,8 +2,8 @@
 
 A refactor of the market draw, the graph generators or the CSV writer that
 keeps these digests has kept every byte of the presets' output. A change
-that moves one must say why. The presets draw from stream v1 by default;
-the v2 digests pin the same runs under ``--stream v2``.
+that moves one must say why. The presets draw from stream v1; stream v2
+is pinned by the market digests in ``tests/test_market.py``.
 """
 
 import hashlib
@@ -17,14 +17,6 @@ PRESET_DIGESTS = {
     "table2": "799a6577f3761fb7",
     "fig2": "c8d449aca72bb807",
     "fig3-6": "7c3c89a58298c11a",
-}
-
-
-# The same under `--stream v2`.
-PRESET_V2_DIGESTS = {
-    "table2": "c2fb78e1b53ec67a",
-    "fig2": "d64666e07093afc0",
-    "fig3-6": "497b37709e936507",
 }
 
 # `circlematch sweep --n 2000 --k 2 --reps 1 --stream v1`: all four models at
@@ -41,12 +33,6 @@ def stdout_digest(capsys, argv):
 @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
 def test_preset_csv_digest(capsys, preset):
     assert stdout_digest(capsys, [preset, "--reps", "5"]) == PRESET_DIGESTS[preset]
-
-
-@pytest.mark.parametrize("preset", sorted(PRESET_V2_DIGESTS))
-def test_preset_csv_digest_under_v2(capsys, preset):
-    digest = stdout_digest(capsys, [preset, "--reps", "5", "--stream", "v2"])
-    assert digest == PRESET_V2_DIGESTS[preset]
 
 
 def test_v1_sweep_digest_at_n2000(capsys):

@@ -120,7 +120,6 @@ def test_streams_default_to_v2_and_the_presets_to_v1():
     assert ExperimentConfig(("er",), (20,), (2,), (0,)).stream == "v2"
     assert ExperimentConfig.replicated(("er",), (20,), (2,), 0, 1).stream == "v2"
     assert {f(1).stream for f in (table2_config, fig2_config, fig36_config)} == {"v1"}
-    assert table2_config(1, stream="v2").stream == "v2"
     for stream in ("v1", "v2"):
         rows = sweep(ExperimentConfig(("er",), (20,), (2,), (3,), stream=stream))
         cell = run_cell_full("er", 20, 2, seed=3, stream=stream)

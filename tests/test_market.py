@@ -23,6 +23,7 @@ from circlematch.market import (
     classical_gs,
     find_blocking_pair,
     is_stable,
+    market_bytes,
     matching_to_dict,
     restricted_deferred_acceptance,
     _positions_of,
@@ -166,7 +167,7 @@ def test_live_bytes_stay_within_4h2_plus_the_circle():
     finally:
         tracemalloc.stop()
     assert market.half == h and dm.n == n
-    assert peak <= 6 * h * h + 2 ** 20
+    assert peak <= market_bytes(n) + 2 ** 20 == 6 * h * h + 2 ** 20
     assert live <= 4 * h * h + n * n // 8 + 2 ** 17
 
 
@@ -227,6 +228,8 @@ def test_positions_of_scatters_in_row_blocks():
 def test_rank_width_grows_past_int16():
     assert _rank_dtype(2 ** 15 - 1) == np.int16
     assert _rank_dtype(2 ** 15) == np.int32
+    assert market_bytes(2 ** 16 - 2) == 3 * (2 ** 15 - 1) ** 2 * 2
+    assert market_bytes(2 ** 16) == 3 * 2 ** 30 * 4
 
 
 def test_build_market_deterministic():
