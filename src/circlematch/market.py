@@ -90,7 +90,8 @@ class Market:
     permutation of the other side; it derives the id to local index map
     ``local`` and the women's position array ``women_pos`` (``women_pos[i,
     j]`` is woman i's rank of man j). It keeps ``men_prefs`` and
-    ``women_pos``, not the women's lists.
+    ``women_pos``, not the women's lists. ``build_market`` skips only the
+    permutation check, for the rows it drew as permutations.
     """
 
     women: np.ndarray
@@ -100,6 +101,18 @@ class Market:
     women_pos: np.ndarray = field(repr=False)
 
     def __init__(self, women, men, women_prefs, men_prefs):
+        self._assemble(women, men, women_prefs, men_prefs, drawn=False)
+
+    @classmethod
+    def _drawn(cls, women, men, women_prefs, men_prefs) -> Market:
+        """The market of the rank lists ``build_market`` drew, every row a
+        permutation by construction: every check of ``Market(...)`` but the
+        row sorts of ``_check_permutations``."""
+        market = cls.__new__(cls)
+        market._assemble(women, men, women_prefs, men_prefs, drawn=True)
+        return market
+
+    def _assemble(self, women, men, women_prefs, men_prefs, drawn: bool) -> None:
         women, men = np.asarray(women), np.asarray(men)
         if women.ndim != 1 or women.shape != men.shape:
             raise ValueError("women and men must be equally many")
@@ -125,8 +138,9 @@ class Market:
         women_prefs = women_prefs.astype(_rank_dtype(h), copy=False)
         men_prefs = np.array(men_prefs, dtype=_rank_dtype(h),
                              copy=True if men_prefs.flags.writeable else None)
-        _check_permutations("woman", women, women_prefs)
-        _check_permutations("man", men, men_prefs)
+        if not drawn:
+            _check_permutations("woman", women, women_prefs)
+            _check_permutations("man", men, men_prefs)
         women_pos = _positions_of(women_prefs)
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
@@ -240,7 +254,7 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
             _draw_sorted(rng, block)
     for block in blocks:
         block.flags.writeable = False
-    return Market(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1], blocks[0])
+    return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1], blocks[0])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,14 +17,25 @@ UNREACHABLE = -1
 _SMALL_N = 128
 # A graph whose double-sweep depth bound exceeds this many levels takes the
 # deep path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
-# the deep path costs O(roots * (n + m)) for scipy's traversal from the roots
-# plus, for each layer of the pendant forest, its width times the histogram
-# width (the longest root histogram plus the number of layers).
+# the deep path costs, for the 2-core nodes outside cycle components, a
+# bit-parallel search over the 2-core (O(core levels * (n + m) * roots / 64)
+# words), plus one count of roots x n offsets, plus, for each layer of the
+# pendant forest, its width times the histogram width (the longest root
+# histogram plus the number of layers).
 _LEVEL_BUDGET = 64
-# scipy sources per call, so the float64 rows scipy returns never take more
-# than this many at a time.
-_ROWS = 128
+# Roots per block of the deep path, so that its core distances and hop
+# offsets never take more than this many rows of n entries at a time.
+_SOURCES = 256
+# The BFS ORs neighbour rows by columns when its highest degree times this
+# many words is below the words of all neighbour rows: a column costs a few
+# numpy calls, about what reduceat spends on that many words (measured on
+# er, ba, ncn and ws at n = 60-2000, 1-32 words a row). The neighbour rows
+# hold at most n times the highest degree rows, so a search whose n times
+# words per row is at most this never crosses it: no search from all nodes
+# of a graph of 300 nodes or fewer, the preset grids among them.
+_COLUMN_WORDS = 1500
 _WORD = np.dtype("<u8")  # bitset word; little-endian so bit b of a row is byte b // 8
+_ONE = _WORD.type(1)
 
 
 def _checked(ids, n: int) -> np.ndarray:
@@ -85,20 +96,21 @@ class DistanceMatrix:
     social circle at the depth the summary was built for, one read-only
     bitset of n x n bits; a summary holds no other array. The hop count of
     a pair inside the circle is searched from ``graph`` when it is asked
-    for, and ``_rebuild(graph)`` recomputes the dense matrix from it.
+    for, and so is the dense matrix.
     """
 
     n: int
     levels: tuple[int, ...]
     circle: SocialCircle
     graph: Graph = field(repr=False)
-    _rebuild: Callable[[Graph], np.ndarray] = field(repr=False)
 
     @property
     def dist(self) -> np.ndarray:
-        """The dense n x n int32 hop counts, UNREACHABLE between components;
-        recomputed on every access and never kept."""
-        return self._rebuild(self.graph)
+        """The dense n x n int32 hop counts, UNREACHABLE between components,
+        from one multi-source BFS over ``graph``; recomputed on every access
+        and never kept."""
+        dist = np.full((self.n, self.n), UNREACHABLE, dtype=np.int32)
+        return _write_levels(dist, _bfs_levels(self.graph))
 
     def distances(self, a, b) -> np.ndarray:
         """Hop distance of every pair (a[i], b[i]), from one breadth-first search
@@ -126,13 +138,6 @@ class DistanceMatrix:
         """Largest finite distance between distinct nodes, or None if every
         pair is disconnected (or there are no pairs at all)."""
         return len(self.levels) or None
-
-
-def _csgraph(graph: Graph):
-    from scipy.sparse import csr_matrix  # loaded on first use: only the deep path needs scipy
-    indptr, indices = graph.csr
-    return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
-                      shape=(graph.n, graph.n))
 
 
 def _too_deep(graph: Graph) -> bool:
@@ -187,6 +192,8 @@ def _bfs_levels(graph: Graph, sources: Optional[np.ndarray] = None):
     Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014): bit i of
     row v of the frontier is set when ``sources[i]`` reached v at the last
     level, and one OR over each node's neighbour rows gives the next level.
+    Wide rows take that OR from ``_column_or``, narrow ones from one
+    ``reduceat``, whose cost grows with the words of every neighbour row.
     Yields, for d = 0 up to the largest finite distance, the packed pairs at
     distance d, their number and the packed pairs farther apart than d,
     unreachable ones included. No yielded array changes afterwards."""
@@ -195,14 +202,21 @@ def _bfs_levels(graph: Graph, sources: Optional[np.ndarray] = None):
     indptr, indices = graph.csr
     # reduceat mis-handles empty segments, so an isolated node gathers its own
     # row as its one neighbour: a row that holds only the node itself at the
-    # start, which unseen masks out, and nothing after. Every level is then
-    # one gather and one reduceat.
+    # start, which unseen masks out, and nothing after. Every node then has
+    # a neighbour row, and no level needs a scatter.
     gather, starts = indices, indptr[:-1]
     isolated = np.flatnonzero(indptr[:-1] == indptr[1:])
     if isolated.size:
         gather = np.insert(indices, indptr[isolated], isolated)
         starts = starts + np.searchsorted(isolated, np.arange(n))
-    reached = np.zeros((n, -(-len(sources) // 64)), dtype=_WORD)
+    width = -(-len(sources) // 64)
+    degree = np.diff(starts, append=len(gather))
+    if degree.max() * _COLUMN_WORDS < len(gather) * width:
+        neighbours = _column_or(gather, starts, degree)
+    else:
+        def neighbours(rows):
+            return np.bitwise_or.reduceat(rows[gather], starts, axis=0)
+    reached = np.zeros((n, width), dtype=_WORD)
     bits = np.arange(len(sources))
     reached.view(np.uint8)[sources, bits >> 3] = 1 << (bits & 7)  # each source itself
     unseen = ~reached
@@ -212,10 +226,31 @@ def _bfs_levels(graph: Graph, sources: Optional[np.ndarray] = None):
         pairs -= count
         if not pairs:
             return  # every pair is reached and the next level is empty
-        reached = np.bitwise_or.reduceat(reached[gather], starts, axis=0)
+        reached = neighbours(reached)
         reached &= unseen
         count = int(np.bitwise_count(reached).sum())
         unseen = unseen ^ reached
+
+
+def _column_or(gather: np.ndarray, starts: np.ndarray, degree: np.ndarray):
+    """The function from packed rows to the OR of each node's neighbour rows
+    (node v's are ``gather[starts[v]:starts[v] + degree[v]]``), one column
+    of neighbours at a time: column j holds the j-th neighbour of every node
+    with more than j. With the nodes in falling degree order each column is
+    a prefix, so it costs one gather and one in-place OR."""
+    n = len(degree)
+    order = np.argsort(-degree, kind="stable")
+    first = starts[order]
+    heads = n - np.cumsum(np.bincount(degree))[:-1]  # nodes with more than j neighbours
+    columns = [gather[first[:head] + j] for j, head in enumerate(heads)]
+    inverse = None if (order == np.arange(n)).all() else np.argsort(order)
+
+    def neighbours(rows):
+        out = rows[columns[0]]
+        for column in columns[1:]:
+            out[:len(column)] |= rows[column]
+        return out if inverse is None else out[inverse]
+    return neighbours
 
 
 def _circle(bfs, n: int, dep: int):
@@ -236,23 +271,36 @@ def _bit_parallel(graph: Graph, dep: int) -> DistanceMatrix:
     bfs = _bfs_levels(graph)
     counts, circle = _circle(bfs, graph.n, dep)
     counts += [count for _, count, _ in bfs]
-    return DistanceMatrix(graph.n, tuple(counts[1:]), circle, graph, _bit_parallel_dist)
+    return DistanceMatrix(graph.n, tuple(counts[1:]), circle, graph)
 
 
-def _bit_parallel_dist(graph: Graph) -> np.ndarray:
-    n = graph.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    for d, (reached, _, _) in enumerate(_bfs_levels(graph)):
-        dist[_unpack(reached, n)] = d
-    return dist
+def _write_levels(out: np.ndarray, bfs) -> np.ndarray:
+    """Writes level d of a ``_bfs_levels`` generator into ``out[v, i]`` for
+    every pair it newly reached, node v from source i, and returns ``out``.
+    Each round takes the lowest set bit of every nonzero word left, so a
+    level costs its nonzero words plus one round per bit of its fullest
+    word, and holds no array larger than its nonzero words."""
+    for d, (reached, _, _) in enumerate(bfs):
+        width = reached.shape[1]
+        packed = reached.ravel()
+        at = np.flatnonzero(packed)
+        words = packed[at]
+        while at.size:
+            low = words & (~words + _ONE)
+            words ^= low
+            out[at // width, at % width * 64 + np.bitwise_count(low - _ONE)] = d
+            left = words != 0
+            at, words = at[left], words[left]
+    return out
 
 
 def _pendant_forest(graph: Graph):
     """Peels nodes of degree <= 1 until none is left. A peeled node's
     parent is the one neighbour it still had, so the peeled nodes form trees
     hanging from the roots: the nodes of the 2-core, and the last node
-    peeled in each tree component. Returns each node's parent (-1 for a
-    root) and its depth below its root, as arrays."""
+    peeled in each tree component. Returns, as arrays, each node's parent
+    (-1 for a root), its depth below its root, its root, and its degree in
+    the 2-core (-1 for a peeled node)."""
     n = graph.n
     indptr, indices = (a.tolist() for a in graph.csr)
     degree = graph.degrees()
@@ -266,30 +314,123 @@ def _pendant_forest(graph: Graph):
                 degree[u] -= 1
                 if degree[u] == 1:
                     peel.append(u)
-    depth = [0] * n
+    depth, root = [0] * n, list(range(n))
     for v in reversed(peel):  # a parent peels after its children
         if parent[v] >= 0:
             depth[v] = depth[parent[v]] + 1
-    return np.array(parent), np.array(depth)
+            root[v] = root[parent[v]]
+    return np.array(parent), np.array(depth), np.array(root), np.array(degree)
+
+
+def _core_cycles(graph: Graph, degree: np.ndarray) -> list[np.ndarray]:
+    """The components of the 2-core in which every node has two 2-core
+    neighbours, each as its nodes in cycle order; ``degree`` is each node's
+    degree in the 2-core, -1 off it. A walk from a node of degree 2 stops at
+    a node of another degree, or at one already walked, so each node is
+    walked once."""
+    indptr, indices = (a.tolist() for a in graph.csr)
+    degree = degree.tolist()
+    walked = [False] * graph.n
+    cycles = []
+    for start in range(graph.n):
+        if degree[start] != 2 or walked[start]:
+            continue
+        walk, prev, node = [start], -1, start
+        walked[start] = True
+        while True:
+            node, prev = next(u for u in indices[indptr[node]:indptr[node + 1]]
+                              if degree[u] >= 0 and u != prev), node
+            if node == start:
+                cycles.append(np.array(walk))
+                break
+            if degree[node] != 2 or walked[node]:
+                break
+            walk.append(node)
+            walked[node] = True
+    return cycles
+
+
+def _count_rows(hops: np.ndarray, width: int) -> np.ndarray:
+    """Row i counts the values 0..width-1 of ``hops[i]``, one offset
+    ``bincount`` for all rows; larger values are not counted. Overwrites
+    ``hops``."""
+    rows = len(hops)
+    np.minimum(hops, width, out=hops)
+    hops += np.arange(0, rows * (width + 1), width + 1)[:, None]
+    counts = np.bincount(hops.ravel(), minlength=rows * (width + 1))
+    return counts.reshape(rows, width + 1)[:, :width]
+
+
+def _root_histograms(graph: Graph, depth: np.ndarray, root: np.ndarray,
+                     degree: np.ndarray, has_children: np.ndarray):
+    """Yields blocks (roots, hist) of pendant-forest roots and their
+    histograms, row i counting the nodes by hop distance from ``roots[i]``;
+    every root of the 2-core and every tree component's root with children
+    comes once. A shortest path between two 2-core nodes never enters a
+    pendant tree, which it could leave only through the node it entered by,
+    so a 2-core root r is d_core(r, root(v)) + depth(v) hops from each node
+    v of its component, with d_core the distance in the 2-core:
+
+    - a tree component's root sees its tree by depth;
+    - on a component of the 2-core that is one cycle of C nodes, d_core of
+      the nodes at positions i and j is min(|i - j|, C - |i - j|);
+    - the rest of the 2-core gets d_core from the multi-source BFS over its
+      induced subgraph, ``_SOURCES`` roots at a time."""
+    n = graph.n
+    tree_roots = np.flatnonzero((depth == 0) & (degree < 0) & has_children)
+    if tree_roots.size:
+        slot = np.full(n, -1)
+        slot[tree_roots] = np.arange(len(tree_roots))
+        nodes = np.flatnonzero(slot[root] >= 0)
+        width = int(depth[nodes].max()) + 1
+        yield tree_roots, np.bincount(slot[root[nodes]] * width + depth[nodes],
+                                      minlength=len(tree_roots) * width).reshape(-1, width)
+    ring, place = np.full(n, -1), np.zeros(n, dtype=np.intp)  # cycle and position on it
+    for index, cycle in enumerate(_core_cycles(graph, degree)):
+        size = len(cycle)
+        ring[cycle], place[cycle] = index, np.arange(size)
+        nodes = np.flatnonzero(ring[root] == index)
+        at, below = place[root[nodes]], depth[nodes]
+        for lo in range(0, size, _SOURCES):
+            hops = np.abs(np.arange(lo, min(lo + _SOURCES, size))[:, None] - at)
+            np.minimum(hops, size - hops, out=hops)
+            hops += below
+            yield cycle[lo:lo + _SOURCES], _count_rows(hops, size // 2 + int(below.max()) + 1)
+    rest = np.flatnonzero((degree >= 0) & (ring < 0))
+    if not rest.size:
+        return
+    at = np.full(n, -1)  # each remaining 2-core node's id in their induced subgraph
+    at[rest] = np.arange(len(rest))
+    u, v = at[graph.edges.T]
+    inside = (u >= 0) & (v >= 0)
+    core = Graph(len(rest), np.stack([u[inside], v[inside]], axis=1))
+    nodes = np.flatnonzero(at[root] >= 0)
+    column, below = at[root[nodes]], depth[nodes]
+    for lo in range(0, len(rest), _SOURCES):
+        sources = np.arange(lo, min(lo + _SOURCES, len(rest)))
+        dist = np.full((len(rest), len(sources)), UNREACHABLE, dtype=np.int32)
+        reach = _write_levels(dist, _bfs_levels(core, sources))[column].T
+        hops = reach + below
+        width = int(hops.max()) + 1
+        hops[reach == UNREACHABLE] = width
+        yield rest[sources], _count_rows(hops, width)
 
 
 def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
     """Summary for deep graphs: the circle from the first ``dep`` levels of
     the multi-source BFS, whose generator then stops, and the histogram from
-    ``_pendant_forest``, one layer of equal depth at a time. scipy's
-    traversal counts each root's distances. Every path out of a pendant node
-    v's subtree runs through v's parent p, so with S_v[d] the number of nodes
-    d levels below v, v's histogram is p's shifted by one, less S_v shifted
-    by two (v's subtree as p counts it), plus S_v."""
-    from scipy.sparse.csgraph import dijkstra
+    ``_pendant_forest``, one layer of equal depth at a time, starting from
+    the roots' histograms of ``_root_histograms``. Every path out of a
+    pendant node v's subtree runs through v's parent p, so with S_v[d] the
+    number of nodes d levels below v, v's histogram is p's shifted by one,
+    less S_v shifted by two (v's subtree as p counts it), plus S_v."""
     n = graph.n
     _, circle = _circle(_bfs_levels(graph), n, dep)
-    parent, depth = _pendant_forest(graph)
+    parent, depth, root, degree = _pendant_forest(graph)
     layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
-    roots = layers[0]
     has_children = np.zeros(n, dtype=bool)
     has_children[parent[parent >= 0]] = True
-    layers[0] = roots[has_children[roots]]
+    layers[0] = layers[0][has_children[layers[0]]]
     at = np.empty(n, dtype=np.intp)  # each node's row in its layer's arrays
     for layer in layers:
         at[layer] = np.arange(len(layer))
@@ -302,19 +443,17 @@ def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
             np.add.at(below[t][:, 1:], at[parent[layers[t + 1]]], below[t + 1])
     total = np.zeros(n + len(layers), dtype=np.int64)  # wide enough for every histogram
     kept = []
-    adj = _csgraph(graph)
-    for lo in range(0, len(roots), _ROWS):
-        sources = roots[lo:lo + _ROWS]
-        for root, row in zip(sources, dijkstra(adj, indices=sources, unweighted=True)):
-            counts = np.bincount(row[np.isfinite(row)].astype(np.intp))
-            total[:len(counts)] += counts
-            if has_children[root]:
-                kept.append(counts)
+    for roots, counts in _root_histograms(graph, depth, root, degree, has_children):
+        total[:counts.shape[1]] += counts.sum(axis=0)
+        keep = has_children[roots]
+        if keep.any():
+            kept.append((roots[keep], counts[keep]))
     # a node t layers deep sees at most t levels farther than its root does
     width = len(np.trim_zeros(total, "b")) + len(layers)
-    hist = np.zeros((len(kept), width), dtype=np.int32)
-    for row, counts in zip(hist, kept):
-        row[:len(counts)] = counts
+    hist = np.zeros((len(layers[0]), width), dtype=np.int32)
+    for roots, counts in kept:
+        counts = counts[:, :width]
+        hist[at[roots], :counts.shape[1]] = counts
     # top-down: each layer's histograms from its parents', which then go
     for t in range(1, len(layers)):
         above = hist[at[parent[layers[t]]], :-1]
@@ -326,22 +465,7 @@ def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
         below[t] = None
         total[:width] += hist.sum(axis=0)
     levels = tuple(np.trim_zeros(total[1:], "b").tolist())
-    return DistanceMatrix(n, levels, circle, graph, _scipy_dist)
-
-
-def _scipy_dist(graph: Graph) -> np.ndarray:
-    """The dense matrix from scipy's per-source traversal, a block of
-    ``_ROWS`` sources at a time, so the float64 distances scipy returns
-    never take more than a block."""
-    from scipy.sparse.csgraph import shortest_path
-    adj = _csgraph(graph)
-    n = graph.n
-    dist = np.empty((n, n), dtype=np.int32)
-    for lo in range(0, n, _ROWS):
-        raw = shortest_path(adj, indices=np.arange(lo, min(lo + _ROWS, n)), unweighted=True)
-        raw[np.isinf(raw)] = UNREACHABLE
-        dist[lo:lo + _ROWS] = raw
-    return dist
+    return DistanceMatrix(n, levels, circle, graph)
 
 
 def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
@@ -351,14 +475,15 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     Graphs whose depth bound fits the level budget go through one
     bit-parallel multi-source BFS. Deeper graphs take the circle from the
     first ``dep`` levels of that BFS and the histogram from the pendant
-    forest: scipy's traversal from the roots (the 2-core and one node per
-    tree component), and each pendant node's histogram derived from its
-    parent's, one layer of equal depth at a time. That costs roots x (n + m)
-    plus, per layer, its width x the histogram width. Neither path holds an
-    n x n matrix. Both give the same summary, and pairs in different
-    components count as UNREACHABLE. The choice between them is a numpy
-    double sweep, so scipy is loaded only for a graph that takes the deep
-    path.
+    forest: the roots' histograms (the 2-core and one node per tree
+    component) as offset counts of their distances to the roots plus each
+    node's depth below its root, with closed-form distances on a 2-core
+    component that is one cycle and a bit-parallel search over the rest of
+    the 2-core; then each pendant node's histogram derived from its
+    parent's, one layer of equal depth at a time. Neither path holds an
+    n x n matrix; both are numpy alone. Both give the same summary, and
+    pairs in different components count as UNREACHABLE. The choice between
+    them is a numpy double sweep.
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")

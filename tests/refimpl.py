@@ -153,15 +153,14 @@ def pack(bits: np.ndarray) -> np.ndarray:
 def summary_from_dense(dist: np.ndarray, dep: int) -> DistanceMatrix:
     """The distance summary at ``dep`` of a dense hop-count matrix, built
     the naive way, over the graph of its pairs at distance 1; its ``dist``
-    gives a copy of the matrix."""
+    is searched from that graph."""
     dist = np.asarray(dist, dtype=np.int32)
     n = len(dist)
     diameter = int(dist.max(initial=0))
     levels = tuple(int((dist == d).sum()) for d in range(1, diameter + 1))
     within = (dist != UNREACHABLE) & (dist <= dep)
     graph = Graph(n, np.argwhere(np.triu(dist == 1)))
-    return DistanceMatrix(n, levels, SocialCircle(n, dep, pack(within)), graph,
-                          lambda graph: dist.copy())
+    return DistanceMatrix(n, levels, SocialCircle(n, dep, pack(within)), graph)
 
 
 def stdlib_market(n: int, rng: random.Random) -> Market:

@@ -1,5 +1,6 @@
 """Experiment harness: seed derivation, config validation, sweeps, output."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -278,7 +279,7 @@ def _perfbench_checks():
     return module
 
 
-@pytest.mark.parametrize("n", [40, 300], ids=["bit-parallel", "scipy"])
+@pytest.mark.parametrize("n", [40, 300], ids=["bit-parallel", "deep"])
 def test_benchmark_gate_and_counts_read_served_cells(cold_map, n):
     checks = _perfbench_checks()
     cold = run_cell_full("ncn", n, 2, seed=0)
@@ -399,8 +400,25 @@ def test_import_and_a_paper_scale_cell_never_load_numpy_random():
     assert out.strip() == "False"
 
 
+def test_no_module_of_the_library_imports_scipy():
+    # scipy is a test dependency only: every module under src/circlematch,
+    # parsed, names it in no import statement
+    package = Path(circlematch.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 6
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                f"{module.name}:{node.lineno} imports {names}"
+
+
 def test_paper_scale_cell_never_loads_scipy():
-    # scipy is imported only for graphs past the bit-parallel size threshold
     src = os.path.dirname(os.path.dirname(circlematch.__file__))
     code = ("import sys, circlematch; from circlematch import harness; "
             "harness.run_cell('er', 100, 4); print('scipy' in sys.modules)")
@@ -410,7 +428,6 @@ def test_paper_scale_cell_never_loads_scipy():
 
 
 def test_shallow_cell_past_the_size_threshold_never_loads_scipy():
-    # the depth probe is numpy; only a graph that takes the deep path needs scipy
     src = os.path.dirname(os.path.dirname(circlematch.__file__))
     code = ("import sys; from circlematch import harness, topology; "
             "cell = harness.run_cell_full('er', 300, 4); dist = cell.dm.dist; "
@@ -419,3 +436,20 @@ def test_shallow_cell_past_the_size_threshold_never_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split()[1:] == ["300", "False"]
+
+
+def test_deep_cells_never_load_scipy():
+    # the k=2 rings at n=2000 take the deep path, its summary, its dense
+    # matrix and the report included
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys; from circlematch import harness, topology\n"
+            "for model in ('ws', 'ncn'):\n"
+            "    cell = harness.run_cell_full(model, 2000, 2)\n"
+            "    assert topology._too_deep(cell.graph), model\n"
+            "    dist = cell.dm.dist\n"
+            "    report = topology.analyze(cell.graph)\n"
+            "    print(model, int(dist.max()) == cell.dm.diameter(), report.n)\n"
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["ws", "True", "2000", "ncn", "True", "2000", "False"]

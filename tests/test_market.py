@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from circlematch import market as market_module
 from circlematch.harness import derive_seed
 from circlematch.market import (
     Market,
@@ -26,11 +27,12 @@ from circlematch.market import (
     market_bytes,
     matching_to_dict,
     restricted_deferred_acceptance,
+    _check_permutations,
     _positions_of,
     _rank_dtype,
 )
 from circlematch.netgen import MODELS, Graph, generate
-from circlematch.topology import all_pairs_shortest
+from circlematch.topology import DistanceMatrix, all_pairs_shortest
 
 from refimpl import (agent_utility, full_circle, make_market, market_to_dict,
                      naive_blocking_pair, naive_deferred_acceptance, pair_utility, position,
@@ -110,6 +112,40 @@ def test_non_permutation_names_the_first_bad_agent(side):
     ids = women if side == "woman" else men
     with pytest.raises(ValueError, match=rf"^rank list of {side} {ids[250]} is not a permutation"):
         Market(women, men, *prefs)
+
+
+@pytest.mark.parametrize("stream", ["v1", "v2"])
+@pytest.mark.parametrize("n", [2, 4, 600, 1000])
+def test_drawn_rows_pass_the_permutation_check(monkeypatch, stream, n):
+    """build_market hands its rows over without sorting them; they pass the
+    check ``Market(...)`` runs, at h=300 and h=500 across a block boundary,
+    and the market and the rng end state are those of the checked build."""
+    handed = []
+    drawn = Market._drawn.__func__
+
+    def checked(cls, women, men, women_prefs, men_prefs):
+        handed.append((women, men, women_prefs, men_prefs))
+        return drawn(cls, women, men, women_prefs, men_prefs)
+
+    monkeypatch.setattr(Market, "_drawn", classmethod(checked))
+    rng = random.Random(n)
+    market = build_market(n, rng, stream)
+    [(women, men, women_prefs, men_prefs)] = handed
+    _check_permutations("woman", women, women_prefs)
+    _check_permutations("man", men, men_prefs)
+    reference = random.Random(n)
+    assert market == Market(*handed[0]) == build_market(n, reference, stream)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_build_market_sorts_no_row_but_the_constructor_does(monkeypatch):
+    sorted_sides = []
+    monkeypatch.setattr(market_module, "_check_permutations",
+                        lambda side, ids, prefs: sorted_sides.append(side))
+    market = build_market(40, random.Random(0))
+    assert sorted_sides == []
+    Market(market.women, market.men, women_prefs(market), market.men_prefs)
+    assert sorted_sides == ["woman", "man"]
 
 
 def test_market_arrays_are_read_only():
@@ -584,18 +620,18 @@ def test_blocking_pair_reports_mutual_gain(seed, n_pool, models, deferred):
 
 # -------------------------------------------------------------- serialization
 
-def test_matching_to_dict_reads_distances_without_a_dense_matrix():
+def test_matching_to_dict_reads_distances_without_a_dense_matrix(monkeypatch):
     inst = random_instance(4, n_pool=(40,), dep_pool=(3,), models=("er",))
     matching = restricted_deferred_acceptance(inst.market, inst.circle)
+    expected = [inst.dm.dist[w, m] for w, m in matching.pairs]
 
-    def refuse(graph):
+    def refuse(summary):
         raise AssertionError("the dense matrix was built")
 
-    summary = dataclasses.replace(inst.dm, _rebuild=refuse)
-    payload = matching_to_dict(inst.market, summary, matching)
+    monkeypatch.setattr(DistanceMatrix, "dist", property(refuse))
+    payload = matching_to_dict(inst.market, inst.dm, matching)
     assert payload["pairs"]
-    assert [p["distance"] for p in payload["pairs"]] == [
-        inst.dm.dist[w, m] for w, m in matching.pairs]
+    assert [p["distance"] for p in payload["pairs"]] == expected
     assert [p["pair_utility"] for p in payload["pairs"]] == [
         pair_utility(inst.market, w, m) for w, m in matching.pairs]
 

@@ -224,6 +224,71 @@ def test_both_paths_match_networkx_at_n300(name, graph, deep):
     assert_summary_matches(lambda dep: all_pairs_shortest(graph, dep), dist, deps)
 
 
+def search_levels(graph, sources, column_words, monkeypatch):
+    """Every level ``_bfs_levels`` yields, copied, with ``_COLUMN_WORDS``
+    set so that the neighbour OR is always or never taken by columns."""
+    monkeypatch.setattr(topology, "_COLUMN_WORDS", column_words)
+    return [(reached.copy(), count, unseen.copy())
+            for reached, count, unseen in topology._bfs_levels(graph, sources)]
+
+
+def assert_both_ors_agree(graph, sources, monkeypatch):
+    by_columns = search_levels(graph, sources, 0, monkeypatch)
+    by_reduceat = search_levels(graph, sources, 10 ** 12, monkeypatch)
+    assert len(by_columns) == len(by_reduceat)
+    for (r1, c1, u1), (r2, c2, u2) in zip(by_columns, by_reduceat):
+        assert c1 == c2 and np.array_equal(r1, r2) and np.array_equal(u1, u2)
+
+
+def star_and_path(n):
+    """A hub joined to half the nodes, and a path through the other half:
+    degrees from 1 to n/2, and every node after the hub out of degree order."""
+    half = n // 2
+    return Graph(n, [(0, v) for v in range(1, half)] + [(v, v + 1) for v in range(half, n - 1)])
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("ring", generate_ncn(150, 2)),
+    ("er", generate_er(150, 300, random.Random(1))),
+    ("ba", generate_ba(150, 3, random.Random(2))),
+    ("isolated nodes", sparse_evens(150)),
+    ("edgeless", Graph(70, [])),
+    ("star and path", star_and_path(150)),
+    ("spider", spider()),
+])
+def test_neighbour_or_by_columns_matches_reduceat(name, graph, monkeypatch):
+    assert_both_ors_agree(graph, None, monkeypatch)
+    assert_both_ors_agree(graph, np.array([graph.n - 1, 0, graph.n // 2]), monkeypatch)
+
+
+@given(st.data())
+def test_neighbour_or_by_columns_matches_reduceat_on_random_edge_sets(data):
+    n = data.draw(st.integers(1, 80))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n))
+    graph = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    sources = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                          unique=True)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_both_ors_agree(graph, sources, monkeypatch)
+
+
+@pytest.mark.parametrize("graph, by_columns", [
+    (generate_ncn(2000, 2), True),
+    (generate("er", 2000, 4, rng=random.Random(1)), True),
+    (generate("ba", 2000, 4, rng=random.Random(1)), True),
+    (generate_ncn(300, 2), False),
+    (generate("ba", 300, 8, rng=random.Random(1)), False),
+    (generate("er", 100, 8, rng=random.Random(1)), False),
+], ids=["ncn 2000", "er 2000", "ba 2000", "ncn 300", "ba 300", "er 100"])
+def test_wide_searches_or_neighbours_by_columns(graph, by_columns, monkeypatch):
+    calls = []
+    column_or = topology._column_or
+    monkeypatch.setattr(topology, "_column_or", lambda *a: calls.append(1) or column_or(*a))
+    next(topology._bfs_levels(graph))
+    assert bool(calls) == by_columns
+
+
 @pytest.mark.parametrize("n", [129, 300, 2000])
 @pytest.mark.parametrize("model", MODELS)
 def test_depth_probe_matches_scipy_on_the_models(model, n):
@@ -312,15 +377,101 @@ def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
     assert np.array_equal(flat.distances(a, b), reference)
 
 
+def assert_deep_path_matches(graph, deps):
+    """The deep path's levels, circle and dense matrix equal the
+    bit-parallel path's and the naive BFS's at each depth of ``deps``."""
+    dist = naive_distances(graph)
+    for dep in deps:
+        deep, flat = topology._deep_paths(graph, dep), topology._bit_parallel(graph, dep)
+        assert deep.levels == flat.levels == tuple(np.bincount(dist[dist > 0])[1:].tolist())
+        assert np.array_equal(deep.circle.bits, flat.circle.bits)
+        assert np.array_equal(deep.dist, dist) and np.array_equal(flat.dist, dist)
+
+
+def theta(chains):
+    """Branch nodes 0 and 1 joined by chains of the given numbers of inner
+    nodes; a chain of 0 inner nodes is the edge (0, 1)."""
+    edges, end = [], 2
+    for inner in chains:
+        path = [0] + list(range(end, end + inner)) + [1]
+        edges += list(zip(path, path[1:]))
+        end += inner
+    return Graph(end, edges)
+
+
+def with_trees(graph, extra, seed):
+    """``graph`` with ``extra`` more nodes, each joined to a random earlier
+    node, so that trees hang from it; ids shuffled."""
+    rng = random.Random(seed)
+    n = graph.n
+    edges = graph.edges.tolist() + [(v, rng.randrange(v)) for v in range(n, n + extra)]
+    return relabel(Graph(n + extra, edges), seed)
+
+
+def chorded_ring(size):
+    """A ring whose even nodes also join the even node two ahead: every odd
+    node is a 2-core chain of one node between two branch nodes."""
+    ring = [(i, (i + 1) % size) for i in range(size)]
+    return Graph(size, ring + [(i, (i + 2) % size) for i in range(0, size, 2)])
+
+
+def mixed_components():
+    """A 50-node cycle, a random 40-node tree, a rewired 100-node ring (two
+    cycles with trees hanging from them), a 20-node chorded ring, a theta
+    with a 3-node path hanging from it and 10 isolated nodes, with the ids
+    shuffled: every kind of forest root, and two 2-core components searched
+    together."""
+    rng = random.Random(7)
+    cycle = [(i, (i + 1) % 50) for i in range(50)]
+    tree = [(50 + v, 50 + rng.randrange(v)) for v in range(1, 40)]
+    rewired = [(90 + u, 90 + v) for u, v in
+               generate("ws", 100, 2, rng=random.Random(8000)).edges.tolist()]
+    chorded = [(190 + u, 190 + v) for u, v in chorded_ring(20).edges.tolist()]
+    branched = [(210 + u, 210 + v) for u, v in theta([3, 4, 5]).edges.tolist()]
+    tail = [(215, 224), (224, 225), (225, 226)]
+    return relabel(Graph(237, cycle + tree + rewired + chorded + branched + tail), 7)
+
+
+@pytest.mark.parametrize("name, graph, cycles", [
+    ("odd ring", generate_ncn(301, 2), 1),
+    ("even ring", generate_ncn(300, 2), 1),
+    ("triangle", generate_ncn(3, 2), 1),
+    ("ring with pendant trees", with_trees(generate_ncn(120, 2), 180, 1), 1),
+    ("ring with pendant paths", ring_with_pendant_paths(), 1),
+    ("spider", spider(), 1),
+    ("theta", theta([5, 8, 13]), 0),
+    ("theta with pendant trees", with_trees(theta([5, 8, 13]), 62, 2), 0),
+    ("chains of one node and an edge", theta([1, 1, 1, 0]), 0),
+    ("chorded ring", chorded_ring(60), 0),
+    ("mixed components", mixed_components(), 3),
+    ("path", path(150), 0),
+    ("edgeless", Graph(20, []), 0),
+])
+def test_deep_path_matches_bit_parallel_and_naive_bfs(name, graph, cycles):
+    assert_deep_path_matches(graph, (1, 3))
+    # the cycles took the closed form, and the rest of the 2-core the search
+    degree = topology._pendant_forest(graph)[3]
+    assert len(topology._core_cycles(graph, degree)) == cycles
+
+
+@given(st.data())
+def test_deep_path_matches_on_random_sparse_edge_sets(data):
+    n = data.draw(st.integers(1, 60))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=n + n // 4))
+    graph = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    assert_deep_path_matches(graph, (data.draw(st.integers(1, 4)),))
+
+
 @pytest.mark.parametrize("spine_first", [True, False], ids=["spine ids first", "leaf ids first"])
 def test_deep_path_keeps_few_rows_past_their_block(spine_first):
     # The caterpillar is one tree rooted mid-spine: about 500 forest layers
     # of four nodes. The bound guards that the deep path keeps no n-wide row
     # per pendant node; 8 kB rows for the 1000 spine nodes alone would take
-    # 8 MB. The peak, 2.9 MB under either labeling, is the circle (0.5 MB),
+    # 8 MB. The peak, 3.1 MB under either labeling, is the circle (0.5 MB),
     # the per-layer subtree profiles (2.0 MB) and two layers of histograms.
     graph = caterpillar(2000, spine_first)
-    topology._deep_paths(graph, 3)  # scipy imported and the CSR cached outside the trace
+    topology._deep_paths(graph, 3)  # the CSR cached outside the trace
     tracemalloc.start()
     try:
         topology._deep_paths(graph, 3)
@@ -363,7 +514,7 @@ def test_distance_raises_past_the_circle():
 
 
 @pytest.mark.parametrize("graph", [generate_ncn(40, 2), generate_ncn(300, 2)],
-                         ids=["bit-parallel", "scipy"])
+                         ids=["bit-parallel", "deep"])
 def test_dense_matrix_is_rebuilt_on_every_read(graph):
     dm = all_pairs_shortest(graph, 3)
     first, second = dm.dist, dm.dist
