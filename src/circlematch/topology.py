@@ -13,18 +13,14 @@ from .netgen import Graph
 
 UNREACHABLE = -1
 
-# Graphs up to this many nodes always take the bit-parallel path.
+# Graphs up to this many nodes always take the bit-parallel path. A larger
+# graph takes the deep path when its 2-core is disjoint cycles (or empty):
+# the bit-parallel pass costs O(levels * n^2 / 64) words, while the deep
+# path costs the pendant-forest peel, one closed-form count per cycle and,
+# for each layer of the forest, its width times the histogram width.
 _SMALL_N = 128
-# A graph whose double-sweep depth bound exceeds this many levels takes the
-# deep path: the bit-parallel pass costs O(levels * n^2 / 64) words, while
-# the deep path costs, for the 2-core nodes outside cycle components, a
-# bit-parallel search over the 2-core (O(core levels * (n + m) * roots / 64)
-# words), plus one count of roots x n offsets, plus, for each layer of the
-# pendant forest, its width times the histogram width (the longest root
-# histogram plus the number of layers).
-_LEVEL_BUDGET = 64
-# Roots per block of the deep path, so that its core distances and hop
-# offsets never take more than this many rows of n entries at a time.
+# Cycle nodes per block of the deep path, so that its hop offsets never
+# take more than this many rows of n entries at a time.
 _SOURCES = 256
 # The BFS ORs neighbour rows by columns when its highest degree times this
 # many words is below the words of all neighbour rows: a column costs a few
@@ -138,52 +134,6 @@ class DistanceMatrix:
         """Largest finite distance between distinct nodes, or None if every
         pair is disconnected (or there are no pairs at all)."""
         return len(self.levels) or None
-
-
-def _too_deep(graph: Graph) -> bool:
-    """Whether a double sweep (Magnien, Latapy & Habib, "Fast computation of
-    empirically tight bounds for the diameter of massive graphs", JEA 2009)
-    proves some shortest path longer than the level budget. In every
-    component at once, a first BFS runs from the component's smallest node
-    and a second from the largest id among the nodes farthest from it; the
-    second's depth is a lower bound on the component's diameter. Either
-    sweep stops once it passes the budget, since the first's depth bounds
-    the second's from below. Each round is one pass over the edges of all
-    components together, so the cost does not grow with their number."""
-    n = graph.n
-    if n <= _SMALL_N:
-        return False
-    indptr, indices = graph.csr
-    source = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))  # each CSR entry's row
-    # After round r each node holds the smallest id within r hops, so the
-    # last round that changes a node's label is its distance from its
-    # component's smallest node.
-    label = np.arange(n, dtype=np.int32)
-    depth = np.zeros(n, dtype=np.int32)
-    for r in range(1, _LEVEL_BUDGET + 2):
-        nearer = label.copy()
-        np.minimum.at(nearer, indices, label[source])
-        changed = nearer != label
-        if not changed.any():
-            break
-        if r > _LEVEL_BUDGET:
-            return True
-        depth[changed] = r
-        label = nearer
-    # the farthest node of each component comes last in (label, depth) order
-    order = np.lexsort((depth, label))
-    far = order[np.append(np.flatnonzero(np.diff(label[order])), n - 1)]
-    frontier = np.zeros(n, dtype=bool)
-    frontier[far] = True
-    unseen = ~frontier
-    for _ in range(_LEVEL_BUDGET + 1):
-        reached = np.zeros(n, dtype=bool)
-        reached[indices[frontier[source]]] = True
-        frontier = reached & unseen
-        if not frontier.any():
-            return False
-        unseen &= ~frontier
-    return True
 
 
 def _bfs_levels(graph: Graph, sources: Optional[np.ndarray] = None):
@@ -323,59 +273,48 @@ def _pendant_forest(graph: Graph):
 
 
 def _core_cycles(graph: Graph, degree: np.ndarray) -> list[np.ndarray]:
-    """The components of the 2-core in which every node has two 2-core
-    neighbours, each as its nodes in cycle order; ``degree`` is each node's
-    degree in the 2-core, -1 off it. A walk from a node of degree 2 stops at
-    a node of another degree, or at one already walked, so each node is
-    walked once."""
+    """The components of a 2-core that is disjoint cycles, each as its nodes
+    in cycle order; ``degree`` is each node's degree in the 2-core: 2 on it,
+    -1 off it. Each walk goes round one cycle back to its start."""
     indptr, indices = (a.tolist() for a in graph.csr)
     degree = degree.tolist()
     walked = [False] * graph.n
     cycles = []
     for start in range(graph.n):
-        if degree[start] != 2 or walked[start]:
+        if degree[start] < 0 or walked[start]:
             continue
-        walk, prev, node = [start], -1, start
-        walked[start] = True
-        while True:
-            node, prev = next(u for u in indices[indptr[node]:indptr[node + 1]]
-                              if degree[u] >= 0 and u != prev), node
-            if node == start:
-                cycles.append(np.array(walk))
-                break
-            if degree[node] != 2 or walked[node]:
-                break
+        walk, prev, node = [], -1, start
+        while not walk or node != start:
             walk.append(node)
             walked[node] = True
+            node, prev = next(u for u in indices[indptr[node]:indptr[node + 1]]
+                              if degree[u] >= 0 and u != prev), node
+        cycles.append(np.array(walk))
     return cycles
 
 
 def _count_rows(hops: np.ndarray, width: int) -> np.ndarray:
-    """Row i counts the values 0..width-1 of ``hops[i]``, one offset
-    ``bincount`` for all rows; larger values are not counted. Overwrites
-    ``hops``."""
+    """Row i counts the values of ``hops[i]``, each in 0..width-1, by one
+    offset ``bincount`` for all rows. Overwrites ``hops``."""
     rows = len(hops)
-    np.minimum(hops, width, out=hops)
-    hops += np.arange(0, rows * (width + 1), width + 1)[:, None]
-    counts = np.bincount(hops.ravel(), minlength=rows * (width + 1))
-    return counts.reshape(rows, width + 1)[:, :width]
+    hops += np.arange(0, rows * width, width)[:, None]
+    return np.bincount(hops.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 def _root_histograms(graph: Graph, depth: np.ndarray, root: np.ndarray,
                      degree: np.ndarray, has_children: np.ndarray):
     """Yields blocks (roots, hist) of pendant-forest roots and their
     histograms, row i counting the nodes by hop distance from ``roots[i]``;
-    every root of the 2-core and every tree component's root with children
-    comes once. A shortest path between two 2-core nodes never enters a
-    pendant tree, which it could leave only through the node it entered by,
-    so a 2-core root r is d_core(r, root(v)) + depth(v) hops from each node
-    v of its component, with d_core the distance in the 2-core:
+    every root of the 2-core, which must be disjoint cycles, and every tree
+    component's root with children comes once. A shortest path between two
+    2-core nodes never enters a pendant tree, which it could leave only
+    through the node it entered by, so a 2-core root r is
+    d_core(r, root(v)) + depth(v) hops from each node v of its component,
+    with d_core the distance in the 2-core:
 
     - a tree component's root sees its tree by depth;
-    - on a component of the 2-core that is one cycle of C nodes, d_core of
-      the nodes at positions i and j is min(|i - j|, C - |i - j|);
-    - the rest of the 2-core gets d_core from the multi-source BFS over its
-      induced subgraph, ``_SOURCES`` roots at a time."""
+    - on a cycle of C nodes, d_core of the nodes at positions i and j is
+      min(|i - j|, C - |i - j|), counted ``_SOURCES`` roots at a time."""
     n = graph.n
     tree_roots = np.flatnonzero((depth == 0) & (degree < 0) & has_children)
     if tree_roots.size:
@@ -396,37 +335,24 @@ def _root_histograms(graph: Graph, depth: np.ndarray, root: np.ndarray,
             np.minimum(hops, size - hops, out=hops)
             hops += below
             yield cycle[lo:lo + _SOURCES], _count_rows(hops, size // 2 + int(below.max()) + 1)
-    rest = np.flatnonzero((degree >= 0) & (ring < 0))
-    if not rest.size:
-        return
-    at = np.full(n, -1)  # each remaining 2-core node's id in their induced subgraph
-    at[rest] = np.arange(len(rest))
-    u, v = at[graph.edges.T]
-    inside = (u >= 0) & (v >= 0)
-    core = Graph(len(rest), np.stack([u[inside], v[inside]], axis=1))
-    nodes = np.flatnonzero(at[root] >= 0)
-    column, below = at[root[nodes]], depth[nodes]
-    for lo in range(0, len(rest), _SOURCES):
-        sources = np.arange(lo, min(lo + _SOURCES, len(rest)))
-        dist = np.full((len(rest), len(sources)), UNREACHABLE, dtype=np.int32)
-        reach = _write_levels(dist, _bfs_levels(core, sources))[column].T
-        hops = reach + below
-        width = int(hops.max()) + 1
-        hops[reach == UNREACHABLE] = width
-        yield rest[sources], _count_rows(hops, width)
 
 
-def _deep_paths(graph: Graph, dep: int) -> DistanceMatrix:
-    """Summary for deep graphs: the circle from the first ``dep`` levels of
-    the multi-source BFS, whose generator then stops, and the histogram from
+def _deep_paths(graph: Graph, dep: int) -> Optional[DistanceMatrix]:
+    """Summary for a graph whose 2-core is disjoint cycles or empty, or
+    None when some 2-core node has three or more 2-core neighbours: then
+    ``_root_histograms`` could not count the 2-core, and the bit-parallel
+    path pays. The circle comes from the first ``dep`` levels of the
+    multi-source BFS, whose generator then stops, and the histogram from
     ``_pendant_forest``, one layer of equal depth at a time, starting from
     the roots' histograms of ``_root_histograms``. Every path out of a
     pendant node v's subtree runs through v's parent p, so with S_v[d] the
     number of nodes d levels below v, v's histogram is p's shifted by one,
     less S_v shifted by two (v's subtree as p counts it), plus S_v."""
     n = graph.n
-    _, circle = _circle(_bfs_levels(graph), n, dep)
     parent, depth, root, degree = _pendant_forest(graph)
+    if (degree > 2).any():
+        return None
+    _, circle = _circle(_bfs_levels(graph), n, dep)
     layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
     has_children = np.zeros(n, dtype=bool)
     has_children[parent[parent >= 0]] = True
@@ -472,22 +398,21 @@ def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """Minimum hop count between every node pair, summarized in one pass:
     the level histogram and the social circle of pairs within ``dep`` hops.
 
-    Graphs whose depth bound fits the level budget go through one
-    bit-parallel multi-source BFS. Deeper graphs take the circle from the
-    first ``dep`` levels of that BFS and the histogram from the pendant
-    forest: the roots' histograms (the 2-core and one node per tree
-    component) as offset counts of their distances to the roots plus each
-    node's depth below its root, with closed-form distances on a 2-core
-    component that is one cycle and a bit-parallel search over the rest of
-    the 2-core; then each pendant node's histogram derived from its
-    parent's, one layer of equal depth at a time. Neither path holds an
-    n x n matrix; both are numpy alone. Both give the same summary, and
-    pairs in different components count as UNREACHABLE. The choice between
-    them is a numpy double sweep.
+    A graph of more than ``_SMALL_N`` nodes whose 2-core is disjoint cycles,
+    or empty, takes the deep path: the circle from the first ``dep`` levels
+    of the bit-parallel multi-source BFS and the histogram from the pendant
+    forest, the roots' histograms (each cycle node's in closed form, and
+    one per tree component) as offset counts of their distances to the
+    roots plus each node's depth below its root, then each pendant node's
+    histogram derived from its parent's, one layer of equal depth at a
+    time. Every other graph goes through that BFS alone. Neither path holds
+    an n x n matrix; both are numpy alone. Both give the same summary, and
+    pairs in different components count as UNREACHABLE.
     """
     if dep < 1:
         raise ValueError(f"recognition depth must be >= 1, got {dep}")
-    return (_deep_paths if _too_deep(graph) else _bit_parallel)(graph, dep)
+    deep = _deep_paths(graph, dep) if graph.n > _SMALL_N else None
+    return deep or _bit_parallel(graph, dep)
 
 
 def average_degree(graph: Graph) -> float:

@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from circlematch import topology
 from circlematch.harness import derive_seed
 from circlematch.market import Market, Matching, build_market
 from circlematch.netgen import MODELS, Graph, generate, generate_er
@@ -120,25 +119,6 @@ def naive_distances(graph: Graph) -> np.ndarray:
                     dist[source, v] = dist[source, u] + 1
                     queue.append(v)
     return dist
-
-
-def scipy_too_deep(graph: Graph) -> bool:
-    """The double-sweep depth probe by scipy's traversals, with no size
-    shortcut: label the components, run one BFS from each component's
-    smallest node and a second from the largest id among the nodes farthest
-    from it, and report whether the second goes past the level budget."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, dijkstra
-    n = graph.n
-    indptr, indices = graph.csr
-    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    _, component = connected_components(adj, directed=False)
-    _, first = np.unique(component, return_index=True)
-    depth = dijkstra(adj, indices=first, unweighted=True, min_only=True)
-    # the farthest node of each component comes last in (component, depth) order
-    order = np.lexsort((depth, component))
-    far = order[np.append(np.flatnonzero(np.diff(component[order])), n - 1)]
-    return dijkstra(adj, indices=far, unweighted=True, min_only=True).max() > topology._LEVEL_BUDGET
 
 
 def pack(bits: np.ndarray) -> np.ndarray:

@@ -440,12 +440,14 @@ def test_shallow_cell_past_the_size_threshold_never_loads_scipy():
 
 def test_deep_cells_never_load_scipy():
     # the k=2 rings at n=2000 take the deep path, its summary, its dense
-    # matrix and the report included
+    # matrix and the report included; a spy counts the deep summaries
     src = os.path.dirname(os.path.dirname(circlematch.__file__))
     code = ("import sys; from circlematch import harness, topology\n"
+            "deep, real = [], topology._deep_paths\n"
+            "topology._deep_paths = lambda *a: deep.append(real(*a)) or deep[-1]\n"
             "for model in ('ws', 'ncn'):\n"
             "    cell = harness.run_cell_full(model, 2000, 2)\n"
-            "    assert topology._too_deep(cell.graph), model\n"
+            "    assert deep[-1] is cell.dm, model\n"
             "    dist = cell.dm.dist\n"
             "    report = topology.analyze(cell.graph)\n"
             "    print(model, int(dist.max()) == cell.dm.diameter(), report.n)\n"

@@ -30,7 +30,7 @@ from circlematch.topology import (
     reachable_pairs,
 )
 
-from refimpl import naive_distances, random_instance, scipy_too_deep
+from refimpl import naive_distances, random_instance
 
 
 CYCLE6 = generate_ncn(6, 2)
@@ -114,15 +114,55 @@ def assert_summary_matches(summarize, dist, deps):
         assert [circle.contains(a, b) for a in range(n) for b in range(n)] == within.ravel().tolist()
 
 
+def functional_graph(targets, isolated=0):
+    """Node v joined to node ``targets[v]`` for every v, repeated pairs
+    dropped, and ``isolated`` more nodes with no edge: each component is a
+    cycle with trees hanging from it, or a tree where two nodes chose each
+    other, so every graph of this kind is one the deep path accepts."""
+    return Graph(len(targets) + isolated,
+                 sorted({(min(v, t), max(v, t)) for v, t in enumerate(targets)}))
+
+
+def random_functional_graph(seed):
+    """A functional graph of 4-40 nodes, each joined to a random other node,
+    and up to 4 isolated nodes."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 41)
+    return functional_graph([(v + rng.randrange(1, n)) % n for v in range(n)], rng.randrange(5))
+
+
 @given(st.integers(0, 300))
 def test_summary_matches_naive_bfs_on_both_paths(seed):
     inst = random_instance(seed)
     slow = naive_distances(inst.graph)
     assert inst.dm.circle.dep == inst.dep
     for summarize in (lambda dep: all_pairs_shortest(inst.graph, dep),
-                      lambda dep: topology._bit_parallel(inst.graph, dep),
-                      lambda dep: topology._deep_paths(inst.graph, dep)):
+                      lambda dep: topology._bit_parallel(inst.graph, dep)):
         assert_summary_matches(summarize, slow, (1, 2, 3, 4))
+    graph = random_functional_graph(seed)
+    assert_summary_matches(lambda dep: topology._deep_paths(graph, dep),
+                           naive_distances(graph), (1, 2, 3, 4))
+
+
+def path_taken(graph, dep=3):
+    """The path ``all_pairs_shortest(graph, dep)`` takes, "deep" or
+    "bit-parallel", as spies on ``_deep_paths`` and ``_bit_parallel`` see
+    it: the one whose summary it returned."""
+    taken = []
+
+    def spy(name, real):
+        def summarize(graph, dep):
+            dm = real(graph, dep)
+            if dm is not None:
+                taken.append((name, dm))
+            return dm
+        return summarize
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, attr in (("deep", "_deep_paths"), ("bit-parallel", "_bit_parallel")):
+            monkeypatch.setattr(topology, attr, spy(name, getattr(topology, attr)))
+        dm = all_pairs_shortest(graph, dep)
+    assert len(taken) == 1 and taken[0][1] is dm
+    return taken[0][0]
 
 
 def networkx_distances(graph):
@@ -203,11 +243,11 @@ def spider():
 
 @pytest.mark.parametrize("name, graph, deep", [
     ("ncn ring", generate_ncn(300, 2), True),
-    ("ring beside a clump", ring_beside_clump(), True),
+    ("ring beside a clump", ring_beside_clump(), False),
     ("er", generate_er(300, 600, random.Random(1)), False),
     ("ba", generate_ba(300, 2, random.Random(2)), False),
     ("isolated nodes", sparse_evens(300), False),
-    ("edgeless", Graph(300, []), False),
+    ("edgeless", Graph(300, []), True),
     ("path", path(300), True),
     ("caterpillar, spine ids first", caterpillar(300, True), True),
     ("caterpillar, leaf ids first", caterpillar(300, False), True),
@@ -217,7 +257,8 @@ def spider():
     ("spider", spider(), True),
 ])
 def test_both_paths_match_networkx_at_n300(name, graph, deep):
-    assert topology._too_deep(graph) == deep
+    # deep exactly when the 2-core is disjoint cycles or empty
+    assert path_taken(graph) == ("deep" if deep else "bit-parallel")
     dist = networkx_distances(graph)
     diameter = int(dist.max())
     deps = sorted({1, 3, max(diameter, 1), diameter + 2})
@@ -289,19 +330,25 @@ def test_wide_searches_or_neighbours_by_columns(graph, by_columns, monkeypatch):
     assert bool(calls) == by_columns
 
 
-@pytest.mark.parametrize("n", [129, 300, 2000])
+@example(model="ws", n=400, p_rewire=0.0, seed=0)
+@example(model="ws", n=400, p_rewire=1.0, seed=0)
+@given(st.sampled_from(("ws", "ncn")), st.integers(3, 400),
+       st.sampled_from((0.0, 1.0)) | st.floats(0, 1), st.integers(0, 2 ** 32))
+def test_k2_rings_have_cycle_cores_and_take_the_deep_path(model, n, p_rewire, seed):
+    # at k=2 every ws node owns one edge (i, far_i), so each component has
+    # as many edges as nodes: one cycle with trees hanging from it
+    graph = generate(model, n, 2, p_rewire=p_rewire, rng=random.Random(seed))
+    degree = topology._pendant_forest(graph)[3]
+    assert set(degree[degree >= 0].tolist()) == {2}
+    if n > topology._SMALL_N:
+        assert path_taken(graph) == "deep"
+
+
+@pytest.mark.parametrize("n", [300, 2000])
 @pytest.mark.parametrize("model", MODELS)
-def test_depth_probe_matches_scipy_on_the_models(model, n):
-    decisions = []
-    for k in (2, 4):
-        for seed in range(3):
-            graph = generate(model, n, k, rng=random.Random(seed))
-            decisions.append(topology._too_deep(graph))
-            assert decisions[-1] == scipy_too_deep(graph), (k, seed)
-    if model in ("er", "ba"):
-        assert decisions == [False] * 6
-    elif n > 129:  # a 129-node ring is 64 hops across; the larger k=2 rings are deeper
-        assert decisions[:3] == [True] * 3
+def test_k4_models_take_the_bit_parallel_path(model, n):
+    graph = generate(model, n, 4, rng=random.Random(n))
+    assert path_taken(graph) == "bit-parallel"
 
 
 def relabel(graph, seed):
@@ -327,45 +374,40 @@ def random_forest(n, seed):
                              if rng.random() >= 0.1]), seed)
 
 
+def cycles_of(size, count):
+    """``count`` disjoint cycles of ``size`` nodes each."""
+    return Graph(size * count, [(size * t + i, size * t + (i + 1) % size)
+                                for t in range(count) for i in range(size)])
+
+
 @pytest.mark.parametrize("name, graph, deep", [
-    *[(f"path of {hops} hops beside isolated nodes", Graph(200, path(hops + 1).edges), hops > 64)
+    *[(f"path of {hops} hops beside isolated nodes", Graph(200, path(hops + 1).edges), True)
       for hops in (64, 65, 66)],
-    *[(f"path of {hops} hops, shuffled", relabel(Graph(200, path(hops + 1).edges), hops), hops > 64)
+    *[(f"path of {hops} hops, shuffled", relabel(Graph(200, path(hops + 1).edges), hops), True)
       for hops in (64, 65, 66)],
-    *[(f"forest, seed {seed}", random_forest(300, seed), None) for seed in range(4)],
-    ("1000 two-node components", Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)]), False),
-    ("deep beside shallow, deep ids first", deep_beside_shallow(True), True),
-    ("deep beside shallow, shallow ids first", deep_beside_shallow(False), True),
-    ("isolated nodes", sparse_evens(300), False),
-    ("edgeless", Graph(2000, []), False),
-    ("ring with pendant paths", ring_with_pendant_paths(), True),
+    *[(f"forest, seed {seed}", random_forest(300, seed), True) for seed in range(4)],
+    ("1000 two-node components", Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)]), True),
+    ("star", Graph(2000, [(0, v) for v in range(1, 2000)]), True),
+    ("666 triangles", cycles_of(3, 666), True),
+    ("200 ten-node cycles", cycles_of(10, 200), True),
+    ("edgeless", Graph(2000, []), True),
+    ("deep beside shallow, deep ids first", deep_beside_shallow(True), False),
+    ("deep beside shallow, shallow ids first", deep_beside_shallow(False), False),
 ])
-def test_depth_probe_matches_scipy(name, graph, deep):
-    assert topology._too_deep(graph) == scipy_too_deep(graph)
-    if deep is not None:
-        assert topology._too_deep(graph) == deep
-
-
-@given(st.data())
-def test_depth_probe_matches_scipy_on_random_edge_sets(data):
-    # a shuffled path cut into pieces, plus chords that shorten it
-    n = data.draw(st.integers(129, 300))
-    order = data.draw(st.permutations(range(n)))
-    cuts = data.draw(st.sets(st.integers(0, n - 2), max_size=6))
-    chords = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                max_size=12))
-    edges = {(min(u, v), max(u, v)) for i, (u, v) in enumerate(zip(order, order[1:]))
-             if i not in cuts}
-    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
-    graph = Graph(n, sorted(edges))
-    assert topology._too_deep(graph) == scipy_too_deep(graph)
+def test_path_follows_the_2_core_whatever_the_depth(name, graph, deep):
+    # shallow graphs whose 2-core is cycles or empty take the deep path,
+    # and a deep path beside a branchy clump the bit-parallel one
+    assert path_taken(graph) == ("deep" if deep else "bit-parallel")
+    dm, flat = all_pairs_shortest(graph, 3), topology._bit_parallel(graph, 3)
+    assert dm.levels == flat.levels
+    assert np.array_equal(dm.circle.bits, flat.circle.bits)
 
 
 @pytest.mark.parametrize("seed", [8000, 8001])
 def test_deep_path_matches_bit_parallel_on_ws_at_n2000(seed):
     # a rewired k=2 ring: a small 2-core with trees hanging from it
     graph = generate("ws", 2000, 2, rng=random.Random(seed))
-    assert topology._too_deep(graph)
+    assert path_taken(graph) == "deep"
     deep, flat = topology._deep_paths(graph, 3), topology._bit_parallel(graph, 3)
     assert deep.levels == flat.levels
     assert np.array_equal(deep.circle.bits, flat.circle.bits)
@@ -419,8 +461,8 @@ def mixed_components():
     """A 50-node cycle, a random 40-node tree, a rewired 100-node ring (two
     cycles with trees hanging from them), a 20-node chorded ring, a theta
     with a 3-node path hanging from it and 10 isolated nodes, with the ids
-    shuffled: every kind of forest root, and two 2-core components searched
-    together."""
+    shuffled: every kind of forest root, beside two 2-core components with
+    branch nodes."""
     rng = random.Random(7)
     cycle = [(i, (i + 1) % 50) for i in range(50)]
     tree = [(50 + v, 50 + rng.randrange(v)) for v in range(1, 40)]
@@ -439,28 +481,58 @@ def mixed_components():
     ("ring with pendant trees", with_trees(generate_ncn(120, 2), 180, 1), 1),
     ("ring with pendant paths", ring_with_pendant_paths(), 1),
     ("spider", spider(), 1),
-    ("theta", theta([5, 8, 13]), 0),
-    ("theta with pendant trees", with_trees(theta([5, 8, 13]), 62, 2), 0),
-    ("chains of one node and an edge", theta([1, 1, 1, 0]), 0),
-    ("chorded ring", chorded_ring(60), 0),
-    ("mixed components", mixed_components(), 3),
+    ("mixed cycles and trees", functional_graph([1, 2, 0, 0, 3, 6, 7, 5, 6, 10, 9, 10], 3), 2),
     ("path", path(150), 0),
     ("edgeless", Graph(20, []), 0),
 ])
 def test_deep_path_matches_bit_parallel_and_naive_bfs(name, graph, cycles):
     assert_deep_path_matches(graph, (1, 3))
-    # the cycles took the closed form, and the rest of the 2-core the search
+    # each component of the 2-core took the closed form of a cycle
     degree = topology._pendant_forest(graph)[3]
     assert len(topology._core_cycles(graph, degree)) == cycles
 
 
+@pytest.mark.parametrize("name, graph", [
+    ("theta", theta([5, 8, 13])),
+    ("theta with pendant trees", with_trees(theta([5, 8, 13]), 162, 2)),
+    ("chains of one node and an edge", theta([1, 1, 1, 0])),
+    ("chorded ring", chorded_ring(160)),
+    ("mixed components", mixed_components()),
+])
+def test_branchy_cores_take_the_bit_parallel_path(name, graph):
+    # the deep path refuses a 2-core with branch nodes at any size
+    assert topology._deep_paths(graph, 3) is None
+    assert path_taken(graph) == "bit-parallel"
+    dist = naive_distances(graph)
+    for dep in (1, 3):
+        dm = all_pairs_shortest(graph, dep)
+        assert dm.levels == tuple(np.bincount(dist[dist > 0])[1:].tolist())
+        assert np.array_equal(dm.dist, dist)
+        assert np.array_equal(topology._unpack(dm.circle.bits, graph.n),
+                              (dist != UNREACHABLE) & (dist <= dep))
+
+
 @given(st.data())
 def test_deep_path_matches_on_random_sparse_edge_sets(data):
-    n = data.draw(st.integers(1, 60))
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                               max_size=n + n // 4))
-    graph = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    # functional graphs: cycles with trees hanging from them, pure trees
+    # and isolated nodes
+    n = data.draw(st.integers(2, 60))
+    targets = data.draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    graph = functional_graph([t + (t >= v) for v, t in enumerate(targets)],
+                             data.draw(st.integers(0, 4)))
     assert_deep_path_matches(graph, (data.draw(st.integers(1, 4)),))
+
+
+def traced_peak(graph):
+    """tracemalloc's peak over one ``all_pairs_shortest(graph, 3)``, with
+    the graph's CSR cached outside the trace."""
+    all_pairs_shortest(graph, 3)
+    tracemalloc.start()
+    try:
+        all_pairs_shortest(graph, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("spine_first", [True, False], ids=["spine ids first", "leaf ids first"])
@@ -470,15 +542,14 @@ def test_deep_path_keeps_few_rows_past_their_block(spine_first):
     # per pendant node; 8 kB rows for the 1000 spine nodes alone would take
     # 8 MB. The peak, 3.1 MB under either labeling, is the circle (0.5 MB),
     # the per-layer subtree profiles (2.0 MB) and two layers of histograms.
-    graph = caterpillar(2000, spine_first)
-    topology._deep_paths(graph, 3)  # the CSR cached outside the trace
-    tracemalloc.start()
-    try:
-        topology._deep_paths(graph, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7_000_000
+    assert traced_peak(caterpillar(2000, spine_first)) <= 7_000_000
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_branchy_rings_keep_no_block_of_core_distances(k):
+    # ncn at k=4 and k=6 has a 4- or 6-regular 2-core, so it takes the
+    # bit-parallel path: the circle (0.5 MB) and a few n x n bit levels.
+    assert traced_peak(generate_ncn(2000, k)) <= 4_000_000
 
 
 def test_node_ids_outside_the_graph_raise():
