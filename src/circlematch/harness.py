@@ -169,7 +169,8 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
                   p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> CellRun:
     """Run one replication and keep every intermediate object. The graph and
     distance summary of an ncn network are shared between its cells; the
-    market's rank lists come from preference stream ``stream``."""
+    market's rank lists come from preference stream ``stream``. The cell's
+    utility is read off the ranks deferred acceptance left on its matching."""
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")), stream)
     graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)

@@ -22,7 +22,7 @@ import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -169,11 +169,16 @@ class Market:
 STREAMS = ("v1", "v2")  # how build_market draws rank lists from its rng
 DEFAULT_STREAM = "v2"
 # From this many agents a side, v2 reads its words through numpy's MT19937
-# (``_twister_words``), whose fixed cost of about 0.26 ms (building the bit
-# generator, moving the state both ways) the faster words repay from about
-# n=200-220 on (``build_market``, best of 7, 2-core VM); the paper's sizes
-# (n <= 100) never load ``numpy.random``.
-_TWISTER_HALF = 110
+# (``_twister_words``), whose fixed cost of about 0.16 ms (moving the state
+# both ways) the faster words repay from about n=120-130 on (``build_market``,
+# best of 15, 2-core VM); the paper's sizes (n <= 100) never load
+# ``numpy.random``.
+_TWISTER_HALF = 64
+# ``_draw_sorted`` sorts on 32-bit prefixes first while the birthday bound on
+# a row's chance of tied prefixes is at most this. Against the 64-bit sort
+# alone (best of 7, 2-core VM) the pass saved 16% at h=1000 (bound 0.12) and
+# 5% at h=1100 (0.29), and cost 1-13% from h=1400 (0.47) to h=2048 (1.0).
+_PREFIX_TIE_BOUND = 0.25
 
 
 def check_stream(stream: str) -> None:
@@ -207,6 +212,21 @@ def _draw_shuffled(rng: random.Random, blocks: list[np.ndarray], is_woman: np.nd
         outs[woman][start:start + width] = b"".join(row)
 
 
+def _sorted_ties(keys: np.ndarray, low) -> np.ndarray:
+    """Sorts each row of ``keys`` in place; True for the rows in which two keys
+    agree above their low bits ``low``."""
+    keys.sort(axis=1)
+    return ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+
+
+def _prefix_pass(h: int) -> bool:
+    """Whether ``_draw_sorted`` sorts rows of h keys on 32-bit prefixes first:
+    while the birthday bound on a row's chance that two of its 32 - b random
+    prefix bits tie, h(h - 1) / 2**(33 - b), is at most ``_PREFIX_TIE_BOUND``."""
+    bits = max(1, (h - 1).bit_length())
+    return h * (h - 1) <= _PREFIX_TIE_BOUND * 2 ** (33 - bits)
+
+
 def _draw_sorted(words, blocks: list[np.ndarray]) -> None:
     """Stream v2: fill each h x h block of ``blocks`` in turn, row by row, with
     uniform permutations of 0..h-1, a row block at a time. ``words(count)``
@@ -216,22 +236,52 @@ def _draw_sorted(words, blocks: list[np.ndarray]) -> None:
     with its column index and sorts them; the low bits of the sorted keys are
     the rank row. The random high parts are iid, so when they are distinct
     their order is a uniform permutation; a row in which two of them tie is
-    drawn again."""
+    drawn again.
+
+    Where ``_prefix_pass(h)`` holds, each row is first sorted on 32-bit keys:
+    the high word of each 64-bit key, its low b bits the column. When the
+    32 - b random bits of those keys are distinct they order the row as the
+    64-bit keys do, at half the width; only a row in which two of them tie
+    (about 11% of rows at h=1000) is sorted again on its 64-bit keys, which
+    also finds the rows to draw again."""
     h = len(blocks[0])
-    low = np.uint64((1 << max(1, (h - 1).bit_length())) - 1)
-    cols = np.arange(h, dtype="<u8")
+    low = (1 << max(1, (h - 1).bit_length())) - 1
+    low64, cols64 = np.uint64(low), np.arange(h, dtype="<u8")
+    low32, cols32 = np.uint32(low), np.arange(h, dtype="<u4")
+    prefix = _prefix_pass(h)
     for prefs in blocks:
         for _, out in _row_blocks(prefs):
             rows = np.arange(len(out))
             while rows.size:
-                size = h * rows.size
-                keys = (words(2 * size).view("<u8") & ~low).reshape(-1, h)
-                keys |= cols
-                keys.sort(axis=1)
-                tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
-                keys &= low
+                drawn = words(2 * h * rows.size)
+                if prefix:
+                    keys = (drawn[1::2] & ~low32).reshape(-1, h)
+                    keys |= cols32
+                    tied = _sorted_ties(keys, low32)
+                    keys &= low32
+                    out[rows] = keys
+                    rows, drawn = rows[tied], drawn.reshape(-1, 2 * h)[tied]
+                    if not rows.size:
+                        break
+                keys = (drawn.view("<u8") & ~low64).reshape(-1, h)
+                keys |= cols64
+                tied = _sorted_ties(keys, low64)
+                keys &= low64
                 out[rows] = keys  # a tied row is overwritten by its redraw
                 rows = rows[tied]
+
+
+@cache
+def _twister():
+    """The process's one numpy MT19937 and the ``integers`` of a Generator
+    over it, built on first use. ``_twister_words`` overwrites its whole
+    state on entry and reads it back on exit, so sharing it between calls
+    is safe while no two draws run at once, which holds because the library
+    starts no threads."""
+    from numpy.random import MT19937, Generator
+
+    twister = MT19937(0)
+    return twister, Generator(twister).integers
 
 
 @contextmanager
@@ -242,13 +292,10 @@ def _twister_words(rng: random.Random):
     state; on exit ``rng`` takes the advanced state, ``gauss_next`` kept.
     A full-range ``uint32`` draw of ``Generator.integers`` is the bit
     generator's raw output."""
-    from numpy.random import MT19937, Generator
-
     version, internal, gauss_next = rng.getstate()
-    twister = MT19937(0)
+    twister, integers = _twister()
     twister.state = {"bit_generator": "MT19937",
                      "state": {"key": internal[:-1], "pos": internal[-1]}}
-    integers = Generator(twister).integers
     yield lambda count: integers(2 ** 32, size=count, dtype=np.uint32).astype("<u4", copy=False)
     state = twister.state["state"]
     rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
@@ -300,6 +347,8 @@ class Matching:
     (woman, man) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
+    # (market, _partner_ranks(market, self)), set by deferred acceptance
+    _ranks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -327,9 +376,15 @@ class Matching:
 
 def _candidates(market: Market, known: np.ndarray) -> tuple[np.ndarray, ...]:
     """Pairs with ``known[j, i]`` (side-local), in each man's order, men in turn, as
-    (bounds, men, women, her_rank, his_rank); man j's are ``bounds[j]:bounds[j + 1]``."""
+    (bounds, men, women, her_rank, his_rank); man j's are ``bounds[j]:bounds[j + 1]``.
+    The mask is read in each man's order through flat row offsets, a row block
+    at a time, so that the index array stays small at any size."""
     h = market.half
-    pos = np.flatnonzero(known[np.arange(h)[:, None], market.men_prefs])  # in each man's order
+    flat, ordered = known.reshape(-1), np.empty((h, h), dtype=bool)
+    for start, block in _row_blocks(market.men_prefs):
+        ordered[start:start + len(block)] = flat[np.arange(start * h, start * h + block.size,
+                                                           h)[:, None] + block]
+    pos = np.flatnonzero(ordered)
     men = pos // h
     women = market.men_prefs.reshape(-1)[pos]
     her_rank = market.women_pos.reshape(-1)[h * women.astype(np.intp) + men]
@@ -337,9 +392,11 @@ def _candidates(market: Market, known: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
-    """Man-proposing deferred acceptance over ``_candidates(market, known)``."""
+    """Man-proposing deferred acceptance over ``_candidates(market, known)``.
+    The matching keeps both ranks of each pair, read off the entry at which
+    the man stopped, for ``_partner_ranks``."""
     h = market.half
-    bounds, _, women, her_rank, _ = _candidates(market, known)
+    bounds, _, women, her_rank, his_rank = _candidates(market, known)
     # Read in place: DA often visits far fewer entries than a list conversion makes.
     candidates, ranks = memoryview(women), memoryview(her_rank)
     next_choice, ends = bounds[:-1].tolist(), bounds[1:].tolist()
@@ -360,8 +417,16 @@ def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
                 break
         next_choice[j] = k
         # a man who exhausted every woman he knows stays unmatched
-    women, men = market.women.tolist(), market.men.tolist()
-    return Matching.from_pairs((women[i], men[j]) for i, j in enumerate(fiance) if j >= 0)
+    fiance = np.array(fiance, dtype=np.intp)
+    wi = np.flatnonzero(fiance >= 0)
+    mj = fiance[wi]
+    entry = np.array(next_choice, dtype=np.intp)[mj] - 1  # an engaged man's last proposal
+    her, his = np.full((2, h), h, dtype=market.men_prefs.dtype)
+    her[wi], his[mj] = her_rank[entry], his_rank[entry]
+    # local order is id order, so the pairs come sorted by woman
+    matching = Matching(tuple(zip(market.women[wi].tolist(), market.men[mj].tolist())))
+    object.__setattr__(matching, "_ranks", (market, (wi, mj, her, his)))
+    return matching
 
 
 def restricted_deferred_acceptance(market: Market, circle: SocialCircle) -> Matching:
@@ -382,7 +447,10 @@ def classical_gs(market: Market) -> Matching:
 
 def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]:
     """Side-local (woman, man) indices of the matched pairs, then each woman's and
-    man's rank of their partner (h if unmatched); his by one compare over his row."""
+    man's rank of their partner (h if unmatched); those deferred acceptance left
+    on a matching of this market, else his by one compare over his row."""
+    if matching._ranks is not None and matching._ranks[0] is market:
+        return matching._ranks[1]
     h = market.half
     ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
     if ((ids < 0) | (ids >= market.n)).any():

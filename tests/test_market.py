@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circlematch import market as market_module
-from circlematch.harness import derive_seed
+from circlematch.harness import derive_seed, run_cell_full
 from circlematch.market import (
     Market,
     Matching,
@@ -305,11 +305,12 @@ def test_v2_market_json_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("n", [2, 4, 40, 600, 1000])
+@pytest.mark.parametrize("n", [2, 4, 40, 600, 1000, 2048, 2050])
 def test_v2_draws_row_by_row_across_block_boundaries(n):
     """h=300 and h=500 do not divide a block of 2**16 entries (218 and 131
     rows a block); the blocked draw reads the rng as the row-by-row reference
-    does, to its end state."""
+    does, to its end state. h=1024 and h=1025 lie on either side of the
+    prefix pass's size rule."""
     fast, reference = random.Random(n), random.Random(n)
     assert build_market(n, fast) == sorted_keys_market(n, reference)
     assert fast.getstate() == reference.getstate()
@@ -416,6 +417,19 @@ def test_twister_words_are_the_words_of_randbytes(count, how):
     assert twister.getstate() == reference.getstate()
 
 
+def test_the_shared_twister_carries_no_state_between_draws():
+    """One MT19937 serves every draw of the process; generators taking turns
+    on it each get their own words and end state."""
+    rngs = [_started(5, "fresh"), _started(6, "gauss"), _started(5, "fresh")]
+    references = [_started(5, "fresh"), _started(6, "gauss"), _started(5, "fresh")]
+    for count in (7, 700, 1):
+        for rng, reference in zip(rngs, references):
+            with market_module._twister_words(rng) as words:
+                assert words(count).tobytes() == reference.randbytes(4 * count)
+            assert rng.getstate() == reference.getstate()
+    assert market_module._twister()[0] is market_module._twister()[0]
+
+
 @pytest.fixture
 def twister_calls(monkeypatch):
     """The rngs whose draws went through ``_twister_words``, in order."""
@@ -477,6 +491,87 @@ def test_a_random_subclass_draws_through_its_own_randbytes(twister_calls):
     assert rng.getstate() == reference.getstate()
     assert sum(rng.sizes) == 2 * 8 * 1000 * 1000  # no row of either side tied
     assert twister_calls == [reference]
+
+
+# ------------------------------------------- stream v2's 32-bit prefix pass
+
+class CraftedWords:
+    """``words(count)`` for ``_draw_sorted``: the words of a seeded
+    ``randbytes``, with ``craft`` applied to the first call's array."""
+
+    def __init__(self, seed, craft):
+        self.rng, self.craft, self.calls = random.Random(seed), craft, []
+
+    def __call__(self, count):
+        data = np.frombuffer(self.rng.randbytes(4 * count), "<u4").copy()
+        if not self.calls:
+            self.craft(data)
+        self.calls.append(count)
+        return data
+
+
+def reference_rows(words, h):
+    """One side's h rank rows as ``_draw_sorted`` specifies them, in pure
+    Python over ``words``: every row of a block from its 64-bit keys above
+    the low b bits, then the rows whose keys tie drawn again, together."""
+    bits = max(1, (h - 1).bit_length())
+    rows, block = [None] * h, max(1, 2 ** 16 // h)
+    for start in range(0, h, block):
+        pending = list(range(start, min(h, start + block)))
+        while pending:
+            data = words(2 * h * len(pending)).tolist()
+            again = []
+            for r, row in enumerate(pending):
+                keys = [(data[2 * (h * r + c) + 1] << 32 | data[2 * (h * r + c)]) >> bits
+                        for c in range(h)]
+                if len(set(keys)) < h:
+                    again.append(row)
+                else:
+                    rows[row] = sorted(range(h), key=keys.__getitem__)
+            pending = again
+    return rows
+
+
+def _prefix_tie(data):
+    """Keys 0 and 1 of the first row share their high word; their low words
+    order key 1 first."""
+    data[3], data[0], data[2] = data[1], 0xFFFFFFFF, 0
+
+
+def _full_tie(data):
+    """Key 1 of the first row repeats key 0."""
+    data[2:4] = data[0:2]
+
+
+@pytest.mark.parametrize("h", [8, 300])
+@pytest.mark.parametrize("craft, redraw", [(_prefix_tie, False), (_full_tie, True)])
+def test_prefix_pass_falls_back_to_the_64_bit_keys(h, craft, redraw):
+    """A tie of the 32-bit prefixes is ordered by the full 64-bit keys, and a
+    tie of those draws the row again, as the pure-Python reference does."""
+    assert market_module._prefix_pass(h)
+    blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
+    words = CraftedWords(h, craft)
+    market_module._draw_sorted(words, blocks)
+    reference = CraftedWords(h, craft)
+    assert [block.tolist() for block in blocks] == [reference_rows(reference, h)
+                                                    for _ in range(2)]
+    assert words.calls == reference.calls
+    assert (2 * h in words.calls) == redraw  # one row drawn again
+    if not redraw:
+        assert blocks[0][0].tolist().index(1) < blocks[0][0].tolist().index(0)
+
+
+def test_prefix_pass_size_rule():
+    """The pass runs while the birthday bound on tied prefixes is at most
+    ``_PREFIX_TIE_BOUND``: up to h=1024, where b grows to 11 bits and the bound
+    jumps from 0.125 to 0.25."""
+    def bound(h):
+        bits = max(1, (h - 1).bit_length())
+        return h * (h - 1) / 2 ** (33 - bits)
+
+    for h in (1, 2, 3, 50, 1000, 1024, 1025, 2000, 5000, 2 ** 40):
+        assert market_module._prefix_pass(h) == (bound(h) <= market_module._PREFIX_TIE_BOUND)
+    assert market_module._prefix_pass(1024) and not market_module._prefix_pass(1025)
 
 
 def test_build_market_rejects_unknown_stream():
@@ -622,6 +717,27 @@ def test_da_matches_naive_reference_at_n200(seed):
     assert find_blocking_pair(inst.market, inst.circle, matching) is None
 
 
+@pytest.mark.parametrize("model", ["er", "ba"])
+def test_candidates_gather_across_row_blocks_at_n600(model):
+    """h=300 takes two row blocks (218 rows, then 82): the candidate lists
+    equal a dense per-row read of the mask, and DA the naive reference."""
+    market = build_market(600, random.Random(6))
+    circle = all_pairs_shortest(generate(model, 600, 4, rng=random.Random(7)), 3).circle
+    known = circle.mask(market.men, market.women)
+    assert 0 < known.sum() < known.size / 2
+    bounds, men, women, her_rank, his_rank = market_module._candidates(market, known)
+    women_pos, known_rows = market.women_pos.tolist(), known.tolist()
+    for j, row in enumerate(market.men_prefs.tolist()):
+        entries = slice(bounds[j], bounds[j + 1])
+        listed = [(r, i) for r, i in enumerate(row) if known_rows[j][i]]
+        assert women[entries].tolist() == [i for _, i in listed]
+        assert his_rank[entries].tolist() == [r for r, _ in listed]
+        assert her_rank[entries].tolist() == [women_pos[i][j] for _, i in listed]
+        assert (men[entries] == j).all()
+    matching = restricted_deferred_acceptance(market, circle)
+    assert matching.pairs == naive_deferred_acceptance(market, circle).pairs
+
+
 @given(st.integers(0, 200))
 def test_full_circle_reduces_to_classical(seed):
     market = build_market(random.Random(seed).choice((4, 6, 8, 10)),
@@ -665,6 +781,29 @@ def test_average_utility_equals_mean_agent_utility(seed):
     total = sum((score_of(int(women_pos[local[w], local[m]]))
                  + score_of(int(men_pos[local[m], local[w]]))) / 2.0 for w, m in matching.pairs)
     assert average_utility(market, matching) == total / h
+
+
+@pytest.mark.parametrize("n", [20, 40, 60, 80, 100, 2000])
+@pytest.mark.parametrize("model", MODELS)
+def test_utility_read_off_da_is_the_same_float(model, n):
+    """A cell's utility, read from the ranks DA left on its matching, is the
+    float the rank search gives for the same pairs, and so is the ``match``
+    JSON's."""
+    k = 2 if model in ("ncn", "ws") else 4
+    run = run_cell_full(model, n, k, seed=n)
+    market, matching = run.market, run.matching
+    assert matching._ranks[0] is market
+    searched = Matching(matching.pairs)
+    assert searched._ranks is None and searched == matching
+    assert run.result.average_utility == average_utility(market, searched)
+    assert average_utility(market, matching) == average_utility(market, searched)
+    assert json.dumps(matching_to_dict(market, run.dm, matching)) == \
+        json.dumps(matching_to_dict(market, run.dm, searched))
+    # another market, though equal, is searched and not read off DA
+    twin = Market(market.women, market.men, women_prefs(market), market.men_prefs)
+    assert twin == market
+    assert market_module._partner_ranks(twin, matching)[2] is not matching._ranks[1][2]
+    assert average_utility(twin, matching) == average_utility(market, searched)
 
 
 @given(st.integers(1, 20), st.integers(0, 2 ** 32))
