@@ -12,6 +12,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import harness, netgen
 from .market import DEFAULT_STREAM, STREAMS, matching_to_dict
 from .netgen import MODELS
@@ -55,16 +57,19 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 def _cmd_metrics(args: argparse.Namespace) -> None:
     if args.infile is not None:
         graph = netgen.read_edge_list(args.infile)
+        linked = np.unique(graph.edges).size  # nodes with an edge; needs no n-sized array
+        harness.check_graph_fits(graph.n, graph.m, graph.n - linked)
     else:
         if args.model is None or args.n is None or args.k is None:
             raise ValueError("metrics needs either --in FILE or --model/--n/--k")
+        harness.check_graph_fits(args.n, args.n * args.k // 2)
         graph = _build_graph(args)
     report = analyze(graph, args.dep)
     _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
 
 
 def _cmd_match(args: argparse.Namespace) -> None:
-    harness.check_sizes_fit((args.n,))
+    harness.check_sizes_fit((args.n,), (args.k,))
     run = harness.run_cell_full(args.model, args.n, args.k, args.dep,
                                 args.seed, args.p_rewire, args.stream)
     payload = {**matching_to_dict(run.market, run.dm, run.matching), "stream": args.stream}

@@ -23,7 +23,7 @@ from .market import (DEFAULT_STREAM, Market, Matching, average_utility, build_ma
                      check_stream, market_bytes, restricted_deferred_acceptance)
 from .netgen import MODELS, Graph
 from .topology import (DistanceMatrix, SocialCircle, all_pairs_shortest,
-                       average_path_length, connectivity)
+                       average_path_length, connectivity, summary_bytes)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -44,20 +44,34 @@ def _available_bytes() -> Optional[int]:
     return None
 
 
-def _cell_bytes(n: int) -> int:
-    """Estimated peak bytes of one cell of size n: the market's, plus the
-    circle's n² bits."""
-    return market_bytes(n) + n * n // 8
+def _cell_bytes(n: int, k: int) -> int:
+    """Estimated peak bytes of one cell of size n at nominal degree k: the
+    market's, plus the distance summary's on a graph of n * k / 2 edges, the
+    most any model builds at k."""
+    return market_bytes(n) + summary_bytes(n, n * k // 2)
 
 
-def check_sizes_fit(n_values: Iterable[int]) -> None:
-    """Raise ValueError for the first market size whose cell (``_cell_bytes``)
-    would not fit in ``MemAvailable``; where that cannot be read, pass."""
-    available = _available_bytes()
+def _check_fits(what: str, needed: int, available: Optional[int]) -> None:
+    if available is not None and needed > available:
+        raise ValueError(f"{what} needs about {needed / 2 ** 30:.1f} GiB, "
+                         f"more than the {available / 2 ** 30:.1f} GiB available")
+
+
+def check_sizes_fit(n_values: Iterable[int], k_values: Iterable[int]) -> None:
+    """Raise ValueError for the first market size whose cell (``_cell_bytes``
+    at the largest of ``k_values``) would not fit in ``MemAvailable``; where
+    that cannot be read, pass."""
+    available, k = _available_bytes(), max(k_values)
     for n in n_values:
-        if available is not None and _cell_bytes(n) > available:
-            raise ValueError(f"market size {n} needs about {_cell_bytes(n) / 2 ** 30:.1f} "
-                             f"GiB, more than the {available / 2 ** 30:.1f} GiB available")
+        _check_fits(f"market size {n}", _cell_bytes(n, k), available)
+
+
+def check_graph_fits(n: int, m: int, isolated: int = 0) -> None:
+    """Raise ValueError when the distance summary of a graph of n nodes, m
+    edges and ``isolated`` isolated nodes (``summary_bytes``) would not fit
+    in ``MemAvailable``; where that cannot be read, pass."""
+    _check_fits(f"a graph of {n} nodes and {m} edges", summary_bytes(n, m, isolated),
+                _available_bytes())
 
 
 def check_seed_and_rewiring(seed: int, p_rewire: float) -> None:
@@ -90,7 +104,7 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
-        check_sizes_fit(self.n_values)  # every size, before a sweep runs its first cell
+        check_sizes_fit(self.n_values, self.k_values)  # every size, before a sweep runs a cell
         # every cell's network, checked before a sweep runs any cell
         for model, n, k in itertools.product(self.models, self.n_values, self.k_values):
             netgen.check_model_params(model, n, k)

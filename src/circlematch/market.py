@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .netgen import sample_range
 from .topology import DistanceMatrix, SocialCircle
 
 def _rank_dtype(h: int) -> np.dtype:
@@ -79,6 +80,43 @@ def _score(h: int, r):
     return 1.0 + 9.0 * (h - 1 - r) / (h - 1)
 
 
+def _validated(women, men, women_prefs, men_prefs) -> tuple[np.ndarray, ...]:
+    """The arguments of ``Market(...)``, checked: the id arrays as ``intp``
+    copies, the rank lists at rank width, the men's copied unless read-only,
+    so that no caller can change a validated market.
+
+    Raises:
+        ValueError: unless the sides are equally many integer ids, sorted,
+            that partition 0..n-1, and every rank list is a permutation of
+            the other side's local indices.
+    """
+    women, men = np.asarray(women), np.asarray(men)
+    if women.ndim != 1 or women.shape != men.shape:
+        raise ValueError("women and men must be equally many")
+    h = len(women)
+    sides = np.stack((women, men))
+    if h and sides.dtype.kind not in "iu":
+        raise ValueError("agent ids must be integers")
+    sides = sides.astype(np.intp)
+    if not np.array_equal(np.sort(sides, axis=None), np.arange(2 * h)):
+        raise ValueError("women and men must partition ids 0..n-1")
+    if (np.diff(sides, axis=1) < 0).any():
+        raise ValueError("women and men must be listed in increasing id order")
+    women_prefs, men_prefs = np.asarray(women_prefs), np.asarray(men_prefs)
+    if women_prefs.shape != (h, h) or men_prefs.shape != (h, h):
+        raise ValueError(f"every agent must rank all {h} agents of the other side")
+    for prefs in (women_prefs, men_prefs):
+        if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
+            raise ValueError("a rank list names an agent outside the other side")
+    # The women's lists are read only to invert them.
+    women_prefs = women_prefs.astype(_rank_dtype(h), copy=False)
+    men_prefs = np.array(men_prefs, dtype=_rank_dtype(h),
+                         copy=True if men_prefs.flags.writeable else None)
+    _check_permutations("woman", sides[0], women_prefs)
+    _check_permutations("man", sides[1], men_prefs)
+    return sides[0], sides[1], women_prefs, men_prefs
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Market:
     """Balanced bipartition of agents 0..n-1 with strict mutual rankings.
@@ -91,8 +129,9 @@ class Market:
     permutation of the other side; it derives the id to local index map
     ``local`` and the women's position array ``women_pos`` (``women_pos[i,
     j]`` is woman i's rank of man j). It keeps ``men_prefs`` and
-    ``women_pos``, not the women's lists. ``build_market`` skips only the
-    permutation check, for the rows it drew as permutations.
+    ``women_pos``, not the women's lists. ``build_market`` assembles the
+    market it drew without these checks, which its draw meets by
+    construction.
     """
 
     women: np.ndarray
@@ -102,53 +141,28 @@ class Market:
     women_pos: np.ndarray = field(repr=False)
 
     def __init__(self, women, men, women_prefs, men_prefs):
-        self._assemble(women, men, women_prefs, men_prefs, drawn=False)
+        self._assemble(*_validated(women, men, women_prefs, men_prefs))
 
     @classmethod
     def _drawn(cls, women, men, women_prefs, men_prefs) -> Market:
-        """The market of the rank lists ``build_market`` drew, every row a
-        permutation by construction: every check of ``Market(...)`` but the
-        row sorts of ``_check_permutations``."""
+        """The market of the rank lists ``build_market`` drew, which meet
+        every check of ``Market(...)`` by construction: sorted ``intp`` id
+        arrays that partition 0..n-1, and read-only h x h blocks of rank
+        width whose rows are permutations. Assembled unchecked."""
         market = cls.__new__(cls)
-        market._assemble(women, men, women_prefs, men_prefs, drawn=True)
+        market._assemble(women, men, women_prefs, men_prefs)
         return market
 
-    def _assemble(self, women, men, women_prefs, men_prefs, drawn: bool) -> None:
-        women, men = np.asarray(women), np.asarray(men)
-        if women.ndim != 1 or women.shape != men.shape:
-            raise ValueError("women and men must be equally many")
+    def _assemble(self, women, men, women_prefs, men_prefs) -> None:
+        """Sets the fields from arrays in the form ``_validated`` returns,
+        deriving ``local`` and ``women_pos``; every field is read-only."""
         h = len(women)
-        sides = np.stack((women, men))
-        if h and sides.dtype.kind not in "iu":
-            raise ValueError("agent ids must be integers")
-        sides = sides.astype(np.intp)
-        women, men = sides
-        if not np.array_equal(np.sort(sides, axis=None), np.arange(2 * h)):
-            raise ValueError("women and men must partition ids 0..n-1")
-        if (np.diff(sides, axis=1) < 0).any():
-            raise ValueError("women and men must be listed in increasing id order")
-        women_prefs, men_prefs = np.asarray(women_prefs), np.asarray(men_prefs)
-        if women_prefs.shape != (h, h) or men_prefs.shape != (h, h):
-            raise ValueError(f"every agent must rank all {h} agents of the other side")
-        for prefs in (women_prefs, men_prefs):
-            if prefs.dtype.kind not in "iu" or (h and (prefs.min() < 0 or prefs.max() >= h)):
-                raise ValueError("a rank list names an agent outside the other side")
-        # The women's lists are read only to invert them. A writeable men's
-        # array is copied, so that no caller can change a validated market;
-        # build_market hands its rows over read-only.
-        women_prefs = women_prefs.astype(_rank_dtype(h), copy=False)
-        men_prefs = np.array(men_prefs, dtype=_rank_dtype(h),
-                             copy=True if men_prefs.flags.writeable else None)
-        if not drawn:
-            _check_permutations("woman", women, women_prefs)
-            _check_permutations("man", men, men_prefs)
-        women_pos = _positions_of(women_prefs)
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
-        for array in (sides, men_prefs, local):
+        for array in (women, men, men_prefs, local):
             array.flags.writeable = False
         for name, value in (("women", women), ("men", men), ("local", local),
-                            ("men_prefs", men_prefs), ("women_pos", women_pos)):
+                            ("men_prefs", men_prefs), ("women_pos", _positions_of(women_prefs))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -303,8 +317,9 @@ def _twister_words(rng: random.Random):
 
 def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Market:
     """Draw a random market: genders by a uniform balanced partition
-    (``rng.sample``), then every rank list an independent uniform permutation
-    of the opposite side.
+    (``rng.sample(range(n), n // 2)``, through ``netgen.sample_range``),
+    then every rank list an independent uniform permutation of the opposite
+    side.
 
     Args:
         n: total number of agents; must be even and at least 2.
@@ -326,7 +341,7 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
     # so a size that cannot fit fails before the draw starts. Two blocks, so
     # the women's is freed once the market has inverted it.
     blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
-    women = sorted(rng.sample(range(n), h))
+    women = sample_range(rng, n, h)
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
     if stream == "v1":
@@ -391,6 +406,15 @@ def _candidates(market: Market, known: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.searchsorted(men, np.arange(h + 1)), men, women, her_rank, pos - h * men
 
 
+def _circle_mask(market: Market, circle: SocialCircle) -> np.ndarray:
+    """``circle.mask`` of every (man, woman) pair, side-local; raises
+    ValueError unless the circle is over the market's n agents."""
+    if circle.n != market.n:
+        raise ValueError(f"a social circle of {circle.n} nodes does not fit "
+                         f"a market of {market.n} agents")
+    return circle.mask(market.men, market.women)
+
+
 def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
     """Man-proposing deferred acceptance over ``_candidates(market, known)``.
     The matching keeps both ranks of each pair, read off the entry at which
@@ -436,8 +460,9 @@ def restricted_deferred_acceptance(market: Market, circle: SocialCircle) -> Matc
     free woman accepts any proposer she recognizes, an engaged woman trades
     up exactly when she ranks the proposer strictly ahead of her fiance.
     The outcome does not depend on the order in which free men propose.
+    Raises ValueError unless the circle is over the market's n agents.
     """
-    return _deferred_acceptance(market, circle.mask(market.men, market.women))
+    return _deferred_acceptance(market, _circle_mask(market, circle))
 
 
 def classical_gs(market: Market) -> Matching:
@@ -488,9 +513,11 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
                        matching: Matching) -> Optional[tuple[int, int]]:
     """First in-circle (woman, man) pair in which both strictly gain by
     pairing up, scanning women in id order and their lists best-first.
-    Returns None when the matching is stable."""
+    Returns None when the matching is stable. Raises ValueError unless the
+    circle is over the market's n agents."""
+    known = _circle_mask(market, circle)
     _, _, her_cut, his_cut = _partner_ranks(market, matching)
-    _, men, women, her_rank, his_rank = _candidates(market, circle.mask(market.men, market.women))
+    _, men, women, her_rank, his_rank = _candidates(market, known)
     blocking = np.flatnonzero((her_rank < her_cut[women]) & (his_rank < his_cut[men]))
     if blocking.size == 0:
         return None

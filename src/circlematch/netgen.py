@@ -3,13 +3,19 @@
 Nodes are integers 0..n-1. Every graph is simple and undirected: no
 self-loops, no repeated edges. Randomized generators draw all choices from a
 caller-supplied ``random.Random``, so equal parameters and an equally seeded
-source always reproduce the same graph. A graph is one canonical edge array,
+source always reproduce the same graph. Each uniform integer below a bound
+is drawn straight from ``rng.getrandbits`` as ``Random._randbelow`` draws it:
+the bound's bit length in bits, drawn again while the value is at or past
+the bound. So ``sample_range`` and the generators read the same words as
+the ``rng.sample``, ``rng.choice`` and ``rng.randrange`` calls they stand
+for, and leave ``rng`` in the same state. A graph is one canonical edge array,
 each row (smaller id, larger id) and the rows ascending, with the CSR
 adjacency every other layer reads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -132,6 +138,33 @@ def check_model_params(model: str, n: int, k: int) -> None:
         _check_ba_params(n, k // 2)
 
 
+def sample_range(rng: random.Random, population: int, k: int) -> list[int]:
+    """``rng.sample(range(population), k)`` bit for bit, 0 <= k <= population:
+    the same choice between a pool of every value and a set of the chosen
+    ones (``setsize``, float ``log`` included), each draw from
+    ``rng.getrandbits``."""
+    getrandbits = rng.getrandbits
+    setsize = 21  # as Random.sample sizes a small set against a list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if population <= setsize:
+        pool, chosen = list(range(population)), []
+        for size in range(population, population - k, -1):
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            chosen.append(pool[j])
+            pool[j] = pool[size - 1]  # the last value not chosen fills the gap
+        return chosen
+    bits, picked = population.bit_length(), {}
+    while len(picked) < k:
+        j = getrandbits(bits)
+        if j < population:
+            picked[j] = None  # a value already chosen is drawn again, as a repeat
+    return list(picked)
+
+
 def generate_ncn(n: int, k: int) -> Graph:
     """Nearest-coupled ring lattice: node i linked to i +- 1 .. i +- k/2 mod n.
 
@@ -160,7 +193,7 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
         rng: seeded random source.
     """
     _check_er_params(n, m)
-    chosen = np.array(rng.sample(range(n * (n - 1) // 2), m), dtype=np.int64)
+    chosen = np.array(sample_range(rng, n * (n - 1) // 2, m), dtype=np.int64)
     # starts[i] is the index of pair (i, i + 1) in lexicographic pair order
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
     first = np.searchsorted(starts, chosen, side="right") - 1
@@ -194,13 +227,16 @@ def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
             adj[j].add(i)
     # far[(d - 1) * n + i] is the current far end of lap d's edge from node i
     far = [(i + d) % n for d in range(1, k // 2 + 1) for i in range(n)]
+    uniform, getrandbits, bits = rng.random, rng.getrandbits, n.bit_length()
     for d in range(1, k // 2 + 1):
         for i in range(n):
-            if rng.random() >= p_rewire:
+            if uniform() >= p_rewire:
                 continue
             j = (i + d) % n
             for _ in range(n):
-                w = rng.randrange(n)
+                w = getrandbits(bits)  # rng.randrange(n)
+                while w >= n:
+                    w = getrandbits(bits)
                 if w != i and w not in adj[i]:
                     adj[i].discard(j)
                     adj[j].discard(i)
@@ -227,10 +263,15 @@ def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
     core = m_attach + 1
     # one entry per unit of degree; sampling from it is degree-proportional
     repeated = [node for node in range(core) for _ in range(m_attach)]
+    getrandbits = rng.getrandbits
     for v in range(core, n):
+        size = len(repeated)
+        bits = size.bit_length()
         targets: set[int] = set()
         while len(targets) < m_attach:
-            targets.add(rng.choice(repeated))
+            j = getrandbits(bits)  # rng.choice(repeated), redrawn at or past its end
+            if j < size:
+                targets.add(repeated[j])
         repeated.extend(sorted(targets))
         repeated.extend([v] * m_attach)
     # past the core, repeated holds each node's m_attach targets, then the

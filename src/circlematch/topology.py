@@ -399,6 +399,19 @@ def _deep_paths(graph: Graph, dep: int) -> Optional[DistanceMatrix]:
     return DistanceMatrix(n, levels, circle, graph)
 
 
+def summary_bytes(n: int, m: int, isolated: int = 0) -> int:
+    """Estimated peak bytes of ``all_pairs_shortest`` on a graph of n nodes,
+    m edges and ``isolated`` isolated nodes, in bitset rows of n bits: the
+    neighbour rows the search gathers, one per edge end and isolated node,
+    and n rows for each of five n x n bitsets (reached, unseen, the next
+    level, the level the reader still holds, and the circle). An upper bound
+    on either kernel: at n=2000 it is 1.3-1.7x the traced peak on er, ws,
+    ba and ncn at k <= 4, a star and a graph with no edges, and up to 4.6x
+    on dense graphs (ncn k=20), whose search gathers one column of
+    neighbour rows at a time."""
+    return (2 * m + isolated + 5 * n) * -(-n // 64) * _WORD.itemsize
+
+
 def all_pairs_shortest(graph: Graph, dep: int) -> DistanceMatrix:
     """Minimum hop count between every node pair, summarized in one pass:
     the level histogram and the social circle of pairs within ``dep`` hops.

@@ -7,7 +7,7 @@ import json
 import networkx as nx
 import pytest
 
-from circlematch import harness
+from circlematch import cli, harness
 from circlematch.cli import main
 from circlematch.netgen import read_edge_list
 from circlematch.topology import analyze
@@ -129,6 +129,27 @@ def test_metrics_rejects_ids_beyond_64_bits(tmp_path, capsys, node):
     assert (code, out) == (2, "")
     u, v = sorted((0, node))
     assert err == f"error: edge ({u}, {v}) outside 0..2\n"
+
+
+@pytest.mark.parametrize("source, args, err", [
+    ("3000000 0\n", (), "a graph of 3000000 nodes and 0 edges needs about 6286.4 GiB"),
+    (None, ("--model", "er", "--n", "3000000", "--k", "2"),
+     "a graph of 3000000 nodes and 3000000 edges needs about 7334.2 GiB"),
+])
+def test_metrics_checks_the_graph_fits_before_the_search(tmp_path, capsys, monkeypatch,
+                                                          source, args, err):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was generated or searched")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    monkeypatch.setattr(harness, "cell_graph", refuse)
+    monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
+    if source is not None:
+        (tmp_path / "huge.txt").write_text(source)
+        args = ("--in", str(tmp_path / "huge.txt"))
+    code, out, message = run_cli(capsys, "metrics", *args)
+    assert (code, out) == (2, "")
+    assert message == f"error: {err}, more than the 8.0 GiB available\n"
 
 
 def test_metrics_missing_file_gives_io_exit_code(capsys):
@@ -269,7 +290,7 @@ def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "sweep", "--n", "20", "10000000", "--k", "2",
                              "--model", "er", "--reps", "3")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 291038.3 GiB, "
+    assert err == ("error: market size 10000000 needs about 360887.5 GiB, "
                    "more than the 8.0 GiB available\n")
 
 
@@ -282,7 +303,7 @@ def test_match_checks_the_size_fits_before_drawing(capsys, monkeypatch):
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
     code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "10000000", "--k", "4")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 291038.3 GiB, "
+    assert err == ("error: market size 10000000 needs about 384170.6 GiB, "
                    "more than the 8.0 GiB available\n")
 
 

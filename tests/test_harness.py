@@ -101,8 +101,9 @@ def test_config_refuses_a_size_that_cannot_fit(monkeypatch):
     available = harness._available_bytes()
     assert available is None or available > 0
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
-    # 3h² int32 rank entries and n² circle bits at n = 10**7: about 290 TiB
-    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 291038\.3 GiB, "
+    # 3h² int32 rank entries and (2m + 5n)·n search bits at n = 10**7, k = 2:
+    # about 352 TiB
+    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 360887\.5 GiB, "
                                          r"more than the 8\.0 GiB available$"):
         ExperimentConfig(("er",), (20, 10 ** 7), (2,), (0,))
     ExperimentConfig(("er",), (20, 2000), (2,), (0,))

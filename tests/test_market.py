@@ -316,6 +316,15 @@ def test_v2_draws_row_by_row_across_block_boundaries(n):
     assert fast.getstate() == reference.getstate()
 
 
+@given(st.integers(1, 40), st.integers(0, 2 ** 64))
+def test_v2_draws_row_by_row_for_any_seed(half, seed):
+    """The genders included, which ``sorted_keys_market`` draws with
+    ``rng.sample`` itself."""
+    fast, reference = random.Random(seed), random.Random(seed)
+    assert build_market(2 * half, fast) == sorted_keys_market(2 * half, reference)
+    assert fast.getstate() == reference.getstate()
+
+
 def test_streams_split_genders_alike():
     for n, seed in ((2, 0), (10, 3), (300, 5)):
         v1, v2 = (build_market(n, random.Random(seed), stream) for stream in ("v1", "v2"))
@@ -336,8 +345,8 @@ class TieOnFirstDraw:
     def __init__(self, seed):
         self.rng, self.calls = random.Random(seed), []
 
-    def sample(self, population, k):
-        return self.rng.sample(population, k)
+    def getrandbits(self, k):
+        return self.rng.getrandbits(k)
 
     def randbytes(self, size):
         data = self.rng.randbytes(size)
@@ -677,6 +686,21 @@ def test_path_market_json_payload():
         "average_utility": 5.0,
     }
     json.dumps(payload)  # must be serializable as-is
+
+
+@pytest.mark.parametrize("circle_n", [40, 10])
+def test_a_circle_of_another_size_is_refused(circle_n):
+    """A 40-node circle once matched 10 pairs of a 20-agent market, and the
+    scan found that matching stable."""
+    market = build_market(20, random.Random(0))
+    matching = restricted_deferred_acceptance(market, full_circle(20))
+    message = f"^a social circle of {circle_n} nodes does not fit a market of 20 agents$"
+    with pytest.raises(ValueError, match=message):
+        restricted_deferred_acceptance(market, full_circle(circle_n))
+    with pytest.raises(ValueError, match=message):
+        find_blocking_pair(market, full_circle(circle_n), matching)
+    with pytest.raises(ValueError, match=message):
+        is_stable(market, full_circle(circle_n), matching)
 
 
 def test_utility_error_cases():

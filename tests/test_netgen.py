@@ -1,15 +1,18 @@
 """Graph generators: frozen small cases, structural invariants, determinism."""
 
+import ast
 import io
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlematch import netgen
 from circlematch.netgen import (
     MODELS,
     Graph,
@@ -19,11 +22,14 @@ from circlematch.netgen import (
     generate_ncn,
     generate_ws,
     read_edge_list,
+    sample_range,
     write_edge_list,
 )
 
 from refimpl import (adjacency_lists, assert_valid_graph, ba_pairs, er_pairs, generate_er_gnp,
                      tuple_edges, valid_degrees, ws_pairs)
+
+SRC = Path(netgen.__file__).parent
 
 
 # ---------------------------------------------------------------- Graph type
@@ -124,35 +130,88 @@ def test_from_edges_matches_the_tuple_reference(case):
     assert graph.degrees() == [len(ns) for ns in adjacency_lists(graph)]
 
 
+def reference_pairs(model, n, k, rng):
+    """The edges of ``generate(model, n, k)`` written out in tuples, drawn
+    from ``rng`` by the stdlib calls the generators inline: the ring, the
+    bisect pair decoding over ``rng.sample``, and the set-based ws and ba
+    constructions over ``rng.randrange`` and ``rng.choice``."""
+    if model == "ncn":
+        return [(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)]
+    if model == "er":
+        return er_pairs(n, rng.sample(range(n * (n - 1) // 2), n * k // 2))
+    if model == "ws":
+        return ws_pairs(n, k, 0.1, rng)
+    return ba_pairs(n, k // 2, rng)
+
+
+def assert_draws_like_the_reference(model, n, k, seed):
+    fast, reference = random.Random(seed), random.Random(seed)
+    graph = generate(model, n, k, rng=fast)
+    pairs = reference_pairs(model, n, k, reference)
+    assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)], (model, n, k, seed)
+    assert fast.getstate() == reference.getstate(), (model, n, k, seed)
+    return graph
+
+
 @pytest.mark.parametrize("n", [3, 20, 60, 100, 300, 2000])
 def test_generators_match_the_tuple_reference(n):
-    # each model against its draws written out in tuples: the ring, the
-    # bisect pair decoding, and the set-based ws and ba constructions
     for k in (k for k in (2, 4, 8) if k <= n - 1):
         for seed in (0, 1):
             for model in MODELS:
-                graph = generate(model, n, k, rng=random.Random(seed))
-                rng = random.Random(seed)
-                if model == "ncn":
-                    pairs = [(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)]
-                elif model == "er":
-                    pairs = er_pairs(n, rng.sample(range(n * (n - 1) // 2), n * k // 2))
-                elif model == "ws":
-                    pairs = ws_pairs(n, k, 0.1, rng)
-                else:
-                    pairs = ba_pairs(n, k // 2, rng)
-                assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)], \
-                    (model, k, seed)
+                graph = assert_draws_like_the_reference(model, n, k, seed)
                 assert [neighbours(graph, v) for v in range(n)] == adjacency_lists(graph)
+
+
+# n and an even k in 2..n-1
+SIZES_AND_DEGREES = st.integers(3, 120).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, (n - 1) // 2).map(lambda x: 2 * x)))
+
+
+@given(st.sampled_from(("er", "ws", "ba")), SIZES_AND_DEGREES, st.integers(0, 2 ** 64))
+@example("er", (60, 16), 0)  # sample's pool of every pair
+@example("er", (100, 2), 0)  # sample's set of the chosen pairs
+@example("ba", (100, 12), 0)
+@example("ws", (100, 12), 0)
+def test_generators_draw_as_the_stdlib_calls_for_any_seed(model, size, seed):
+    assert_draws_like_the_reference(model, *size, seed)
+
+
+@given(st.integers(0, 5000).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))),
+       st.integers(0, 2 ** 64))
+@example((1770, 480), 0)  # pool: er at n=60, k=16
+@example((4950, 100), 0)  # set: er at n=100, k=2
+@example((1999000, 4000), 0)  # set: er at n=2000, k=4
+@example((2000, 1000), 0)  # pool: the genders at n=2000
+@example((5, 5), 0)
+def test_sample_range_is_the_stdlib_sample(size, seed):
+    population, k = size
+    fast, reference = random.Random(seed), random.Random(seed)
+    assert sample_range(fast, population, k) == reference.sample(range(population), k)
+    assert fast.getstate() == reference.getstate()
+
+
+def test_no_module_draws_through_the_stdlib_helpers():
+    """Every draw in the library goes through ``rng.getrandbits`` (or
+    ``random``/``randbytes``), so that none depends on how a ``random.Random``
+    method consumes its words."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("choice", "sample", "randrange", "shuffle")):
+                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}")
+    assert calls == []
 
 
 @pytest.mark.parametrize("p_rewire", [0.0, 0.5, 1.0])
 def test_ws_matches_the_tuple_reference_at_any_rewiring(p_rewire):
     for n, k in ((5, 4), (40, 2), (41, 6)):
         for seed in range(3):
-            graph = generate_ws(n, k, p_rewire, random.Random(seed))
-            pairs = ws_pairs(n, k, p_rewire, random.Random(seed))
+            fast, reference = random.Random(seed), random.Random(seed)
+            graph = generate_ws(n, k, p_rewire, fast)
+            pairs = ws_pairs(n, k, p_rewire, reference)
             assert graph.edges.tolist() == [list(e) for e in tuple_edges(n, pairs)]
+            assert fast.getstate() == reference.getstate()
 
 
 def test_ba_with_every_node_in_the_core_is_complete():

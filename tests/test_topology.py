@@ -28,6 +28,7 @@ from circlematch.topology import (
     degree_distribution,
     poisson_connectivity,
     reachable_pairs,
+    summary_bytes,
 )
 
 from refimpl import naive_distances, random_instance
@@ -550,6 +551,16 @@ def test_branchy_rings_keep_no_block_of_core_distances(k):
     # ncn at k=4 and k=6 has a 4- or 6-regular 2-core, so it takes the
     # bit-parallel path: the circle (0.5 MB) and a few n x n bit levels.
     assert traced_peak(generate_ncn(2000, k)) <= 4_000_000
+
+
+@pytest.mark.parametrize("graph", [
+    generate_er(2000, 4000, random.Random(1)),  # the column-by-column OR
+    Graph(2000, [(0, v) for v in range(1, 2000)]),  # a star: one reduceat
+], ids=["er", "star"])
+def test_summary_bytes_bounds_the_traced_peak(graph):
+    isolated = int((np.diff(graph.csr[0]) == 0).sum())
+    estimate = summary_bytes(graph.n, graph.m, isolated)
+    assert traced_peak(graph) <= estimate <= 2 * traced_peak(graph)
 
 
 def test_node_ids_outside_the_graph_raise():
