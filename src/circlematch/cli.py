@@ -69,7 +69,9 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_match(args: argparse.Namespace) -> None:
-    harness.check_sizes_fit((args.n,), (args.k,))
+    # the checks of a one-cell sweep, so that a bad size, degree or depth draws nothing
+    harness.ExperimentConfig((args.model,), (args.n,), (args.k,), (args.seed,), args.dep,
+                             args.p_rewire, args.stream)
     run = harness.run_cell_full(args.model, args.n, args.k, args.dep,
                                 args.seed, args.p_rewire, args.stream)
     payload = {**matching_to_dict(run.market, run.dm, run.matching), "stream": args.stream}

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 from . import netgen
 from .market import (DEFAULT_STREAM, Market, Matching, average_utility, build_market,
-                     check_stream, market_bytes, restricted_deferred_acceptance)
+                     candidates_bytes, check_stream, market_bytes, restricted_deferred_acceptance)
 from .netgen import MODELS, Graph
 from .topology import (DistanceMatrix, SocialCircle, all_pairs_shortest,
                        average_path_length, connectivity, summary_bytes)
@@ -46,24 +46,15 @@ def _available_bytes() -> Optional[int]:
 
 def _cell_bytes(n: int, k: int) -> int:
     """Estimated peak bytes of one cell of size n at nominal degree k: the
-    market's, plus the distance summary's on a graph of n * k / 2 edges, the
-    most any model builds at k."""
-    return market_bytes(n) + summary_bytes(n, n * k // 2)
+    market's, the distance summary's on a graph of n * k / 2 edges (the most
+    any model builds at k) and the candidate structure's of a full circle."""
+    return market_bytes(n) + summary_bytes(n, n * k // 2) + candidates_bytes(n)
 
 
 def _check_fits(what: str, needed: int, available: Optional[int]) -> None:
     if available is not None and needed > available:
         raise ValueError(f"{what} needs about {needed / 2 ** 30:.1f} GiB, "
                          f"more than the {available / 2 ** 30:.1f} GiB available")
-
-
-def check_sizes_fit(n_values: Iterable[int], k_values: Iterable[int]) -> None:
-    """Raise ValueError for the first market size whose cell (``_cell_bytes``
-    at the largest of ``k_values``) would not fit in ``MemAvailable``; where
-    that cannot be read, pass."""
-    available, k = _available_bytes(), max(k_values)
-    for n in n_values:
-        _check_fits(f"market size {n}", _cell_bytes(n, k), available)
 
 
 def check_graph_fits(n: int, m: int, isolated: int = 0) -> None:
@@ -104,7 +95,10 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 4 or n % 2:
                 raise ValueError(f"market size must be even and >= 4, got {n}")
-        check_sizes_fit(self.n_values, self.k_values)  # every size, before a sweep runs a cell
+        # every size's cell at the largest degree, before a sweep runs a cell
+        available, k = _available_bytes(), max(self.k_values)
+        for n in self.n_values:
+            _check_fits(f"market size {n}", _cell_bytes(n, k), available)
         # every cell's network, checked before a sweep runs any cell
         for model, n, k in itertools.product(self.models, self.n_values, self.k_values):
             netgen.check_model_params(model, n, k)
@@ -184,7 +178,7 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
     """Run one replication and keep every intermediate object. The graph and
     distance summary of an ncn network are shared between its cells; the
     market's rank lists come from preference stream ``stream``. The cell's
-    utility is read off the ranks deferred acceptance left on its matching."""
+    utility is read at the pair entries deferred acceptance left on its matching."""
     start = time.perf_counter()
     market = build_market(n, random.Random(derive_seed(seed, "market")), stream)
     graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)

@@ -42,6 +42,14 @@ def market_bytes(n: int) -> int:
     return 3 * h * h * _rank_dtype(h).itemsize
 
 
+def candidates_bytes(n: int) -> int:
+    """Peak bytes of ``_candidates`` on a circle of all h² pairs, its worst
+    case: 32 bytes a pair for the mask, its gather and intp temporaries, plus
+    the structure's three rank entries (38 at 2-byte ranks, traced at h=1000)."""
+    h = n // 2
+    return (32 + 3 * _rank_dtype(h).itemsize) * h * h
+
+
 def _row_blocks(prefs: np.ndarray):
     """(first row, block) over the rows of h x h ``prefs``, at most 2**16
     entries a block, so that a block's temporaries stay small at any size."""
@@ -362,8 +370,8 @@ class Matching:
     (woman, man) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    # (market, _partner_ranks(market, self)), set by deferred acceptance
-    _ranks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (market, circle, _candidates(market, circle), pair entries), set by DA
+    _da: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -389,38 +397,45 @@ class Matching:
         return [m for m in market.men.tolist() if m not in self.by_man]
 
 
-def _candidates(market: Market, known: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Pairs with ``known[j, i]`` (side-local), in each man's order, men in turn, as
-    (bounds, men, women, her_rank, his_rank); man j's are ``bounds[j]:bounds[j + 1]``.
-    The mask is read in each man's order through flat row offsets, a row block
-    at a time, so that the index array stays small at any size."""
+def _candidates(market: Market, circle: Optional[SocialCircle]) -> tuple[np.ndarray, ...]:
+    """The pairs ``circle`` holds (every pair when it is None), in each man's
+    order, men in turn, as (bounds, women, her_rank, his_rank), side-local and
+    at rank width; man j's entries are ``bounds[j]:bounds[j + 1]``. The mask is
+    read in each man's order through flat row offsets, a row block at a time,
+    so that the index array stays small at any size. Raises ValueError unless
+    the circle is over the market's n agents."""
     h = market.half
-    flat, ordered = known.reshape(-1), np.empty((h, h), dtype=bool)
-    for start, block in _row_blocks(market.men_prefs):
-        ordered[start:start + len(block)] = flat[np.arange(start * h, start * h + block.size,
-                                                           h)[:, None] + block]
+    if circle is None:
+        ordered = np.ones((h, h), dtype=bool)
+    elif circle.n != market.n:
+        raise ValueError(f"a social circle of {circle.n} nodes does not fit "
+                         f"a market of {market.n} agents")
+    else:
+        flat, ordered = circle.mask(market.men, market.women).reshape(-1), np.empty((h, h), bool)
+        for start, block in _row_blocks(market.men_prefs):
+            ordered[start:start + len(block)] = flat[np.arange(start * h, start * h + block.size,
+                                                               h)[:, None] + block]
     pos = np.flatnonzero(ordered)
     men = pos // h
     women = market.men_prefs.reshape(-1)[pos]
     her_rank = market.women_pos.reshape(-1)[h * women.astype(np.intp) + men]
-    return np.searchsorted(men, np.arange(h + 1)), men, women, her_rank, pos - h * men
+    his_rank = (pos - h * men).astype(women.dtype)
+    return np.searchsorted(men, np.arange(h + 1)), women, her_rank, his_rank
 
 
-def _circle_mask(market: Market, circle: SocialCircle) -> np.ndarray:
-    """``circle.mask`` of every (man, woman) pair, side-local; raises
-    ValueError unless the circle is over the market's n agents."""
-    if circle.n != market.n:
-        raise ValueError(f"a social circle of {circle.n} nodes does not fit "
-                         f"a market of {market.n} agents")
-    return circle.mask(market.men, market.women)
+def restricted_deferred_acceptance(market: Market, circle: Optional[SocialCircle]) -> Matching:
+    """Man-proposing deferred acceptance over circle-restricted lists.
 
-
-def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
-    """Man-proposing deferred acceptance over ``_candidates(market, known)``.
-    The matching keeps both ranks of each pair, read off the entry at which
-    the man stopped, for ``_partner_ranks``."""
+    Men propose down their rank lists filtered to women they recognize; a
+    free woman accepts any proposer she recognizes, an engaged woman trades
+    up exactly when she ranks the proposer strictly ahead of her fiance.
+    The outcome does not depend on the order in which free men propose.
+    A circle of None recognizes every pair. The matching keeps the candidate
+    structure and each pair's entry, his last proposal. Raises ValueError
+    unless the circle is over the market's n agents.
+    """
     h = market.half
-    bounds, _, women, her_rank, his_rank = _candidates(market, known)
+    bounds, women, her_rank, _ = structure = _candidates(market, circle)
     # Read in place: DA often visits far fewer entries than a list conversion makes.
     candidates, ranks = memoryview(women), memoryview(her_rank)
     next_choice, ends = bounds[:-1].tolist(), bounds[1:].tolist()
@@ -444,39 +459,27 @@ def _deferred_acceptance(market: Market, known: np.ndarray) -> Matching:
     fiance = np.array(fiance, dtype=np.intp)
     wi = np.flatnonzero(fiance >= 0)
     mj = fiance[wi]
-    entry = np.array(next_choice, dtype=np.intp)[mj] - 1  # an engaged man's last proposal
-    her, his = np.full((2, h), h, dtype=market.men_prefs.dtype)
-    her[wi], his[mj] = her_rank[entry], his_rank[entry]
     # local order is id order, so the pairs come sorted by woman
     matching = Matching(tuple(zip(market.women[wi].tolist(), market.men[mj].tolist())))
-    object.__setattr__(matching, "_ranks", (market, (wi, mj, her, his)))
+    entry = np.array(next_choice, dtype=np.intp)[mj] - 1  # an engaged man's last proposal
+    object.__setattr__(matching, "_da", (market, circle, structure, entry))
     return matching
-
-
-def restricted_deferred_acceptance(market: Market, circle: SocialCircle) -> Matching:
-    """Man-proposing deferred acceptance over circle-restricted lists.
-
-    Men propose down their rank lists filtered to women they recognize; a
-    free woman accepts any proposer she recognizes, an engaged woman trades
-    up exactly when she ranks the proposer strictly ahead of her fiance.
-    The outcome does not depend on the order in which free men propose.
-    Raises ValueError unless the circle is over the market's n agents.
-    """
-    return _deferred_acceptance(market, _circle_mask(market, circle))
 
 
 def classical_gs(market: Market) -> Matching:
     """Man-proposing deferred acceptance with complete lists; matches everyone."""
-    return _deferred_acceptance(market, np.ones((market.half, market.half), dtype=bool))
+    return restricted_deferred_acceptance(market, None)
 
 
 def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]:
-    """Side-local (woman, man) indices of the matched pairs, then each woman's and
-    man's rank of their partner (h if unmatched); those deferred acceptance left
-    on a matching of this market, else his by one compare over his row."""
-    if matching._ranks is not None and matching._ranks[0] is market:
-        return matching._ranks[1]
-    h = market.half
+    """Side-local (woman, man) indices of the matched pairs, then each woman's
+    rank of her partner and each man's of his, in pair order; read at the
+    pairs' entries when deferred acceptance made the matching in this market,
+    else his by one compare over his row."""
+    if matching._da and matching._da[0] is market:
+        (bounds, women, her_rank, his_rank), entry = matching._da[2:]
+        return (women[entry], np.searchsorted(bounds, entry, "right") - 1,
+                her_rank[entry], his_rank[entry])
     ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
     if ((ids < 0) | (ids >= market.n)).any():
         raise ValueError("matching names an agent outside the market")
@@ -484,19 +487,17 @@ def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]
     if not (np.array_equal(market.women[wi], ids[:, 0])
             and np.array_equal(market.men[mj], ids[:, 1])):
         raise ValueError("every matched pair must be a (woman, man) pair of the market")
-    partner = np.full(h, -1, dtype=market.men_prefs.dtype)  # rank width: no upcast copy
+    partner = np.full(market.half, -1, dtype=market.men_prefs.dtype)  # rank width: no upcast
     partner[mj] = wi
-    her, his = np.full((2, h), h, dtype=market.men_prefs.dtype)
-    her[wi] = market.women_pos[wi, mj]
-    his[mj] = (market.men_prefs == partner[:, None]).argmax(axis=1)[mj]
-    return wi, mj, her, his
+    his = (market.men_prefs == partner[:, None]).argmax(axis=1)[mj]
+    return wi, mj, market.women_pos[wi, mj], his
 
 
 def _pair_utilities(market: Market, matching: Matching) -> list[float]:
     """Mean of the two partners' scores for each other, for every matched
     pair in pair order."""
-    wi, mj, her, his = _partner_ranks(market, matching)
-    return ((_score(market.half, her[wi]) + _score(market.half, his[mj])) / 2.0).tolist()
+    _, _, her, his = _partner_ranks(market, matching)
+    return ((_score(market.half, her) + _score(market.half, his)) / 2.0).tolist()
 
 
 def average_utility(market: Market, matching: Matching) -> float:
@@ -513,16 +514,22 @@ def find_blocking_pair(market: Market, circle: SocialCircle,
                        matching: Matching) -> Optional[tuple[int, int]]:
     """First in-circle (woman, man) pair in which both strictly gain by
     pairing up, scanning women in id order and their lists best-first.
-    Returns None when the matching is stable. Raises ValueError unless the
-    circle is over the market's n agents."""
-    known = _circle_mask(market, circle)
-    _, _, her_cut, his_cut = _partner_ranks(market, matching)
-    _, men, women, her_rank, his_rank = _candidates(market, known)
+    Returns None when the matching is stable. Reads DA's candidate structure
+    for a matching it made in this market and circle. Raises ValueError
+    unless the circle is over the market's n agents."""
+    da = matching._da
+    bounds, women, her_rank, his_rank = (da[2] if da and da[0] is market and da[1] is circle
+                                         else _candidates(market, circle))
+    h = market.half
+    wi, mj, her, his = _partner_ranks(market, matching)
+    her_cut, his_cut = np.full((2, h), h, dtype=women.dtype)  # h for the unmatched
+    her_cut[wi], his_cut[mj] = her, his
+    men = np.repeat(np.arange(h, dtype=women.dtype), np.diff(bounds))
     blocking = np.flatnonzero((her_rank < her_cut[women]) & (his_rank < his_cut[men]))
     if blocking.size == 0:
         return None
     # local order is id order, so the least woman * h + her rank is the first pair
-    first = blocking[np.argmin(women[blocking].astype(np.intp) * market.half + her_rank[blocking])]
+    first = blocking[np.argmin(women[blocking].astype(np.intp) * h + her_rank[blocking])]
     return int(market.women[women[first]]), int(market.men[men[first]])
 
 

@@ -290,7 +290,7 @@ def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "sweep", "--n", "20", "10000000", "--k", "2",
                              "--model", "er", "--reps", "3")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 360887.5 GiB, "
+    assert err == ("error: market size 10000000 needs about 1385342.3 GiB, "
                    "more than the 8.0 GiB available\n")
 
 
@@ -303,8 +303,22 @@ def test_match_checks_the_size_fits_before_drawing(capsys, monkeypatch):
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
     code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "10000000", "--k", "4")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 384170.6 GiB, "
+    assert err == ("error: market size 10000000 needs about 1408625.4 GiB, "
                    "more than the 8.0 GiB available\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--k", "3"), "nominal degree must be even and >= 2, got 3"),
+    (("--k", "4", "--dep", "0"), "recognition depth must be >= 1, got 0"),
+])
+def test_match_checks_degree_and_depth_before_drawing(capsys, monkeypatch, flags, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a market was drawn or a network generated")
+
+    monkeypatch.setattr(harness, "build_market", refuse)
+    monkeypatch.setattr(harness, "cell_graph", refuse)
+    code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "6000", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -11,6 +11,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +102,26 @@ def test_config_refuses_a_size_that_cannot_fit(monkeypatch):
     available = harness._available_bytes()
     assert available is None or available > 0
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
-    # 3h² int32 rank entries and (2m + 5n)·n search bits at n = 10**7, k = 2:
-    # about 352 TiB
-    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 360887\.5 GiB, "
+    # 3h² int32 rank entries, (2m + 5n)·n search bits and 44 bytes for each
+    # of the h² candidate pairs at n = 10**7, k = 2: about 1353 TiB
+    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 1385342\.3 GiB, "
                                          r"more than the 8\.0 GiB available$"):
         ExperimentConfig(("er",), (20, 10 ** 7), (2,), (0,))
     ExperimentConfig(("er",), (20, 2000), (2,), (0,))
+
+
+@pytest.mark.parametrize("model, k", [("er", 16), ("ba", 4)])
+def test_cell_estimate_bounds_the_traced_peak(model, k):
+    """tracemalloc's peak over one n=2000 cell stays within ``_cell_bytes``:
+    er at k=16 holds 86% of the 10**6 pairs in its circle, and its
+    candidate structure is most of the cell's peak."""
+    tracemalloc.start()
+    try:
+        run_cell_full(model, 2000, k, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._cell_bytes(2000, k)
 
 
 def test_config_skips_the_size_check_without_meminfo(monkeypatch):

@@ -749,7 +749,9 @@ def test_candidates_gather_across_row_blocks_at_n600(model):
     circle = all_pairs_shortest(generate(model, 600, 4, rng=random.Random(7)), 3).circle
     known = circle.mask(market.men, market.women)
     assert 0 < known.sum() < known.size / 2
-    bounds, men, women, her_rank, his_rank = market_module._candidates(market, known)
+    bounds, women, her_rank, his_rank = market_module._candidates(market, circle)
+    assert all(a.dtype == np.int16 for a in (women, her_rank, his_rank))
+    assert bounds[0] == 0 and bounds[-1] == len(women) == known.sum()
     women_pos, known_rows = market.women_pos.tolist(), known.tolist()
     for j, row in enumerate(market.men_prefs.tolist()):
         entries = slice(bounds[j], bounds[j + 1])
@@ -757,9 +759,45 @@ def test_candidates_gather_across_row_blocks_at_n600(model):
         assert women[entries].tolist() == [i for _, i in listed]
         assert his_rank[entries].tolist() == [r for r, _ in listed]
         assert her_rank[entries].tolist() == [women_pos[i][j] for _, i in listed]
-        assert (men[entries] == j).all()
     matching = restricted_deferred_acceptance(market, circle)
     assert matching.pairs == naive_deferred_acceptance(market, circle).pairs
+
+
+def _count_candidates(monkeypatch) -> list:
+    """Patches ``market._candidates`` to record each build; returns the record."""
+    calls, build = [], market_module._candidates
+    monkeypatch.setattr(market_module, "_candidates",
+                        lambda market, circle: calls.append(circle) or build(market, circle))
+    return calls
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_cell_builds_its_candidates_once_gate_included(model, monkeypatch):
+    calls = _count_candidates(monkeypatch)
+    run = run_cell_full(model, 200, 4, seed=5)
+    assert is_stable(run.market, run.circle, run.matching)
+    assert find_blocking_pair(run.market, run.circle, run.matching) is None
+    assert calls == [run.circle]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_da_matching_checked_elsewhere_rebuilds_and_agrees_with_reference(seed, monkeypatch):
+    """Against an equal circle of another object, a wider circle, or an equal
+    twin market, the scan builds the structure anew and finds the
+    reference's first blocking pair."""
+    inst = random_instance(seed, n_pool=(40, 60), dep_pool=(1,), models=(MODELS[seed],))
+    market, circle = inst.market, inst.circle
+    matching = restricted_deferred_acceptance(market, circle)
+    twin = Market(market.women, market.men, women_prefs(market), market.men_prefs)
+    copy = dataclasses.replace(circle, bits=circle.bits.copy())
+    wider = all_pairs_shortest(inst.graph, 3).circle
+    calls = _count_candidates(monkeypatch)
+    found = [find_blocking_pair(on, other, matching)
+             for on, other in ((market, copy), (market, wider), (twin, circle), (twin, wider))]
+    assert calls == [copy, wider, circle, wider]
+    assert found[0] is found[2] is None and found[1] == found[3] is not None
+    assert found[1] == naive_blocking_pair(market, wider, matching)
+    assert found[3] == naive_blocking_pair(twin, wider, matching)
 
 
 @given(st.integers(0, 200))
@@ -810,15 +848,15 @@ def test_average_utility_equals_mean_agent_utility(seed):
 @pytest.mark.parametrize("n", [20, 40, 60, 80, 100, 2000])
 @pytest.mark.parametrize("model", MODELS)
 def test_utility_read_off_da_is_the_same_float(model, n):
-    """A cell's utility, read from the ranks DA left on its matching, is the
+    """A cell's utility, read at the entries DA left on its matching, is the
     float the rank search gives for the same pairs, and so is the ``match``
     JSON's."""
     k = 2 if model in ("ncn", "ws") else 4
     run = run_cell_full(model, n, k, seed=n)
     market, matching = run.market, run.matching
-    assert matching._ranks[0] is market
+    assert matching._da[0] is market and matching._da[1] is run.circle
     searched = Matching(matching.pairs)
-    assert searched._ranks is None and searched == matching
+    assert searched._da is None and searched == matching
     assert run.result.average_utility == average_utility(market, searched)
     assert average_utility(market, matching) == average_utility(market, searched)
     assert json.dumps(matching_to_dict(market, run.dm, matching)) == \
@@ -826,7 +864,11 @@ def test_utility_read_off_da_is_the_same_float(model, n):
     # another market, though equal, is searched and not read off DA
     twin = Market(market.women, market.men, women_prefs(market), market.men_prefs)
     assert twin == market
-    assert market_module._partner_ranks(twin, matching)[2] is not matching._ranks[1][2]
+    poisoned = Matching(matching.pairs)
+    object.__setattr__(poisoned, "_da", (market, run.circle, None, None))
+    with pytest.raises(TypeError):
+        average_utility(market, poisoned)
+    assert average_utility(twin, poisoned) == average_utility(market, searched)
     assert average_utility(twin, matching) == average_utility(market, searched)
 
 
