@@ -22,13 +22,13 @@ import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .netgen import sample_range
-from .topology import DistanceMatrix, SocialCircle
+from .topology import DistanceMatrix, SocialCircle, _unpack
 
 def _rank_dtype(h: int) -> np.dtype:
     """Rank entries among h candidates take 2 bytes while h fits in int16, else 4."""
@@ -44,10 +44,11 @@ def market_bytes(n: int) -> int:
 
 def candidates_bytes(n: int) -> int:
     """Peak bytes of ``_candidates`` on a circle of all h² pairs, its worst
-    case: 32 bytes a pair for the mask, its gather and intp temporaries, plus
-    the structure's three rank entries (38 at 2-byte ranks, traced at h=1000)."""
+    case: the structure it keeps, three rank entries a pair and the row
+    bounds, plus one row block's transients at 40 bytes an entry (33 traced
+    at h=1000 and h=3000). The count before them holds about h²/2 bytes."""
     h = n // 2
-    return (32 + 3 * _rank_dtype(h).itemsize) * h * h
+    return 3 * _rank_dtype(h).itemsize * h * h + 8 * (h + 1) + 40 * max(2 ** 16, h)
 
 
 def _row_blocks(prefs: np.ndarray):
@@ -149,28 +150,29 @@ class Market:
     women_pos: np.ndarray = field(repr=False)
 
     def __init__(self, women, men, women_prefs, men_prefs):
-        self._assemble(*_validated(women, men, women_prefs, men_prefs))
+        women, men, women_prefs, men_prefs = _validated(women, men, women_prefs, men_prefs)
+        self._assemble(women, men, _positions_of(women_prefs), men_prefs)
 
     @classmethod
-    def _drawn(cls, women, men, women_prefs, men_prefs) -> Market:
+    def _drawn(cls, women, men, women_pos, men_prefs) -> Market:
         """The market of the rank lists ``build_market`` drew, which meet
         every check of ``Market(...)`` by construction: sorted ``intp`` id
-        arrays that partition 0..n-1, and read-only h x h blocks of rank
-        width whose rows are permutations. Assembled unchecked."""
+        arrays that partition 0..n-1, the men's h x h block and the women's
+        positions, of rank width, whose rows are permutations. Assembled
+        unchecked."""
         market = cls.__new__(cls)
-        market._assemble(women, men, women_prefs, men_prefs)
+        market._assemble(women, men, women_pos, men_prefs)
         return market
 
-    def _assemble(self, women, men, women_prefs, men_prefs) -> None:
-        """Sets the fields from arrays in the form ``_validated`` returns,
-        deriving ``local`` and ``women_pos``; every field is read-only."""
+    def _assemble(self, women, men, women_pos, men_prefs) -> None:
+        """Sets the fields, deriving ``local``; every field is read-only."""
         h = len(women)
         local = np.empty(2 * h, dtype=np.intp)
         local[women] = local[men] = np.arange(h)
-        for array in (women, men, men_prefs, local):
+        for array in (women, men, men_prefs, women_pos, local):
             array.flags.writeable = False
         for name, value in (("women", women), ("men", men), ("local", local),
-                            ("men_prefs", men_prefs), ("women_pos", _positions_of(women_prefs))):
+                            ("men_prefs", men_prefs), ("women_pos", women_pos)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -201,6 +203,13 @@ _TWISTER_HALF = 64
 # alone (best of 7, 2-core VM) the pass saved 16% at h=1000 (bound 0.12) and
 # 5% at h=1100 (0.29), and cost 1-13% from h=1400 (0.47) to h=2048 (1.0).
 _PREFIX_TIE_BOUND = 0.25
+# ``_draw_sorted`` reads both blocks' words in one call while they number at
+# most this (128 KiB). Against the blocked draw (``build_market``, interleaved
+# medians, 2-core VM) it saved 15-35% up to h=110, and cost 5-30% from h=128
+# to h=256, where the larger buffers and temporaries made each call fault in
+# fresh pages.
+_ONE_PASS_WORDS = 2 ** 15
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def check_stream(stream: str) -> None:
@@ -235,10 +244,11 @@ def _draw_shuffled(rng: random.Random, blocks: list[np.ndarray], is_woman: np.nd
 
 
 def _sorted_ties(keys: np.ndarray, low) -> np.ndarray:
-    """Sorts each row of ``keys`` in place; True for the rows in which two keys
-    agree above their low bits ``low``."""
+    """Sorts each row of ``keys`` in place; the indices of the rows in which
+    two keys agree above their low bits ``low``."""
     keys.sort(axis=1)
-    return ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    close = (keys[:, 1:] ^ keys[:, :-1]) <= low
+    return np.flatnonzero(close.any(axis=1)) if close.any() else _NO_ROWS
 
 
 def _prefix_pass(h: int) -> bool:
@@ -249,48 +259,107 @@ def _prefix_pass(h: int) -> bool:
     return h * (h - 1) <= _PREFIX_TIE_BOUND * 2 ** (33 - bits)
 
 
-def _draw_sorted(words, blocks: list[np.ndarray]) -> None:
+def _keys64(drawn: np.ndarray, high: int) -> np.ndarray:
+    """The 64-bit keys of contiguous word pairs ``drawn``, a view where
+    ``high``, the index of each key's high word within its pair, is 1."""
+    keys = drawn.view("<u8")
+    return keys if high else keys << np.uint64(32) | keys >> np.uint64(32)
+
+
+@lru_cache(maxsize=16)
+def _key_parts(h: int) -> tuple:
+    """For rows of h keys: the mask of their low b bits as a 32-bit and a
+    64-bit word, and the columns 0..h-1 in 32-bit and 64-bit words."""
+    low = (1 << max(1, (h - 1).bit_length())) - 1
+    cols32, cols64 = np.arange(h, dtype="<u4"), np.arange(h, dtype="<u8")
+    cols32.flags.writeable = cols64.flags.writeable = False
+    return np.uint32(low), np.uint64(low), cols32, cols64
+
+
+def _rank_rows(drawn: np.ndarray, h: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rows of the rows of h keys in ``drawn`` (2h words a row, each
+    key a pair of words, its high word at ``high``), and the indices of the
+    rows whose keys tie above the low b bits, whose ranks are to be drawn
+    again. Where ``_prefix_pass(h)`` holds, the rows are sorted on the high
+    words first and only the rows whose prefixes tie on the 64-bit keys."""
+    low32, low64, cols32, cols64 = _key_parts(h)
+    if not _prefix_pass(h):
+        keys = (_keys64(drawn, high) & ~low64).reshape(-1, h)
+        keys |= cols64
+        tied = _sorted_ties(keys, low64)
+        keys &= low64
+        return keys, tied
+    keys = (drawn[high::2] & ~low32).reshape(-1, h)
+    keys |= cols32
+    tied = _sorted_ties(keys, low32)
+    if tied.size:
+        full = _keys64(drawn.reshape(-1, 2 * h)[tied], high) & ~low64
+        full |= cols64
+        again = _sorted_ties(full, low64)
+        keys[tied] = full & low64
+        tied = tied[again]
+    keys &= low32
+    return keys, tied
+
+
+def _replayed(drawn: np.ndarray, words):
+    """``words`` that serves the words of ``drawn`` first, then reads on."""
+    served = 0
+
+    def read(count):
+        nonlocal served
+        head = drawn[served:served + count]
+        served += len(head)
+        return head if len(head) == count else np.concatenate((head, words(count - len(head))))
+    return read
+
+
+def _draw_sorted(words, blocks: list[np.ndarray], high: int = 1) -> np.ndarray:
     """Stream v2: fill each h x h block of ``blocks`` in turn, row by row, with
-    uniform permutations of 0..h-1, a row block at a time. ``words(count)``
-    returns the next ``count`` 32-bit words of the rng as ``rng.randbytes(4 *
-    count)`` reads them (a ``"<u4"`` array). A row takes h little-endian
-    64-bit words of two such words each, overwrites each word's low b bits
-    with its column index and sorts them; the low bits of the sorted keys are
-    the rank row. The random high parts are iid, so when they are distinct
-    their order is a uniform permutation; a row in which two of them tie is
-    drawn again.
+    uniform permutations of 0..h-1, a row block at a time, and return the
+    inverse of the last block. ``words(count)`` returns the next
+    ``count`` 32-bit words of the rng (count even) as a ``"<u4"`` array of
+    pairs; ``rng.randbytes(4 * count)`` reads the same words, but the pairs
+    of a source with ``high`` 0 hold them in reverse. A row takes h 64-bit
+    keys: the little-endian words of ``randbytes``' pairs, their low b bits
+    overwritten with the column index, sorted; the low bits of the sorted
+    keys are the rank row. The random high parts are iid, so when they are
+    distinct their order is a uniform permutation; a row in which two of
+    them tie is drawn again.
 
     Where ``_prefix_pass(h)`` holds, each row is first sorted on 32-bit keys:
     the high word of each 64-bit key, its low b bits the column. When the
     32 - b random bits of those keys are distinct they order the row as the
     64-bit keys do, at half the width; only a row in which two of them tie
     (about 11% of rows at h=1000) is sorted again on its 64-bit keys, which
-    also finds the rows to draw again."""
+    also finds the rows to draw again.
+
+    While all blocks' words number at most ``_ONE_PASS_WORDS`` (h <= 90 for
+    a market's two), they are read in one call and the rows of all blocks
+    ranked together, the inverse scattered from the ranks; if a row ties,
+    the blocks are drawn again one row block at a time from the words
+    already read, then from ``words``, so that every block, and the words
+    read, are those of the blocked draw."""
     h = len(blocks[0])
-    low = (1 << max(1, (h - 1).bit_length())) - 1
-    low64, cols64 = np.uint64(low), np.arange(h, dtype="<u8")
-    low32, cols32 = np.uint32(low), np.arange(h, dtype="<u4")
-    prefix = _prefix_pass(h)
+    if 2 * h * h * len(blocks) <= _ONE_PASS_WORDS:
+        drawn = words(2 * h * h * len(blocks))
+        ranks, tied = _rank_rows(drawn, h, high)
+        if not tied.size:
+            for block, rows in zip(blocks, ranks.reshape(-1, h, h)):
+                block[...] = rows
+            pos = np.empty((h, h), dtype=blocks[-1].dtype)
+            rows = np.arange(0, h * h, h)[:, None]
+            pos.reshape(-1)[rows + ranks[-h:]] = np.arange(h, dtype=pos.dtype)
+            return pos
+        words = _replayed(drawn, words)
     for prefs in blocks:
         for _, out in _row_blocks(prefs):
             rows = np.arange(len(out))
             while rows.size:
-                drawn = words(2 * h * rows.size)
-                if prefix:
-                    keys = (drawn[1::2] & ~low32).reshape(-1, h)
-                    keys |= cols32
-                    tied = _sorted_ties(keys, low32)
-                    keys &= low32
-                    out[rows] = keys
-                    rows, drawn = rows[tied], drawn.reshape(-1, 2 * h)[tied]
-                    if not rows.size:
-                        break
-                keys = (drawn.view("<u8") & ~low64).reshape(-1, h)
-                keys |= cols64
-                tied = _sorted_ties(keys, low64)
-                keys &= low64
-                out[rows] = keys  # a tied row is overwritten by its redraw
+                ranks, tied = _rank_rows(words(2 * h * rows.size), h, high)
+                out[rows] = ranks  # a tied row is overwritten by its redraw
                 rows = rows[tied]
+    return _positions_of(blocks[-1])
 
 
 @cache
@@ -308,17 +377,20 @@ def _twister():
 
 @contextmanager
 def _twister_words(rng: random.Random):
-    """Yields ``words(count)``, the next ``count`` 32-bit words of ``rng``
-    bit for bit as ``rng.randbytes(4 * count)`` reads them, from numpy's
-    MT19937 (the generator ``random.Random`` runs) loaded with ``rng``'s
-    state; on exit ``rng`` takes the advanced state, ``gauss_next`` kept.
-    A full-range ``uint32`` draw of ``Generator.integers`` is the bit
-    generator's raw output."""
+    """Yields ``words(count)`` for ``_draw_sorted`` at ``high`` 0: the next
+    ``count`` 32-bit words of ``rng`` (count even), each pair in reverse of
+    the order ``rng.randbytes(4 * count)`` reads them, from numpy's MT19937
+    (the generator ``random.Random`` runs) loaded with ``rng``'s state; on
+    exit ``rng`` takes the advanced state, ``gauss_next`` kept. A full-range
+    ``uint64`` draw of ``Generator.integers`` is the bit generator's
+    ``next_uint64``, two raw words, the first in the high half: as ``"<u4"``
+    pairs, the second word, then the first."""
     version, internal, gauss_next = rng.getstate()
     twister, integers = _twister()
     twister.state = {"bit_generator": "MT19937",
                      "state": {"key": internal[:-1], "pos": internal[-1]}}
-    yield lambda count: integers(2 ** 32, size=count, dtype=np.uint32).astype("<u4", copy=False)
+    yield lambda count: integers(2 ** 64, size=count // 2,
+                                 dtype=np.uint64).astype("<u8", copy=False).view("<u4")
     state = twister.state["state"]
     rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
 
@@ -347,21 +419,22 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
     h = n // 2
     # Men's rows, then women's, each side's block in id order; allocated first,
     # so a size that cannot fit fails before the draw starts. Two blocks, so
-    # the women's is freed once the market has inverted it.
+    # the women's is freed once it has been inverted.
     blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
     women = sample_range(rng, n, h)
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
     if stream == "v1":
         _draw_shuffled(rng, blocks, is_woman)
+        women_pos = _positions_of(blocks[1])
     elif h < _TWISTER_HALF or type(rng) is not random.Random:
-        _draw_sorted(lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"), blocks)
+        women_pos = _draw_sorted(lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"),
+                                 blocks)
     else:  # a subclass may draw its own words, so only the stdlib class is replayed
         with _twister_words(rng) as words:
-            _draw_sorted(words, blocks)
-    for block in blocks:
-        block.flags.writeable = False
-    return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1], blocks[0])
+            women_pos = _draw_sorted(words, blocks, high=0)
+    return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), women_pos,
+                         blocks[0])
 
 
 @dataclass(frozen=True)
@@ -397,30 +470,57 @@ class Matching:
         return [m for m in market.men.tolist() if m not in self.by_man]
 
 
+def _circle_bounds(market: Market, circle: Optional[SocialCircle]) -> np.ndarray:
+    """The row bounds of ``_candidates``' structure, counted before it is
+    built: a man's entry count is the popcount of his packed circle row over
+    the women's bits (h under a circle of None). Its transients take about
+    h²/2 bytes."""
+    h = market.half
+    if circle is None:
+        return np.arange(0, h * h + 1, h)
+    words = circle.bits.shape[1]
+    is_woman = np.zeros(64 * words, dtype=bool)
+    is_woman[market.women] = True
+    women_bits = np.packbits(is_woman, bitorder="little").view(circle.bits.dtype)
+    bounds = np.zeros(h + 1, dtype=np.intp)
+    # running counts over the men's rows, read at each row's last word
+    bounds[1:] = np.bitwise_count(circle.bits[market.men] & women_bits).cumsum()[words - 1::words]
+    return bounds
+
+
 def _candidates(market: Market, circle: Optional[SocialCircle]) -> tuple[np.ndarray, ...]:
     """The pairs ``circle`` holds (every pair when it is None), in each man's
     order, men in turn, as (bounds, women, her_rank, his_rank), side-local and
-    at rank width; man j's entries are ``bounds[j]:bounds[j + 1]``. The mask is
-    read in each man's order through flat row offsets, a row block at a time,
-    so that the index array stays small at any size. Raises ValueError unless
-    the circle is over the market's n agents."""
-    h = market.half
-    if circle is None:
-        ordered = np.ones((h, h), dtype=bool)
-    elif circle.n != market.n:
+    at rank width; man j's entries are ``bounds[j]:bounds[j + 1]``. A row
+    block of men at a time, their circle rows are unpacked, read in each
+    man's order through flat row offsets and written in place, so that no
+    transient but ``_circle_bounds``' outgrows a block. While one block holds
+    every man, its entries give the bounds, and nothing is counted first.
+    Raises ValueError unless the circle is over the market's n agents."""
+    h, n = market.half, market.n
+    if circle is not None and circle.n != n:
         raise ValueError(f"a social circle of {circle.n} nodes does not fit "
-                         f"a market of {market.n} agents")
-    else:
-        flat, ordered = circle.mask(market.men, market.women).reshape(-1), np.empty((h, h), bool)
-        for start, block in _row_blocks(market.men_prefs):
-            ordered[start:start + len(block)] = flat[np.arange(start * h, start * h + block.size,
-                                                               h)[:, None] + block]
-    pos = np.flatnonzero(ordered)
-    men = pos // h
-    women = market.men_prefs.reshape(-1)[pos]
-    her_rank = market.women_pos.reshape(-1)[h * women.astype(np.intp) + men]
-    his_rank = (pos - h * men).astype(women.dtype)
-    return np.searchsorted(men, np.arange(h + 1)), women, her_rank, his_rank
+                         f"a market of {n} agents")
+    bounds = None if 2 ** 16 // h >= h else _circle_bounds(market, circle)
+    flat_pos = market.women_pos.reshape(-1)
+    for start, block in _row_blocks(market.men_prefs):
+        stop = start + len(block)
+        if circle is None:
+            pos = np.arange(block.size)
+        else:
+            known = _unpack(circle.bits[market.men[start:stop]], n)[:, market.women]
+            pos = np.flatnonzero(known.reshape(-1)[np.arange(0, known.size, h)[:, None] + block])
+        row = pos // h
+        if start == 0:
+            if bounds is None:
+                bounds = np.searchsorted(row, np.arange(h + 1))
+            women, her_rank, his_rank = (np.empty(bounds[-1], dtype=block.dtype)
+                                         for _ in range(3))
+        entries = slice(bounds[start], bounds[stop])
+        his_rank[entries] = pos - h * row
+        women[entries] = block.reshape(-1)[pos]
+        her_rank[entries] = flat_pos[h * women[entries].astype(np.intp) + row + start]
+    return bounds, women, her_rank, his_rank
 
 
 def restricted_deferred_acceptance(market: Market, circle: Optional[SocialCircle]) -> Matching:

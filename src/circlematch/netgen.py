@@ -27,6 +27,19 @@ import numpy as np
 MODELS = ("ncn", "er", "ws", "ba")
 
 
+def _sorted_keys(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The edges (lo, hi), each id below n, as keys lo * n + hi, sorted: the
+    canonical order."""
+    return np.sort(lo.astype(np.int64) * n + hi.astype(np.int64))
+
+
+def _edges_of(n: int, keys: np.ndarray) -> np.ndarray:
+    """The read-only int32 canonical edge array of sorted keys lo * n + hi."""
+    edges = np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
+    edges.flags.writeable = False
+    return edges
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph over nodes 0..n-1; ``edges`` is its
@@ -64,13 +77,21 @@ class Graph:
             u, v = min(zip(lo[bad].tolist(), hi[bad].tolist()))
             raise ValueError(f"self-loop at node {u}" if u == v
                              else f"edge ({u}, {v}) outside 0..{n - 1}")
-        # With every id below n, the key lo * n + hi sorts edges canonically.
-        keys = np.sort(lo.astype(np.int64) * n + hi.astype(np.int64))
+        keys = _sorted_keys(n, lo, hi)
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated edges in edge list")
-        canonical = np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
-        canonical.flags.writeable = False
-        object.__setattr__(self, "edges", canonical)
+        object.__setattr__(self, "edges", _edges_of(n, keys))
+
+    @classmethod
+    def _generated(cls, n: int, ends: np.ndarray) -> Graph:
+        """The graph of a generator's (m, 2) integer array of edges, which
+        meet every check of ``Graph(n, edges)`` by construction: distinct
+        pairs of distinct ids in 0..n-1, n in range. Only canonicalized."""
+        graph = cls.__new__(cls)
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", _edges_of(n, _sorted_keys(n, lo, hi)))
+        return graph
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -178,7 +199,7 @@ def generate_ncn(n: int, k: int) -> Graph:
     _check_ring_params(n, k)
     near = np.tile(np.arange(n), k // 2)
     far = (near + np.repeat(np.arange(1, k // 2 + 1), n)) % n
-    return Graph(n, np.stack((near, far), axis=1))
+    return Graph._generated(n, np.stack((near, far), axis=1))
 
 
 def generate_er(n: int, m: int, rng: random.Random) -> Graph:
@@ -197,7 +218,7 @@ def generate_er(n: int, m: int, rng: random.Random) -> Graph:
     # starts[i] is the index of pair (i, i + 1) in lexicographic pair order
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
     first = np.searchsorted(starts, chosen, side="right") - 1
-    return Graph(n, np.stack((first, first + 1 + chosen - starts[first]), axis=1))
+    return Graph._generated(n, np.stack((first, first + 1 + chosen - starts[first]), axis=1))
 
 
 def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
@@ -244,7 +265,7 @@ def generate_ws(n: int, k: int, p_rewire: float, rng: random.Random) -> Graph:
                     adj[w].add(i)
                     far[(d - 1) * n + i] = w
                     break
-    return Graph(n, np.stack((np.tile(np.arange(n), k // 2), far), axis=1))
+    return Graph._generated(n, np.stack((np.tile(np.arange(n), k // 2), far), axis=1))
 
 
 def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
@@ -278,7 +299,7 @@ def generate_ba(n: int, m_attach: int, rng: random.Random) -> Graph:
     # node itself m_attach times: transposed, that is one (target, node) edge each
     grown = np.array(repeated[core * m_attach:], dtype=np.int64).reshape(-1, 2, m_attach)
     grown = grown.transpose(0, 2, 1).reshape(-1, 2)
-    return Graph(n, np.concatenate((np.transpose(np.triu_indices(core, 1)), grown)))
+    return Graph._generated(n, np.concatenate((np.transpose(np.triu_indices(core, 1)), grown)))
 
 
 def generate(model: str, n: int, k: int, *, p_rewire: float = 0.1,

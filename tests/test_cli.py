@@ -290,7 +290,7 @@ def test_sweep_checks_every_size_fits_before_running_a_cell(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "sweep", "--n", "20", "10000000", "--k", "2",
                              "--model", "er", "--reps", "3")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 1385342.3 GiB, "
+    assert err == ("error: market size 10000000 needs about 640284.5 GiB, "
                    "more than the 8.0 GiB available\n")
 
 
@@ -303,7 +303,7 @@ def test_match_checks_the_size_fits_before_drawing(capsys, monkeypatch):
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
     code, out, err = run_cli(capsys, "match", "--model", "er", "--n", "10000000", "--k", "4")
     assert (code, out) == (2, "")
-    assert err == ("error: market size 10000000 needs about 1408625.4 GiB, "
+    assert err == ("error: market size 10000000 needs about 663567.6 GiB, "
                    "more than the 8.0 GiB available\n")
 
 

@@ -102,9 +102,10 @@ def test_config_refuses_a_size_that_cannot_fit(monkeypatch):
     available = harness._available_bytes()
     assert available is None or available > 0
     monkeypatch.setattr(harness, "_available_bytes", lambda: 8 * 2 ** 30)
-    # 3h² int32 rank entries, (2m + 5n)·n search bits and 44 bytes for each
-    # of the h² candidate pairs at n = 10**7, k = 2: about 1353 TiB
-    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 1385342\.3 GiB, "
+    # 3h² int32 rank entries, (2m + 5n)·n search bits and the 12 bytes of
+    # three int32 rank entries for each of the h² candidate pairs at
+    # n = 10**7, k = 2: about 625 TiB
+    with pytest.raises(ValueError, match=r"^market size 10000000 needs about 640284\.5 GiB, "
                                          r"more than the 8\.0 GiB available$"):
         ExperimentConfig(("er",), (20, 10 ** 7), (2,), (0,))
     ExperimentConfig(("er",), (20, 2000), (2,), (0,))

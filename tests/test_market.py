@@ -118,24 +118,27 @@ def test_non_permutation_names_the_first_bad_agent(side):
 @pytest.mark.parametrize("stream", ["v1", "v2"])
 @pytest.mark.parametrize("n", [2, 4, 600, 1000])
 def test_drawn_rows_pass_the_permutation_check(monkeypatch, stream, n):
-    """build_market hands its rows over without sorting them; they pass the
-    check ``Market(...)`` runs, at h=300 and h=500 across a block boundary,
-    and the market and the rng end state are those of the checked build."""
+    """build_market hands the men's rows and the women's positions over
+    without sorting them; they pass the check ``Market(...)`` runs (the rows
+    of the inverse of permutations are permutations), at h=300 and h=500
+    across a block boundary, and the market and the rng end state are those
+    of the checked build."""
     handed = []
     drawn = Market._drawn.__func__
 
-    def checked(cls, women, men, women_prefs, men_prefs):
-        handed.append((women, men, women_prefs, men_prefs))
-        return drawn(cls, women, men, women_prefs, men_prefs)
+    def checked(cls, women, men, women_pos, men_prefs):
+        handed.append((women, men, women_pos, men_prefs))
+        return drawn(cls, women, men, women_pos, men_prefs)
 
     monkeypatch.setattr(Market, "_drawn", classmethod(checked))
     rng = random.Random(n)
     market = build_market(n, rng, stream)
-    [(women, men, women_prefs, men_prefs)] = handed
-    _check_permutations("woman", women, women_prefs)
+    [(women, men, women_pos, men_prefs)] = handed
+    _check_permutations("woman", women, women_pos)
     _check_permutations("man", men, men_prefs)
     reference = random.Random(n)
-    assert market == Market(*handed[0]) == build_market(n, reference, stream)
+    checked_market = Market(women, men, rank_positions(women_pos), men_prefs)
+    assert market == checked_market == build_market(n, reference, stream)
     assert rng.getstate() == reference.getstate()
 
 
@@ -356,15 +359,21 @@ class TieOnFirstDraw:
         return data
 
 
+def _blocks_and_redraw(data: bytes, h: int) -> tuple[bytes, bytes, bytes]:
+    """The men's block, one row drawn again and the women's block, in the
+    bytes the draw read."""
+    return data[:8 * h * h], data[8 * h * h:8 * h * (h + 1)], data[8 * h * (h + 1):]
+
+
 def test_v2_redraws_a_row_whose_keys_tie():
     h = 4
     rng = TieOnFirstDraw(11)
     market = build_market(2 * h, rng)
-    # the men's block, one row again, the women's block
-    assert rng.calls == [8 * h * h, 8 * h, 8 * h * h]
+    # both blocks in one call, then the words of one row more
+    assert rng.calls == [16 * h * h, 8 * h]
     replay = random.Random(11)
     replay.sample(range(2 * h), h)
-    men_block, redraw, women_block = (replay.randbytes(size) for size in rng.calls)
+    men_block, redraw, women_block = _blocks_and_redraw(replay.randbytes(sum(rng.calls)), h)
     men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
     men_rows[0] = _rank_row(redraw, h)
     women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
@@ -413,16 +422,24 @@ def _started(seed, how):
     return rng
 
 
-# 624 words are one twist of the state; 2**16 + 1 crosses many of them
-@pytest.mark.parametrize("count", [1, 623, 624, 625, 2 ** 16 + 1])
+def _randbytes_order(words: np.ndarray) -> bytes:
+    """The twister's word pairs, each reversed: the bytes ``randbytes`` reads."""
+    return words.reshape(-1, 2)[:, ::-1].tobytes()
+
+
+# 624 words are one twist of the state; 2**16 + 2 crosses many of them, and
+# from the "word" start every pair at a twist straddles it
+@pytest.mark.parametrize("count", [2, 622, 624, 626, 2 ** 16 + 2])
 @pytest.mark.parametrize("how", ["fresh", "gauss", "word"])
 def test_twister_words_are_the_words_of_randbytes(count, how):
+    """The twister's words are ``randbytes``' in pairs, each reversed: as
+    ``next_uint64`` halves, the high word of each key first."""
     twister, reference = _started(count, how), _started(count, how)
     with market_module._twister_words(twister) as words:
-        first, second = words(count), words(3)
+        first, second = words(count), words(4)
     assert first.dtype == np.dtype("<u4") and len(first) == count
-    assert first.tobytes() == reference.randbytes(4 * count)
-    assert second.tobytes() == reference.randbytes(12)
+    assert _randbytes_order(first) == reference.randbytes(4 * count)
+    assert _randbytes_order(second) == reference.randbytes(16)
     assert twister.getstate() == reference.getstate()
 
 
@@ -431,10 +448,10 @@ def test_the_shared_twister_carries_no_state_between_draws():
     on it each get their own words and end state."""
     rngs = [_started(5, "fresh"), _started(6, "gauss"), _started(5, "fresh")]
     references = [_started(5, "fresh"), _started(6, "gauss"), _started(5, "fresh")]
-    for count in (7, 700, 1):
+    for count in (8, 700, 2):
         for rng, reference in zip(rngs, references):
             with market_module._twister_words(rng) as words:
-                assert words(count).tobytes() == reference.randbytes(4 * count)
+                assert _randbytes_order(words(count)) == reference.randbytes(4 * count)
             assert rng.getstate() == reference.getstate()
     assert market_module._twister()[0] is market_module._twister()[0]
 
@@ -458,7 +475,8 @@ def test_v2_draws_row_by_row_on_both_sides_of_the_twister_threshold(h, twister_c
 
 def test_v2_redraws_a_row_whose_keys_tie_on_the_twister(monkeypatch):
     """As ``TieOnFirstDraw``, through the twister: the first draw repeats its
-    first 64-bit key as its second, and the tied row is read again."""
+    first 64-bit key, a pair of words, as its second, and the tied row is
+    read again."""
     h, calls, real = market_module._TWISTER_HALF, [], market_module._twister_words
 
     @contextlib.contextmanager
@@ -475,11 +493,11 @@ def test_v2_redraws_a_row_whose_keys_tie_on_the_twister(monkeypatch):
     monkeypatch.setattr(market_module, "_twister_words", tie_on_first_draw)
     rng = random.Random(11)
     market = build_market(2 * h, rng)
-    # in 32-bit words: the men's block, one row again, the women's block
-    assert calls == [2 * h * h, 2 * h, 2 * h * h]
+    # in 32-bit words: both blocks in one call, then the words of one row more
+    assert calls == [4 * h * h, 2 * h]
     replay = random.Random(11)
     replay.sample(range(2 * h), h)
-    men_block, redraw, women_block = (replay.randbytes(4 * count) for count in calls)
+    men_block, redraw, women_block = _blocks_and_redraw(replay.randbytes(4 * sum(calls)), h)
     men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
     men_rows[0] = _rank_row(redraw, h)
     women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
@@ -556,16 +574,17 @@ def _full_tie(data):
 @pytest.mark.parametrize("craft, redraw", [(_prefix_tie, False), (_full_tie, True)])
 def test_prefix_pass_falls_back_to_the_64_bit_keys(h, craft, redraw):
     """A tie of the 32-bit prefixes is ordered by the full 64-bit keys, and a
-    tie of those draws the row again, as the pure-Python reference does."""
+    tie of those draws the row again, as the pure-Python reference does; at
+    h=8 both blocks are read in one call, at h=300 one row block at a time."""
     assert market_module._prefix_pass(h)
     blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
     words = CraftedWords(h, craft)
-    market_module._draw_sorted(words, blocks)
+    pos = market_module._draw_sorted(words, blocks)
     reference = CraftedWords(h, craft)
     assert [block.tolist() for block in blocks] == [reference_rows(reference, h)
                                                     for _ in range(2)]
-    assert words.calls == reference.calls
-    assert (2 * h in words.calls) == redraw  # one row drawn again
+    assert np.array_equal(pos, rank_positions(blocks[1]))
+    assert sum(words.calls) == sum(reference.calls) == 2 * h * (2 * h + redraw)
     if not redraw:
         assert blocks[0][0].tolist().index(1) < blocks[0][0].tolist().index(0)
 
@@ -581,6 +600,65 @@ def test_prefix_pass_size_rule():
     for h in (1, 2, 3, 50, 1000, 1024, 1025, 2000, 5000, 2 ** 40):
         assert market_module._prefix_pass(h) == (bound(h) <= market_module._PREFIX_TIE_BOUND)
     assert market_module._prefix_pass(1024) and not market_module._prefix_pass(1025)
+
+
+# ------------------------------------------- stream v2's one-pass draw
+
+# h=90 is the last size whose two blocks' words fit one call; 256 and 257 lie
+# on either side of one row block a side
+ONE_PASS_SIZES = [1, 2, 50, 63, 64, 90, 91, 256, 257]
+
+
+@pytest.mark.parametrize("source", ["randbytes", "twister"])
+@pytest.mark.parametrize("h", ONE_PASS_SIZES)
+def test_v2_draws_row_by_row_through_either_word_source(h, source, monkeypatch):
+    """Whether both blocks are read in one call or a row block at a time,
+    from ``randbytes``' words or the twister's pairs, the market and the rng
+    end state are the row-by-row reference's."""
+    monkeypatch.setattr(market_module, "_TWISTER_HALF", 1 if source == "twister" else 2 ** 40)
+    fast, reference = _started(h, "word"), _started(h, "word")
+    assert build_market(2 * h, fast) == sorted_keys_market(2 * h, reference)
+    assert fast.getstate() == reference.getstate()
+    assert (4 * h * h <= market_module._ONE_PASS_WORDS) == (h <= 90)
+
+
+class TiedRows:
+    """``words(count)`` for ``_draw_sorted``: the words of a seeded
+    ``randbytes``, in which the rows ``rows`` of the stream (2h words each,
+    counted across calls) repeat their first 64-bit key as their second."""
+
+    def __init__(self, seed, h, rows):
+        self.rng, self.h, self.rows, self.read, self.calls = random.Random(seed), h, rows, 0, []
+
+    def __call__(self, count):
+        data = np.frombuffer(self.rng.randbytes(4 * count), "<u4").copy()
+        for row in self.rows:
+            at = 2 * self.h * row - self.read
+            if 0 <= at < count:
+                data[at + 2:at + 4] = data[at:at + 2]
+        self.read += count
+        self.calls.append(count)
+        return data
+
+
+@pytest.mark.parametrize("h", [2, 50, 90])
+@pytest.mark.parametrize("half", ["men", "women", "both"])
+def test_one_pass_draw_replays_the_blocked_draw_on_a_tie(h, half):
+    """A 64-bit tie in the men's half of the one call (stream row 0), in the
+    women's (row h) or in both (rows 0 and h + 1, the first row of each side
+    in the blocked draw) sends the draw back to the blocks, which read the
+    words already drawn first: every row, the women's inverse and the words
+    read are the pure-Python reference's."""
+    rows = {"men": [0], "women": [h], "both": [0, h + 1]}[half]
+    blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
+    words = TiedRows(h, h, rows)
+    pos = market_module._draw_sorted(words, blocks)
+    reference = TiedRows(h, h, rows)
+    assert [block.tolist() for block in blocks] == [reference_rows(reference, h)
+                                                    for _ in range(2)]
+    assert np.array_equal(pos, rank_positions(blocks[1]))
+    assert words.calls[0] == 4 * h * h
+    assert sum(words.calls) == sum(reference.calls) > 4 * h * h
 
 
 def test_build_market_rejects_unknown_stream():
@@ -761,6 +839,24 @@ def test_candidates_gather_across_row_blocks_at_n600(model):
         assert her_rank[entries].tolist() == [women_pos[i][j] for _, i in listed]
     matching = restricted_deferred_acceptance(market, circle)
     assert matching.pairs == naive_deferred_acceptance(market, circle).pairs
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_candidates_peak_within_the_kept_structure_and_one_block(n):
+    """On a circle of every pair, the worst case, the candidate build's
+    traced peak stays within ``candidates_bytes``: the three 2-byte rank
+    entries a pair it keeps, the bounds and one row block's transients, with
+    no transient of a byte or more a pair."""
+    h = n // 2
+    market, circle = build_market(n, random.Random(0)), full_circle(n)
+    tracemalloc.start()
+    try:
+        bounds, *entries = market_module._candidates(market, circle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bounds[-1] == h * h and sum(a.nbytes for a in entries) == 6 * h * h
+    assert peak <= market_module.candidates_bytes(n) <= 6 * h * h + 8 * (h + 1) + 2 ** 22
 
 
 def _count_candidates(monkeypatch) -> list:

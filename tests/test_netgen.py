@@ -176,6 +176,29 @@ def test_generators_draw_as_the_stdlib_calls_for_any_seed(model, size, seed):
     assert_draws_like_the_reference(model, *size, seed)
 
 
+@given(st.sampled_from(MODELS), SIZES_AND_DEGREES, st.integers(0, 2 ** 64))
+def test_generators_build_the_graph_of_the_checked_constructor(model, size, seed):
+    """Generators assemble their graphs unchecked (``Graph._generated``); the
+    edges they hand over pass every check of ``Graph(n, edges)``, which gives
+    the same read-only canonical edges and CSR."""
+    n, k = size
+    handed, generated = [], Graph._generated.__func__
+
+    def recording(cls, n, ends):
+        handed.append(ends)
+        return generated(cls, n, ends)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "_generated", classmethod(recording))
+        graph = generate(model, n, k, rng=random.Random(seed))
+    [ends] = handed
+    checked = Graph(n, ends)
+    assert graph.n == checked.n == n
+    assert graph.edges.dtype == checked.edges.dtype and not graph.edges.flags.writeable
+    assert np.array_equal(graph.edges, checked.edges)
+    assert all(np.array_equal(a, b) for a, b in zip(graph.csr, checked.csr))
+
+
 @given(st.integers(0, 5000).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))),
        st.integers(0, 2 ** 64))
 @example((1770, 480), 0)  # pool: er at n=60, k=16
