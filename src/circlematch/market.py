@@ -51,21 +51,26 @@ def candidates_bytes(n: int) -> int:
     return 3 * _rank_dtype(h).itemsize * h * h + 8 * (h + 1) + 40 * max(2 ** 16, h)
 
 
+def _block_rows(h: int) -> int:
+    """Rows of h entries in a row block: as many as fit 2**16 entries, so that
+    a block's temporaries stay small at any size, and at least one."""
+    return max(1, 2 ** 16 // (h or 1))
+
+
 def _row_blocks(prefs: np.ndarray):
-    """(first row, block) over the rows of h x h ``prefs``, at most 2**16
-    entries a block, so that a block's temporaries stay small at any size."""
-    rows = max(1, 2 ** 16 // (len(prefs) or 1))
+    """(first row, block) over the rows of h x h ``prefs``, ``_block_rows(h)``
+    rows a block."""
+    rows = _block_rows(len(prefs))
     return ((start, prefs[start:start + rows]) for start in range(0, len(prefs), rows))
 
 
 def _positions_of(prefs: np.ndarray) -> np.ndarray:
-    """Read-only inverse of h x h rank lists, each a permutation of 0..h-1,
-    scattered one row block at a time."""
+    """Inverse of h x h rank lists, each a permutation of 0..h-1, scattered
+    one row block at a time."""
     h = len(prefs)
     pos, ranks = np.empty(h * h, dtype=prefs.dtype), np.arange(h, dtype=prefs.dtype)
     for start, block in _row_blocks(prefs):
         pos[np.arange(start * h, start * h + block.size, h)[:, None] + block] = ranks
-    pos.flags.writeable = False
     return pos.reshape(h, h)
 
 
@@ -193,22 +198,17 @@ class Market:
 STREAMS = ("v1", "v2")  # how build_market draws rank lists from its rng
 DEFAULT_STREAM = "v2"
 # From this many agents a side, v2 reads its words through numpy's MT19937
-# (``_twister_words``), whose fixed cost of about 0.16 ms (moving the state
-# both ways) the faster words repay from about n=120-130 on (``build_market``,
-# best of 15, 2-core VM); the paper's sizes (n <= 100) never load
-# ``numpy.random``.
-_TWISTER_HALF = 64
+# (``_twister_words``), whose fixed cost of about 0.08 ms (moving the state
+# both ways) the faster words repay from about n=116 on (``build_market``
+# through either source, interleaved medians of 15 runs, 2-core VM: twister
+# over ``randbytes`` 1.14 at n=100, 1.02 at n=112, 0.95-0.99 at n=116, 0.88
+# at n=128); the paper's sizes (n <= 100) never load ``numpy.random``.
+_TWISTER_HALF = 58
 # ``_draw_sorted`` sorts on 32-bit prefixes first while the birthday bound on
 # a row's chance of tied prefixes is at most this. Against the 64-bit sort
 # alone (best of 7, 2-core VM) the pass saved 16% at h=1000 (bound 0.12) and
 # 5% at h=1100 (0.29), and cost 1-13% from h=1400 (0.47) to h=2048 (1.0).
 _PREFIX_TIE_BOUND = 0.25
-# ``_draw_sorted`` reads both blocks' words in one call while they number at
-# most this (128 KiB). Against the blocked draw (``build_market``, interleaved
-# medians, 2-core VM) it saved 15-35% up to h=110, and cost 5-30% from h=128
-# to h=256, where the larger buffers and temporaries made each call fault in
-# fresh pages.
-_ONE_PASS_WORDS = 2 ** 15
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -302,64 +302,43 @@ def _rank_rows(drawn: np.ndarray, h: int, high: int) -> tuple[np.ndarray, np.nda
     return keys, tied
 
 
-def _replayed(drawn: np.ndarray, words):
-    """``words`` that serves the words of ``drawn`` first, then reads on."""
-    served = 0
-
-    def read(count):
-        nonlocal served
-        head = drawn[served:served + count]
-        served += len(head)
-        return head if len(head) == count else np.concatenate((head, words(count - len(head))))
-    return read
-
-
 def _draw_sorted(words, blocks: list[np.ndarray], high: int = 1) -> np.ndarray:
-    """Stream v2: fill each h x h block of ``blocks`` in turn, row by row, with
-    uniform permutations of 0..h-1, a row block at a time, and return the
-    inverse of the last block. ``words(count)`` returns the next
-    ``count`` 32-bit words of the rng (count even) as a ``"<u4"`` array of
-    pairs; ``rng.randbytes(4 * count)`` reads the same words, but the pairs
-    of a source with ``high`` 0 hold them in reverse. A row takes h 64-bit
-    keys: the little-endian words of ``randbytes``' pairs, their low b bits
-    overwritten with the column index, sorted; the low bits of the sorted
-    keys are the rank row. The random high parts are iid, so when they are
-    distinct their order is a uniform permutation; a row in which two of
-    them tie is drawn again.
+    """Stream v2: fill the men's h x h block ``blocks[0]``, then the women's
+    ``blocks[1]``, one stream of 2h rows, with uniform permutations of
+    0..h-1, and return the inverse of the women's block.
+    ``words(count)`` returns the next ``count`` 32-bit words of the rng
+    (count even) as a ``"<u4"`` array of pairs; ``rng.randbytes(4 * count)``
+    reads the same words, but the pairs of a source with ``high`` 0 hold them
+    in reverse. A row takes h 64-bit keys: the little-endian words of
+    ``randbytes``' pairs, their low b bits overwritten with the column index,
+    sorted; the low bits of the sorted keys are the rank row. The random high
+    parts are iid, so when they are distinct their order is a uniform
+    permutation; a row in which two of them tie is dropped, and the next row
+    of words takes its place.
+
+    Each call reads the words of at most ``_block_rows(2 * h)`` rows, 2**16
+    words (all 2h rows while h <= 128), and never more rows than are still
+    to fill, so the rows kept and the words read are those of a draw one row
+    at a time, whatever the call size.
 
     Where ``_prefix_pass(h)`` holds, each row is first sorted on 32-bit keys:
     the high word of each 64-bit key, its low b bits the column. When the
     32 - b random bits of those keys are distinct they order the row as the
     64-bit keys do, at half the width; only a row in which two of them tie
     (about 11% of rows at h=1000) is sorted again on its 64-bit keys, which
-    also finds the rows to draw again.
-
-    While all blocks' words number at most ``_ONE_PASS_WORDS`` (h <= 90 for
-    a market's two), they are read in one call and the rows of all blocks
-    ranked together, the inverse scattered from the ranks; if a row ties,
-    the blocks are drawn again one row block at a time from the words
-    already read, then from ``words``, so that every block, and the words
-    read, are those of the blocked draw."""
+    also finds the rows to drop."""
     h = len(blocks[0])
-    if 2 * h * h * len(blocks) <= _ONE_PASS_WORDS:
-        drawn = words(2 * h * h * len(blocks))
-        ranks, tied = _rank_rows(drawn, h, high)
-        if not tied.size:
-            for block, rows in zip(blocks, ranks.reshape(-1, h, h)):
-                block[...] = rows
-            pos = np.empty((h, h), dtype=blocks[-1].dtype)
-            rows = np.arange(0, h * h, h)[:, None]
-            pos.reshape(-1)[rows + ranks[-h:]] = np.arange(h, dtype=pos.dtype)
-            return pos
-        words = _replayed(drawn, words)
-    for prefs in blocks:
-        for _, out in _row_blocks(prefs):
-            rows = np.arange(len(out))
-            while rows.size:
-                ranks, tied = _rank_rows(words(2 * h * rows.size), h, high)
-                out[rows] = ranks  # a tied row is overwritten by its redraw
-                rows = rows[tied]
-    return _positions_of(blocks[-1])
+    per_call, done = _block_rows(2 * h), 0  # rows filled
+    while done < 2 * h:
+        ranks, tied = _rank_rows(words(2 * h * min(per_call, 2 * h - done)), h, high)
+        if tied.size:
+            ranks = np.delete(ranks, tied, axis=0)
+        men = min(max(h - done, 0), len(ranks))  # the kept rows that fill the men's block
+        blocks[0][done:done + men] = ranks[:men]
+        if men < len(ranks):
+            blocks[1][done + men - h:done + len(ranks) - h] = ranks[men:]
+        done += len(ranks)
+    return _positions_of(blocks[1])
 
 
 @cache
@@ -406,7 +385,8 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
         rng: seeded random source.
         stream: how the rank lists are drawn from ``rng``. ``"v2"`` sorts
             random keys, the men's rows then the women's (``_draw_sorted``),
-            from the words of ``rng.randbytes``; from ``_TWISTER_HALF`` agents
+            from the words of ``rng.randbytes``, a row whose keys tie dropped
+            and the next row of words in its place; from ``_TWISTER_HALF`` agents
             a side it reads the same words through numpy's MT19937 when
             ``rng`` is a plain ``random.Random``. ``"v1"`` is ``rng.shuffle``
             per agent in id order, bit for bit (``_draw_shuffled``). Both

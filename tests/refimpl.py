@@ -166,8 +166,8 @@ def sorted_keys_market(n: int, rng: random.Random) -> Market:
     Python: genders by ``rng.sample``, then the men's rows and the women's,
     each from h little-endian 64-bit words of ``rng.randbytes``: the columns
     in the order of the words' bits above the low b, a row drawn again at
-    once if two of those agree. ``build_market`` redraws tied rows at the end
-    of a row block, so the two agree whenever no row ties."""
+    once if two of those agree. ``build_market`` must give the same market
+    and leave ``rng`` in the same state."""
     h = n // 2
     women = sorted(rng.sample(range(n), h))
     is_woman = np.zeros(n, dtype=bool)

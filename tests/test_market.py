@@ -310,9 +310,9 @@ def test_v2_market_json_is_pinned():
 
 @pytest.mark.parametrize("n", [2, 4, 40, 600, 1000, 2048, 2050])
 def test_v2_draws_row_by_row_across_block_boundaries(n):
-    """h=300 and h=500 do not divide a block of 2**16 entries (218 and 131
-    rows a block); the blocked draw reads the rng as the row-by-row reference
-    does, to its end state. h=1024 and h=1025 lie on either side of the
+    """h=300 and h=500 do not divide a call of 2**16 words (109 and 65 rows
+    a call); the draw reads the rng as the row-by-row reference does, to its
+    end state. h=1024 and h=1025 lie on either side of the
     prefix pass's size rule."""
     fast, reference = random.Random(n), random.Random(n)
     assert build_market(n, fast) == sorted_keys_market(n, reference)
@@ -333,52 +333,6 @@ def test_streams_split_genders_alike():
         v1, v2 = (build_market(n, random.Random(seed), stream) for stream in ("v1", "v2"))
         assert np.array_equal(v1.women, v2.women) and np.array_equal(v1.men, v2.men)
         assert not np.array_equal(v1.men_prefs, v2.men_prefs) or n == 2
-
-
-def _rank_row(data: bytes, h: int) -> list[int]:
-    bits = max(1, (h - 1).bit_length())
-    words = [int.from_bytes(data[8 * j:8 * j + 8], "little") >> bits for j in range(h)]
-    return sorted(range(h), key=words.__getitem__)
-
-
-class TieOnFirstDraw:
-    """A seeded rng whose first ``randbytes`` repeats its first 64-bit word
-    as its second, so that the first row drawn has two equal keys."""
-
-    def __init__(self, seed):
-        self.rng, self.calls = random.Random(seed), []
-
-    def getrandbits(self, k):
-        return self.rng.getrandbits(k)
-
-    def randbytes(self, size):
-        data = self.rng.randbytes(size)
-        if not self.calls:
-            data = data[:8] * 2 + data[16:]
-        self.calls.append(size)
-        return data
-
-
-def _blocks_and_redraw(data: bytes, h: int) -> tuple[bytes, bytes, bytes]:
-    """The men's block, one row drawn again and the women's block, in the
-    bytes the draw read."""
-    return data[:8 * h * h], data[8 * h * h:8 * h * (h + 1)], data[8 * h * (h + 1):]
-
-
-def test_v2_redraws_a_row_whose_keys_tie():
-    h = 4
-    rng = TieOnFirstDraw(11)
-    market = build_market(2 * h, rng)
-    # both blocks in one call, then the words of one row more
-    assert rng.calls == [16 * h * h, 8 * h]
-    replay = random.Random(11)
-    replay.sample(range(2 * h), h)
-    men_block, redraw, women_block = _blocks_and_redraw(replay.randbytes(sum(rng.calls)), h)
-    men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
-    men_rows[0] = _rank_row(redraw, h)
-    women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
-    assert market.men_prefs.tolist() == men_rows
-    assert women_prefs(market).tolist() == women_rows
 
 
 @pytest.mark.parametrize("h, markets, critical", [
@@ -473,39 +427,6 @@ def test_v2_draws_row_by_row_on_both_sides_of_the_twister_threshold(h, twister_c
     assert len(twister_calls) == (h >= market_module._TWISTER_HALF)
 
 
-def test_v2_redraws_a_row_whose_keys_tie_on_the_twister(monkeypatch):
-    """As ``TieOnFirstDraw``, through the twister: the first draw repeats its
-    first 64-bit key, a pair of words, as its second, and the tied row is
-    read again."""
-    h, calls, real = market_module._TWISTER_HALF, [], market_module._twister_words
-
-    @contextlib.contextmanager
-    def tie_on_first_draw(rng):
-        with real(rng) as words:
-            def tied(count):
-                data = words(count)
-                if not calls:
-                    data[2:4] = data[0:2]
-                calls.append(count)
-                return data
-            yield tied
-
-    monkeypatch.setattr(market_module, "_twister_words", tie_on_first_draw)
-    rng = random.Random(11)
-    market = build_market(2 * h, rng)
-    # in 32-bit words: both blocks in one call, then the words of one row more
-    assert calls == [4 * h * h, 2 * h]
-    replay = random.Random(11)
-    replay.sample(range(2 * h), h)
-    men_block, redraw, women_block = _blocks_and_redraw(replay.randbytes(4 * sum(calls)), h)
-    men_rows = [_rank_row(men_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
-    men_rows[0] = _rank_row(redraw, h)
-    women_rows = [_rank_row(women_block[8 * h * r:8 * h * (r + 1)], h) for r in range(h)]
-    assert market.men_prefs.tolist() == men_rows
-    assert women_prefs(market).tolist() == women_rows
-    assert rng.getstate() == replay.getstate()
-
-
 def test_a_random_subclass_draws_through_its_own_randbytes(twister_calls):
     class Recording(random.Random):
         def randbytes(self, n):
@@ -520,73 +441,153 @@ def test_a_random_subclass_draws_through_its_own_randbytes(twister_calls):
     assert twister_calls == [reference]
 
 
+# ------------------------------------------- stream v2's tie rule
+
+def _full_tie(row):
+    """Key 1 of a row of words, in ``randbytes`` order, repeats key 0."""
+    row[2:4] = row[0:2]
+
+
+def _prefix_tie(row):
+    """Keys 0 and 1 of a row of words, in ``randbytes`` order, share their
+    high word; their low words order key 1 first."""
+    row[3], row[0], row[2] = row[1], 0xFFFFFFFF, 0
+
+
+def _crafted(words, read, h, rows, craft):
+    """A copy of ``words``, the rng's 32-bit words in ``randbytes`` order from
+    word ``read`` on, with ``craft`` applied to each stream row in ``rows``
+    (2h words a row, counted across calls) that it holds."""
+    words = words.copy()
+    for row in rows:
+        at = 2 * h * row - read
+        if 0 <= at < len(words):
+            craft(words[at:at + 2 * h])
+    return words
+
+
+class CraftedRandom(random.Random):
+    """A seeded ``random.Random`` whose ``randbytes`` crafts the stream rows
+    ``rows`` of h keys, counted from its first call; ``build_market`` reads a
+    subclass through ``randbytes`` at every size."""
+
+    def __init__(self, seed, h, rows, craft=_full_tie):
+        super().__init__(seed)
+        self.h, self.rows, self.craft, self.read = h, rows, craft, 0
+
+    def randbytes(self, n):
+        words = np.frombuffer(super().randbytes(n), "<u4")
+        words = _crafted(words, self.read, self.h, self.rows, self.craft)
+        self.read += len(words)
+        return words.tobytes()
+
+
+def _swapped(words):
+    """The words with each pair reversed: the twister's order to ``randbytes``'
+    and back."""
+    return np.ascontiguousarray(words.reshape(-1, 2)[:, ::-1]).reshape(-1)
+
+
+def crafted_twister(h, rows, craft=_full_tie):
+    """``_twister_words`` with the stream rows ``rows`` crafted as
+    ``CraftedRandom`` crafts them."""
+    real = market_module._twister_words
+
+    @contextlib.contextmanager
+    def twister_words(rng):
+        read = 0
+
+        def words(count):
+            nonlocal read
+            crafted = _crafted(_swapped(real_words(count)), read, h, rows, craft)
+            read += count
+            return _swapped(crafted)
+        with real(rng) as real_words:
+            yield words
+    return twister_words
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The blocks and the returned inverse of each ``_draw_sorted`` call."""
+    calls, real = [], market_module._draw_sorted
+
+    def recorded(words, blocks, high=1):
+        calls.append((blocks, real(words, blocks, high)))
+        return calls[-1][1]
+    monkeypatch.setattr(market_module, "_draw_sorted", recorded)
+    return calls
+
+
+# stream rows to tie, at either end of each side, on both sides at once,
+# past the 2h rows a market needs, and inside the rows that replace them
+TIED_ROWS = {
+    "first": lambda h: [0],
+    "last_man": lambda h: [h - 1],
+    "first_woman": lambda h: [h],
+    "last": lambda h: [2 * h - 1],
+    "both_sides": lambda h: [0, 1, h, h + 1],
+    "past_the_end": lambda h: [2 * h, 2 * h + 1],
+    "in_redraws": lambda h: [2 * h - 1, 2 * h, 2 * h + 1],
+}
+
+
+@pytest.mark.parametrize("tied", TIED_ROWS)
+@pytest.mark.parametrize("h", [2, 50, 90, 91, 300, 1000])
+def test_v2_drops_a_tied_row_in_stream_order(h, tied, monkeypatch, draws):
+    """A row whose 64-bit keys tie is dropped and the next row of the stream
+    takes its place, as the row-by-row reference draws it again at once:
+    through ``randbytes`` and through the twister, the market, the rng end
+    state and the returned inverse are the reference's at any tied rows."""
+    rows = TIED_ROWS[tied](h)
+    reference = CraftedRandom(h, h, rows)
+    expected = sorted_keys_market(2 * h, reference)
+    rng = CraftedRandom(h, h, rows)
+    assert build_market(2 * h, rng) == expected
+    assert rng.getstate() == reference.getstate()
+    monkeypatch.setattr(market_module, "_TWISTER_HALF", 1)
+    monkeypatch.setattr(market_module, "_twister_words", crafted_twister(h, rows))
+    rng = random.Random(h)
+    assert build_market(2 * h, rng) == expected
+    assert rng.getstate() == reference.getstate()
+    assert len(draws) == 2
+    for blocks, pos in draws:
+        assert np.array_equal(pos, rank_positions(blocks[1]))
+
+
+@pytest.mark.parametrize("h", [2, 50, 91, 300])
+def test_the_call_size_is_not_part_of_the_stream(h, monkeypatch):
+    """One row a call, three or the default bound, with ties at both ends of
+    each side and in a redraw: the same blocks and inverse from the same
+    number of words."""
+    rows, default = [0, 1, h, 2 * h - 1, 2 * h], market_module._block_rows
+    drawn = []
+    for per_call in (lambda _: 1, lambda _: 3, default):
+        monkeypatch.setattr(market_module, "_block_rows", per_call)
+        rng = CraftedRandom(h, h, rows)
+        blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
+        pos = market_module._draw_sorted(
+            lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"), blocks)
+        drawn.append(([block.tolist() for block in blocks], pos.tolist(), rng.read))
+    assert drawn[0] == drawn[1] == drawn[2]
+    assert drawn[0][2] == 2 * h * (2 * h + len(rows))
+
+
 # ------------------------------------------- stream v2's 32-bit prefix pass
 
-class CraftedWords:
-    """``words(count)`` for ``_draw_sorted``: the words of a seeded
-    ``randbytes``, with ``craft`` applied to the first call's array."""
-
-    def __init__(self, seed, craft):
-        self.rng, self.craft, self.calls = random.Random(seed), craft, []
-
-    def __call__(self, count):
-        data = np.frombuffer(self.rng.randbytes(4 * count), "<u4").copy()
-        if not self.calls:
-            self.craft(data)
-        self.calls.append(count)
-        return data
-
-
-def reference_rows(words, h):
-    """One side's h rank rows as ``_draw_sorted`` specifies them, in pure
-    Python over ``words``: every row of a block from its 64-bit keys above
-    the low b bits, then the rows whose keys tie drawn again, together."""
-    bits = max(1, (h - 1).bit_length())
-    rows, block = [None] * h, max(1, 2 ** 16 // h)
-    for start in range(0, h, block):
-        pending = list(range(start, min(h, start + block)))
-        while pending:
-            data = words(2 * h * len(pending)).tolist()
-            again = []
-            for r, row in enumerate(pending):
-                keys = [(data[2 * (h * r + c) + 1] << 32 | data[2 * (h * r + c)]) >> bits
-                        for c in range(h)]
-                if len(set(keys)) < h:
-                    again.append(row)
-                else:
-                    rows[row] = sorted(range(h), key=keys.__getitem__)
-            pending = again
-    return rows
-
-
-def _prefix_tie(data):
-    """Keys 0 and 1 of the first row share their high word; their low words
-    order key 1 first."""
-    data[3], data[0], data[2] = data[1], 0xFFFFFFFF, 0
-
-
-def _full_tie(data):
-    """Key 1 of the first row repeats key 0."""
-    data[2:4] = data[0:2]
-
-
 @pytest.mark.parametrize("h", [8, 300])
-@pytest.mark.parametrize("craft, redraw", [(_prefix_tie, False), (_full_tie, True)])
-def test_prefix_pass_falls_back_to_the_64_bit_keys(h, craft, redraw):
-    """A tie of the 32-bit prefixes is ordered by the full 64-bit keys, and a
-    tie of those draws the row again, as the pure-Python reference does; at
-    h=8 both blocks are read in one call, at h=300 one row block at a time."""
+def test_prefix_pass_falls_back_to_the_64_bit_keys(h):
+    """A tie of the 32-bit prefixes is ordered by the full 64-bit keys, as
+    the pure-Python reference orders it, and no row is drawn again; at h=8
+    both blocks are read in one call, at h=300 a few rows at a time."""
     assert market_module._prefix_pass(h)
-    blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
-    words = CraftedWords(h, craft)
-    pos = market_module._draw_sorted(words, blocks)
-    reference = CraftedWords(h, craft)
-    assert [block.tolist() for block in blocks] == [reference_rows(reference, h)
-                                                    for _ in range(2)]
-    assert np.array_equal(pos, rank_positions(blocks[1]))
-    assert sum(words.calls) == sum(reference.calls) == 2 * h * (2 * h + redraw)
-    if not redraw:
-        assert blocks[0][0].tolist().index(1) < blocks[0][0].tolist().index(0)
+    rng, reference = (CraftedRandom(h, h, [0], _prefix_tie) for _ in range(2))
+    market = build_market(2 * h, rng)
+    assert market == sorted_keys_market(2 * h, reference)
+    assert rng.getstate() == reference.getstate()
+    assert rng.read == 4 * h * h
+    row = market.men_prefs[0].tolist()
+    assert row.index(1) < row.index(0)
 
 
 def test_prefix_pass_size_rule():
@@ -602,63 +603,24 @@ def test_prefix_pass_size_rule():
     assert market_module._prefix_pass(1024) and not market_module._prefix_pass(1025)
 
 
-# ------------------------------------------- stream v2's one-pass draw
+# ------------------------------------------- stream v2 through either word source
 
-# h=90 is the last size whose two blocks' words fit one call; 256 and 257 lie
-# on either side of one row block a side
-ONE_PASS_SIZES = [1, 2, 50, 63, 64, 90, 91, 256, 257]
+# h=128 is the last size whose two blocks' words fit one call of 2**16 words;
+# past it a call's rows straddle the two blocks, except at h=256, whose calls
+# of 128 rows end where the women's block begins
+SOURCE_SIZES = [1, 2, 50, 63, 64, 90, 91, 128, 129, 256, 257]
 
 
 @pytest.mark.parametrize("source", ["randbytes", "twister"])
-@pytest.mark.parametrize("h", ONE_PASS_SIZES)
+@pytest.mark.parametrize("h", SOURCE_SIZES)
 def test_v2_draws_row_by_row_through_either_word_source(h, source, monkeypatch):
-    """Whether both blocks are read in one call or a row block at a time,
-    from ``randbytes``' words or the twister's pairs, the market and the rng
-    end state are the row-by-row reference's."""
+    """Whether both blocks are read in one call or a few rows at a time, from
+    ``randbytes``' words or the twister's pairs, the market and the rng end
+    state are the row-by-row reference's."""
     monkeypatch.setattr(market_module, "_TWISTER_HALF", 1 if source == "twister" else 2 ** 40)
     fast, reference = _started(h, "word"), _started(h, "word")
     assert build_market(2 * h, fast) == sorted_keys_market(2 * h, reference)
     assert fast.getstate() == reference.getstate()
-    assert (4 * h * h <= market_module._ONE_PASS_WORDS) == (h <= 90)
-
-
-class TiedRows:
-    """``words(count)`` for ``_draw_sorted``: the words of a seeded
-    ``randbytes``, in which the rows ``rows`` of the stream (2h words each,
-    counted across calls) repeat their first 64-bit key as their second."""
-
-    def __init__(self, seed, h, rows):
-        self.rng, self.h, self.rows, self.read, self.calls = random.Random(seed), h, rows, 0, []
-
-    def __call__(self, count):
-        data = np.frombuffer(self.rng.randbytes(4 * count), "<u4").copy()
-        for row in self.rows:
-            at = 2 * self.h * row - self.read
-            if 0 <= at < count:
-                data[at + 2:at + 4] = data[at:at + 2]
-        self.read += count
-        self.calls.append(count)
-        return data
-
-
-@pytest.mark.parametrize("h", [2, 50, 90])
-@pytest.mark.parametrize("half", ["men", "women", "both"])
-def test_one_pass_draw_replays_the_blocked_draw_on_a_tie(h, half):
-    """A 64-bit tie in the men's half of the one call (stream row 0), in the
-    women's (row h) or in both (rows 0 and h + 1, the first row of each side
-    in the blocked draw) sends the draw back to the blocks, which read the
-    words already drawn first: every row, the women's inverse and the words
-    read are the pure-Python reference's."""
-    rows = {"men": [0], "women": [h], "both": [0, h + 1]}[half]
-    blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
-    words = TiedRows(h, h, rows)
-    pos = market_module._draw_sorted(words, blocks)
-    reference = TiedRows(h, h, rows)
-    assert [block.tolist() for block in blocks] == [reference_rows(reference, h)
-                                                    for _ in range(2)]
-    assert np.array_equal(pos, rank_positions(blocks[1]))
-    assert words.calls[0] == 4 * h * h
-    assert sum(words.calls) == sum(reference.calls) > 4 * h * h
 
 
 def test_build_market_rejects_unknown_stream():
