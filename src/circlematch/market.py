@@ -48,7 +48,7 @@ def candidates_bytes(n: int) -> int:
     bounds, plus one row block's transients at 40 bytes an entry (33 traced
     at h=1000 and h=3000). The count before them holds about h²/2 bytes."""
     h = n // 2
-    return 3 * _rank_dtype(h).itemsize * h * h + 8 * (h + 1) + 40 * max(2 ** 16, h)
+    return 3 * _rank_dtype(h).itemsize * h * h + 8 * (h + 1) + 40 * h * _block_rows(h)
 
 
 def _block_rows(h: int) -> int:
@@ -140,43 +140,38 @@ class Market:
     woman's rank list, best first, as local indices into ``men``;
     ``men_prefs`` likewise. Construction validates that the sides are equal,
     sorted and partition the id space, and that every rank list is a
-    permutation of the other side; it derives the id to local index map
-    ``local`` and the women's position array ``women_pos`` (``women_pos[i,
-    j]`` is woman i's rank of man j). It keeps ``men_prefs`` and
-    ``women_pos``, not the women's lists. ``build_market`` assembles the
-    market it drew without these checks, which its draw meets by
-    construction.
+    permutation of the other side. A market is its ids, ``men_prefs`` and
+    the women's position array ``women_pos`` (``women_pos[i, j]`` is woman
+    i's rank of man j), which both constructors invert from the women's
+    lists and which replaces them. ``build_market`` assembles the market it
+    drew without the checks, which its draw meets by construction.
     """
 
     women: np.ndarray
     men: np.ndarray
     men_prefs: np.ndarray
-    local: np.ndarray = field(repr=False)
     women_pos: np.ndarray = field(repr=False)
 
     def __init__(self, women, men, women_prefs, men_prefs):
-        women, men, women_prefs, men_prefs = _validated(women, men, women_prefs, men_prefs)
-        self._assemble(women, men, _positions_of(women_prefs), men_prefs)
+        self._assemble(*_validated(women, men, women_prefs, men_prefs))
 
     @classmethod
-    def _drawn(cls, women, men, women_pos, men_prefs) -> Market:
+    def _drawn(cls, women, men, women_prefs, men_prefs) -> Market:
         """The market of the rank lists ``build_market`` drew, which meet
         every check of ``Market(...)`` by construction: sorted ``intp`` id
-        arrays that partition 0..n-1, the men's h x h block and the women's
-        positions, of rank width, whose rows are permutations. Assembled
-        unchecked."""
+        arrays that partition 0..n-1 and each side's h x h block, of rank
+        width, whose rows are permutations. Assembled unchecked."""
         market = cls.__new__(cls)
-        market._assemble(women, men, women_pos, men_prefs)
+        market._assemble(women, men, women_prefs, men_prefs)
         return market
 
-    def _assemble(self, women, men, women_pos, men_prefs) -> None:
-        """Sets the fields, deriving ``local``; every field is read-only."""
-        h = len(women)
-        local = np.empty(2 * h, dtype=np.intp)
-        local[women] = local[men] = np.arange(h)
-        for array in (women, men, men_prefs, women_pos, local):
+    def _assemble(self, women, men, women_prefs, men_prefs) -> None:
+        """Sets the fields, inverting the women's lists into ``women_pos``;
+        every field is read-only."""
+        women_pos = _positions_of(women_prefs)
+        for array in (women, men, men_prefs, women_pos):
             array.flags.writeable = False
-        for name, value in (("women", women), ("men", men), ("local", local),
+        for name, value in (("women", women), ("men", men),
                             ("men_prefs", men_prefs), ("women_pos", women_pos)):
             object.__setattr__(self, name, value)
 
@@ -302,10 +297,10 @@ def _rank_rows(drawn: np.ndarray, h: int, high: int) -> tuple[np.ndarray, np.nda
     return keys, tied
 
 
-def _draw_sorted(words, blocks: list[np.ndarray], high: int = 1) -> np.ndarray:
+def _draw_sorted(words, blocks: list[np.ndarray], high: int = 1) -> None:
     """Stream v2: fill the men's h x h block ``blocks[0]``, then the women's
     ``blocks[1]``, one stream of 2h rows, with uniform permutations of
-    0..h-1, and return the inverse of the women's block.
+    0..h-1.
     ``words(count)`` returns the next ``count`` 32-bit words of the rng
     (count even) as a ``"<u4"`` array of pairs; ``rng.randbytes(4 * count)``
     reads the same words, but the pairs of a source with ``high`` 0 hold them
@@ -338,7 +333,6 @@ def _draw_sorted(words, blocks: list[np.ndarray], high: int = 1) -> np.ndarray:
         if men < len(ranks):
             blocks[1][done + men - h:done + len(ranks) - h] = ranks[men:]
         done += len(ranks)
-    return _positions_of(blocks[1])
 
 
 @cache
@@ -399,21 +393,19 @@ def build_market(n: int, rng: random.Random, stream: str = DEFAULT_STREAM) -> Ma
     h = n // 2
     # Men's rows, then women's, each side's block in id order; allocated first,
     # so a size that cannot fit fails before the draw starts. Two blocks, so
-    # the women's is freed once it has been inverted.
+    # the women's is freed once the market has inverted it.
     blocks = [np.empty((h, h), dtype=_rank_dtype(h)) for _ in range(2)]
     women = sample_range(rng, n, h)
     is_woman = np.zeros(n, dtype=bool)
     is_woman[women] = True
     if stream == "v1":
         _draw_shuffled(rng, blocks, is_woman)
-        women_pos = _positions_of(blocks[1])
     elif h < _TWISTER_HALF or type(rng) is not random.Random:
-        women_pos = _draw_sorted(lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"),
-                                 blocks)
+        _draw_sorted(lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"), blocks)
     else:  # a subclass may draw its own words, so only the stdlib class is replayed
         with _twister_words(rng) as words:
-            women_pos = _draw_sorted(words, blocks, high=0)
-    return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), women_pos,
+            _draw_sorted(words, blocks, high=0)
+    return Market._drawn(np.flatnonzero(is_woman), np.flatnonzero(~is_woman), blocks[1],
                          blocks[0])
 
 
@@ -471,17 +463,20 @@ def _circle_bounds(market: Market, circle: Optional[SocialCircle]) -> np.ndarray
 def _candidates(market: Market, circle: Optional[SocialCircle]) -> tuple[np.ndarray, ...]:
     """The pairs ``circle`` holds (every pair when it is None), in each man's
     order, men in turn, as (bounds, women, her_rank, his_rank), side-local and
-    at rank width; man j's entries are ``bounds[j]:bounds[j + 1]``. A row
-    block of men at a time, their circle rows are unpacked, read in each
-    man's order through flat row offsets and written in place, so that no
-    transient but ``_circle_bounds``' outgrows a block. While one block holds
-    every man, its entries give the bounds, and nothing is counted first.
-    Raises ValueError unless the circle is over the market's n agents."""
+    at rank width; man j's entries are ``bounds[j]:bounds[j + 1]``. The
+    bounds are counted first (``_circle_bounds``), so the arrays are
+    allocated once, at their final size. Then a row block of men at a time,
+    their circle rows are unpacked, read in each man's order through flat
+    row offsets and written in place, so that no transient but
+    ``_circle_bounds``' outgrows a block. Raises ValueError unless the
+    circle is over the market's n agents."""
     h, n = market.half, market.n
     if circle is not None and circle.n != n:
         raise ValueError(f"a social circle of {circle.n} nodes does not fit "
                          f"a market of {n} agents")
-    bounds = None if 2 ** 16 // h >= h else _circle_bounds(market, circle)
+    bounds = _circle_bounds(market, circle)
+    women, her_rank, his_rank = (np.empty(bounds[-1], dtype=market.men_prefs.dtype)
+                                 for _ in range(3))
     flat_pos = market.women_pos.reshape(-1)
     for start, block in _row_blocks(market.men_prefs):
         stop = start + len(block)
@@ -491,11 +486,6 @@ def _candidates(market: Market, circle: Optional[SocialCircle]) -> tuple[np.ndar
             known = _unpack(circle.bits[market.men[start:stop]], n)[:, market.women]
             pos = np.flatnonzero(known.reshape(-1)[np.arange(0, known.size, h)[:, None] + block])
         row = pos // h
-        if start == 0:
-            if bounds is None:
-                bounds = np.searchsorted(row, np.arange(h + 1))
-            women, her_rank, his_rank = (np.empty(bounds[-1], dtype=block.dtype)
-                                         for _ in range(3))
         entries = slice(bounds[start], bounds[stop])
         his_rank[entries] = pos - h * row
         women[entries] = block.reshape(-1)[pos]
@@ -555,7 +545,9 @@ def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]
     """Side-local (woman, man) indices of the matched pairs, then each woman's
     rank of her partner and each man's of his, in pair order; read at the
     pairs' entries when deferred acceptance made the matching in this market,
-    else his by one compare over his row."""
+    else each agent's index searched in its side's ids and his rank by one
+    compare over his row. Raises ValueError for a pair that is not a
+    (woman, man) pair of the market."""
     if matching._da and matching._da[0] is market:
         (bounds, women, her_rank, his_rank), entry = matching._da[2:]
         return (women[entry], np.searchsorted(bounds, entry, "right") - 1,
@@ -563,7 +555,8 @@ def _partner_ranks(market: Market, matching: Matching) -> tuple[np.ndarray, ...]
     ids = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2)
     if ((ids < 0) | (ids >= market.n)).any():
         raise ValueError("matching names an agent outside the market")
-    wi, mj = market.local[ids[:, 0]], market.local[ids[:, 1]]
+    wi, mj = (np.searchsorted(side, ids[:, col]).clip(max=market.half - 1)
+              for col, side in enumerate((market.women, market.men)))
     if not (np.array_equal(market.women[wi], ids[:, 0])
             and np.array_equal(market.men[mj], ids[:, 1])):
         raise ValueError("every matched pair must be a (woman, man) pair of the market")

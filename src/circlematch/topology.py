@@ -76,12 +76,6 @@ class SocialCircle:
                 raise ValueError(f"node id {v} outside 0..{self.n - 1}")
         return bool(self.bits[a, b >> 6] >> np.uint64(b & 63) & np.uint64(1))
 
-    def mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``contains`` for every (row, col) node pair, as a boolean array;
-        unpacks only the requested rows."""
-        rows, cols = _checked(rows, self.n), _checked(cols, self.n)
-        return _unpack(self.bits[rows], self.n)[:, cols]
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:

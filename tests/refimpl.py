@@ -225,13 +225,26 @@ def market_to_dict(market: Market) -> dict:
     }
 
 
+def local_indices(market: Market) -> dict[int, int]:
+    """Each agent id's index within its side's sorted ids."""
+    return {a: i for side in (market.women, market.men) for i, a in enumerate(side.tolist())}
+
+
+def mask(circle: SocialCircle, rows, cols) -> np.ndarray:
+    """``circle.contains`` for every (row, col) node pair, as a boolean
+    array: bit ``col % 64`` of word ``col // 64`` of each row's bitset."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    words = circle.bits[rows[:, None], cols >> 6]
+    return (words >> (cols & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+
 def position(market: Market, agent: int, candidate: int) -> int:
     """0-based rank of ``candidate`` in ``agent``'s list (0 = favorite): a
     woman's is read off ``women_pos``, a man's searched for in his row."""
-    a, b = int(market.local[agent]), int(market.local[candidate])
-    if agent in market.women.tolist():
-        return int(market.women_pos[a, b])
-    return market.men_prefs[a].tolist().index(b)
+    women, men = market.women.tolist(), market.men.tolist()
+    if agent in women:
+        return int(market.women_pos[women.index(agent), men.index(candidate)])
+    return market.men_prefs[men.index(agent)].tolist().index(women.index(candidate))
 
 
 def score(market: Market, agent: int, candidate: int) -> float:
@@ -301,7 +314,7 @@ def naive_blocking_pair(market: Market, circle: SocialCircle,
     """First in-circle pair that would both rather be together: women in id
     order, each woman's list best-first. Each man's ranks are read off
     ``rank_positions`` of his list."""
-    women, men, local = market.women.tolist(), market.men.tolist(), market.local.tolist()
+    women, men, local = market.women.tolist(), market.men.tolist(), local_indices(market)
     men_pos = rank_positions(market.men_prefs).tolist()
     for i, row in zip(women, women_prefs(market).tolist()):
         for j in (men[b] for b in row):

@@ -35,10 +35,10 @@ from circlematch.market import (
 from circlematch.netgen import MODELS, Graph, generate
 from circlematch.topology import DistanceMatrix, all_pairs_shortest
 
-from refimpl import (agent_utility, full_circle, make_market, market_to_dict,
-                     naive_blocking_pair, naive_deferred_acceptance, pair_utility, position,
-                     prefers, random_instance, rank_positions, ranking, score, sorted_keys_market,
-                     stdlib_market, women_prefs)
+from refimpl import (agent_utility, full_circle, local_indices, make_market, market_to_dict,
+                     mask, naive_blocking_pair, naive_deferred_acceptance, pair_utility,
+                     position, prefers, random_instance, rank_positions, ranking, score,
+                     sorted_keys_market, stdlib_market, women_prefs)
 
 
 # Four agents on a path 0-1-2-3; with dep=1 the ends cannot see each other.
@@ -63,7 +63,6 @@ def test_market_normalizes_input():
     m = make_market([1, 0], [3, 2], {0: [2, 3], 1: [3, 2], 2: [0, 1], 3: [1, 0]})
     assert m.women.tolist() == [0, 1]
     assert m.men.tolist() == [2, 3]
-    assert m.local.tolist() == [0, 1, 0, 1]
     assert women_prefs(m).tolist() == [[0, 1], [1, 0]]
     assert [[position(m, a, b) for b in (0, 1)] for a in (2, 3)] == \
         rank_positions(m.men_prefs).tolist() == [[0, 1], [1, 0]]
@@ -118,26 +117,25 @@ def test_non_permutation_names_the_first_bad_agent(side):
 @pytest.mark.parametrize("stream", ["v1", "v2"])
 @pytest.mark.parametrize("n", [2, 4, 600, 1000])
 def test_drawn_rows_pass_the_permutation_check(monkeypatch, stream, n):
-    """build_market hands the men's rows and the women's positions over
-    without sorting them; they pass the check ``Market(...)`` runs (the rows
-    of the inverse of permutations are permutations), at h=300 and h=500
-    across a block boundary, and the market and the rng end state are those
-    of the checked build."""
+    """build_market hands both sides' drawn rows over without sorting them;
+    they pass the check ``Market(...)`` runs, at h=300 and h=500 across a
+    block boundary, and the market and the rng end state are those of the
+    checked build."""
     handed = []
     drawn = Market._drawn.__func__
 
-    def checked(cls, women, men, women_pos, men_prefs):
-        handed.append((women, men, women_pos, men_prefs))
-        return drawn(cls, women, men, women_pos, men_prefs)
+    def checked(cls, women, men, women_prefs, men_prefs):
+        handed.append((women, men, women_prefs, men_prefs))
+        return drawn(cls, women, men, women_prefs, men_prefs)
 
     monkeypatch.setattr(Market, "_drawn", classmethod(checked))
     rng = random.Random(n)
     market = build_market(n, rng, stream)
-    [(women, men, women_pos, men_prefs)] = handed
-    _check_permutations("woman", women, women_pos)
+    [(women, men, drawn_women_prefs, men_prefs)] = handed
+    _check_permutations("woman", women, drawn_women_prefs)
     _check_permutations("man", men, men_prefs)
     reference = random.Random(n)
-    checked_market = Market(women, men, rank_positions(women_pos), men_prefs)
+    checked_market = Market(women, men, drawn_women_prefs, men_prefs)
     assert market == checked_market == build_market(n, reference, stream)
     assert rng.getstate() == reference.getstate()
 
@@ -168,11 +166,9 @@ def test_build_market_structure():
     market = build_market(12, random.Random(3))
     assert len(market.women) == 6 and len(market.men) == 6
     assert sorted(market.women.tolist() + market.men.tolist()) == list(range(12))
-    for i, w in enumerate(market.women.tolist()):
-        assert market.local[w] == i
+    for w in market.women.tolist():
         assert sorted(ranking(market, w)) == market.men.tolist()
-    for j, m in enumerate(market.men.tolist()):
-        assert market.local[m] == j
+    for m in market.men.tolist():
         assert sorted(ranking(market, m)) == market.women.tolist()
     assert np.array_equal(market.women_pos, rank_positions(women_prefs(market)))
     assert (rank_positions(market.men_prefs) >= 0).all()
@@ -509,12 +505,12 @@ def crafted_twister(h, rows, craft=_full_tie):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The blocks and the returned inverse of each ``_draw_sorted`` call."""
+    """The blocks each ``_draw_sorted`` call filled."""
     calls, real = [], market_module._draw_sorted
 
     def recorded(words, blocks, high=1):
-        calls.append((blocks, real(words, blocks, high)))
-        return calls[-1][1]
+        real(words, blocks, high)
+        calls.append(blocks)
     monkeypatch.setattr(market_module, "_draw_sorted", recorded)
     return calls
 
@@ -538,7 +534,7 @@ def test_v2_drops_a_tied_row_in_stream_order(h, tied, monkeypatch, draws):
     """A row whose 64-bit keys tie is dropped and the next row of the stream
     takes its place, as the row-by-row reference draws it again at once:
     through ``randbytes`` and through the twister, the market, the rng end
-    state and the returned inverse are the reference's at any tied rows."""
+    state and each call's blocks are the reference's at any tied rows."""
     rows = TIED_ROWS[tied](h)
     reference = CraftedRandom(h, h, rows)
     expected = sorted_keys_market(2 * h, reference)
@@ -551,26 +547,26 @@ def test_v2_drops_a_tied_row_in_stream_order(h, tied, monkeypatch, draws):
     assert build_market(2 * h, rng) == expected
     assert rng.getstate() == reference.getstate()
     assert len(draws) == 2
-    for blocks, pos in draws:
-        assert np.array_equal(pos, rank_positions(blocks[1]))
+    for blocks in draws:
+        assert Market(expected.women, expected.men, blocks[1], blocks[0]) == expected
 
 
 @pytest.mark.parametrize("h", [2, 50, 91, 300])
 def test_the_call_size_is_not_part_of_the_stream(h, monkeypatch):
     """One row a call, three or the default bound, with ties at both ends of
-    each side and in a redraw: the same blocks and inverse from the same
-    number of words."""
+    each side and in a redraw: the same blocks from the same number of
+    words."""
     rows, default = [0, 1, h, 2 * h - 1, 2 * h], market_module._block_rows
     drawn = []
     for per_call in (lambda _: 1, lambda _: 3, default):
         monkeypatch.setattr(market_module, "_block_rows", per_call)
         rng = CraftedRandom(h, h, rows)
         blocks = [np.empty((h, h), dtype=np.int16) for _ in range(2)]
-        pos = market_module._draw_sorted(
+        market_module._draw_sorted(
             lambda count: np.frombuffer(rng.randbytes(4 * count), "<u4"), blocks)
-        drawn.append(([block.tolist() for block in blocks], pos.tolist(), rng.read))
+        drawn.append(([block.tolist() for block in blocks], rng.read))
     assert drawn[0] == drawn[1] == drawn[2]
-    assert drawn[0][2] == 2 * h * (2 * h + len(rows))
+    assert drawn[0][1] == 2 * h * (2 * h + len(rows))
 
 
 # ------------------------------------------- stream v2's 32-bit prefix pass
@@ -684,6 +680,37 @@ def test_matching_lookups():
     assert m.unmatched_men(market) == [3]
 
 
+@pytest.mark.parametrize("check", [average_utility, find_blocking_pair])
+def test_a_pair_off_the_market_is_refused(check):
+    """A pair of two women, a (man, woman) pair, the last agent's id on the
+    other side and an id past n are refused with their messages, by the
+    utility and by the blocking-pair scan alike; the last woman paired with
+    the last man is read."""
+    market = build_market(10, random.Random(4))
+    n, women, men = market.n, market.women.tolist(), market.men.tolist()
+    circle = full_circle(n)
+
+    def run(pairs):
+        matching = Matching.from_pairs(pairs)
+        return (average_utility(market, matching) if check is average_utility
+                else find_blocking_pair(market, circle, matching))
+
+    # n - 1 is the last woman or the last man: either way one of the last two
+    # pairs searches for it past the end of the other side's ids
+    for pairs in ([(women[0], women[1])], [(men[0], women[0])], [(women[0], women[-1])],
+                  [(men[-1], women[-1])]):
+        with pytest.raises(ValueError, match=r"^every matched pair must be a \(woman, man\) "
+                                             r"pair of the market$"):
+            run(pairs)
+    for pairs in ([(women[0], n)], [(n, men[0])]):
+        with pytest.raises(ValueError, match="^matching names an agent outside the market$"):
+            run(pairs)
+    last = [(women[-1], men[-1])]
+    assert run(last) == (pair_utility(market, *last[0]) / market.half
+                         if check is average_utility
+                         else naive_blocking_pair(market, circle, Matching.from_pairs(last)))
+
+
 # --------------------------------------------------- deferred acceptance, 2x2
 
 def test_unanimous_market_gives_first_woman_the_best_man():
@@ -787,7 +814,7 @@ def test_candidates_gather_across_row_blocks_at_n600(model):
     equal a dense per-row read of the mask, and DA the naive reference."""
     market = build_market(600, random.Random(6))
     circle = all_pairs_shortest(generate(model, 600, 4, rng=random.Random(7)), 3).circle
-    known = circle.mask(market.men, market.women)
+    known = mask(circle, market.men, market.women)
     assert 0 < known.sum() < known.size / 2
     bounds, women, her_rank, his_rank = market_module._candidates(market, circle)
     assert all(a.dtype == np.int16 for a in (women, her_rank, his_rank))
@@ -893,7 +920,7 @@ def test_average_utility_equals_mean_agent_utility(seed):
     # and the sum of scores of ranks read off both sides' inverses
     market, h = inst.market, inst.market.half
     women_pos, men_pos = rank_positions(women_prefs(market)), rank_positions(market.men_prefs)
-    local = market.local.tolist()
+    local = local_indices(market)
 
     def score_of(r):
         return 10.0 if h == 1 else 1.0 + 9.0 * (h - 1 - r) / (h - 1)

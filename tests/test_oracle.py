@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,10 @@ from circlematch.market import (
     restricted_deferred_acceptance,
 )
 
+from circlematch.topology import SocialCircle
+
 from oracle import MAX_ORACLE_AGENTS, OracleViolation, enumerate_stable_matchings, man_optimal
-from refimpl import full_circle, random_instance
+from refimpl import full_circle, make_market, naive_blocking_pair, pack, position, random_instance
 
 from test_market import PATH_CIRCLE, PATH_MARKET, UNANIMOUS
 
@@ -83,3 +86,96 @@ def test_man_optimal_detects_incomparable_sets():
     second = Matching.from_pairs([(1, 3)])
     with pytest.raises(OracleViolation):
         man_optimal([first, second], UNANIMOUS)
+
+
+# ------------------------------------- restricted DA against complete information
+#
+# M_r is restricted deferred acceptance's matching and M* classical_gs's.
+# Lemma A: when every pair of M* lies in the circle, every man weakly prefers
+# M_r and every woman weakly prefers M*. Lemma B: M_r == M* exactly when
+# every pair of M* lies in the circle and M_r matches everyone with no
+# blocking pair under complete information.
+
+
+def _circle(known: np.ndarray) -> SocialCircle:
+    """The circle of symmetric boolean rows ``known``, diagonal set."""
+    known = known | known.T | np.eye(len(known), dtype=bool)
+    return SocialCircle(len(known), 1, pack(known))
+
+
+@st.composite
+def lemma_instances(draw, classical_in_circle=None):
+    """A drawn market of n = 4-16 agents, its M* and an arbitrary symmetric
+    circle that holds M*'s pairs when ``classical_in_circle`` is True
+    (drawn when None)."""
+    n = draw(st.sampled_from(range(4, 17, 2)))
+    market = build_market(n, random.Random(draw(st.integers(0, 2 ** 32))))
+    complete = classical_gs(market)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from((0.25, 0.5, 0.75, 0.9, 1.0)))
+    known = np.triu([[rng.random() < density for _ in range(n)] for _ in range(n)], 1)
+    if classical_in_circle is None:
+        classical_in_circle = draw(st.booleans())
+    if classical_in_circle:
+        for w, m in complete.pairs:
+            known[w, m] = True
+    return market, _circle(known), complete
+
+
+def _conditions(market, circle, restricted, complete) -> tuple[bool, bool]:
+    """Lemma B's two conditions: every pair of M* lies in the circle; M_r
+    matches everyone and has no blocking pair under complete information."""
+    return (all(circle.contains(w, m) for w, m in complete.pairs),
+            len(restricted.pairs) == market.half
+            and naive_blocking_pair(market, full_circle(market.n), restricted) is None)
+
+
+@given(lemma_instances())
+@settings(max_examples=200)
+def test_restricted_da_is_classical_exactly_when_both_conditions_hold(instance):
+    market, circle, complete = instance
+    restricted = restricted_deferred_acceptance(market, circle)
+    assert (restricted.pairs == complete.pairs) == all(
+        _conditions(market, circle, restricted, complete))
+
+
+@given(lemma_instances(classical_in_circle=True))
+def test_a_circle_holding_the_classical_pairs_favors_men(instance):
+    """Lemma A; up to the oracle's cap, M* is also stable under the circle."""
+    market, circle, complete = instance
+    restricted = restricted_deferred_acceptance(market, circle)
+    assert len(restricted.pairs) == market.half
+    for w, m in restricted.pairs:
+        assert position(market, m, w) <= position(market, m, complete.by_man[m])
+        assert position(market, w, complete.by_woman[w]) <= position(market, w, m)
+    if market.n <= MAX_ORACLE_AGENTS:
+        assert complete.pairs in {m.pairs for m in enumerate_stable_matchings(market, circle)}
+
+
+def _lemma_example(n: int, rank: dict, unknown: list) -> tuple:
+    """Women at even ids, men at odd ones, rank lists ``rank``, and the circle
+    of every pair but ``unknown``."""
+    known = np.ones((n, n), dtype=bool)
+    for a, b in unknown:
+        known[a, b] = known[b, a] = False
+    return make_market(range(0, n, 2), range(1, n, 2), rank), _circle(known)
+
+
+def test_either_condition_alone_leaves_restricted_da_off_classical():
+    # M*'s pairs lie in the circle, but M_r is blocked by (0, 3), which it lacks
+    market, circle = _lemma_example(6, {0: [5, 3, 1], 1: [0, 4, 2], 2: [3, 5, 1],
+                                        3: [0, 2, 4], 4: [1, 5, 3], 5: [4, 0, 2]},
+                                    [(0, 3), (2, 1), (4, 3)])
+    restricted, complete = restricted_deferred_acceptance(market, circle), classical_gs(market)
+    assert complete.pairs == ((0, 5), (2, 3), (4, 1))
+    assert restricted.pairs == ((0, 1), (2, 3), (4, 5))
+    assert naive_blocking_pair(market, full_circle(6), restricted) == (0, 3)
+    assert _conditions(market, circle, restricted, complete) == (True, False)
+    # M_r is the women's optimum, stable under complete information, but the
+    # circle lacks M*'s pair (2, 3)
+    market, circle = _lemma_example(4, {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0]},
+                                    [(2, 3)])
+    restricted, complete = restricted_deferred_acceptance(market, circle), classical_gs(market)
+    assert complete.pairs == ((0, 1), (2, 3))
+    assert restricted.pairs == ((0, 3), (2, 1))
+    assert _conditions(market, circle, restricted, complete) == (False, True)

@@ -31,7 +31,7 @@ from circlematch.topology import (
     summary_bytes,
 )
 
-from refimpl import naive_distances, random_instance
+from refimpl import mask, naive_distances, random_instance
 
 
 CYCLE6 = generate_ncn(6, 2)
@@ -111,7 +111,7 @@ def assert_summary_matches(summarize, dist, deps):
         circle = dm.circle
         assert (circle.n, circle.dep) == (n, dep)
         assert np.array_equal(topology._unpack(circle.bits, n), within)
-        assert np.array_equal(circle.mask(nodes, nodes), within)
+        assert np.array_equal(mask(circle, nodes, nodes), within)
         assert [circle.contains(a, b) for a in range(n) for b in range(n)] == within.ravel().tolist()
 
 
@@ -572,15 +572,6 @@ def test_node_ids_outside_the_graph_raise():
         with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
             dm.circle.contains(a, b)
     assert distance(dm, np.int64(9), np.int32(0)) == 1 and dm.circle.contains(np.uint8(8), 9)
-
-
-def test_mask_rejects_node_ids_outside_the_graph():
-    circle = all_pairs_shortest(generate_ncn(10, 2), 2).circle
-    for rows, cols, bad in (([-1], [8], -1), ([0], [12], 12), ([3, 10], [0, -2], 10)):
-        with pytest.raises(ValueError, match=rf"^node id {bad} outside 0\.\.9$"):
-            circle.mask(np.array(rows), np.array(cols))
-    assert circle.mask(np.array([9]), np.array([8, 0, 4])).tolist() == [[True, True, False]]
-    assert circle.mask([9], [8, 0, 4]).tolist() == [[True, True, False]]
 
 
 def test_distance_raises_past_the_circle():
