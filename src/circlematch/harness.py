@@ -122,7 +122,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Flat record of one simulated cell; field order mirrors the CSV schema."""
+    """Flat record of one simulated cell; field order mirrors the CSV schema.
+    ``runtime_ms`` is the wall time of the cell's market draw, network and
+    matching; ``sweep`` draws each (n, seed) market once and charges the draw
+    to the first cell it runs on that market."""
 
     model: str
     n: int
@@ -173,14 +176,11 @@ def _cell_network(model: str, n: int, k: int, dep: int, seed: int,
     return graph, all_pairs_shortest(graph, dep)
 
 
-def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
-                  p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> CellRun:
-    """Run one replication and keep every intermediate object. The graph and
-    distance summary of an ncn network are shared between its cells; the
-    market's rank lists come from preference stream ``stream``. The cell's
-    utility is read at the pair entries deferred acceptance left on its matching."""
-    start = time.perf_counter()
-    market = build_market(n, random.Random(derive_seed(seed, "market")), stream)
+def _run_on_market(market: Market, model: str, k: int, dep: int, seed: int,
+                   p_rewire: float, stream: str, start: float) -> CellRun:
+    """The cell of ``model`` at (k, seed) on ``market``, the replication's
+    market; its ``runtime_ms`` counts from ``start``."""
+    n = market.n
     graph, dm = _cell_network(model, n, k, dep, seed, p_rewire)
     matching = restricted_deferred_acceptance(market, dm.circle)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -197,6 +197,22 @@ def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
                    matching=matching, result=result)
 
 
+def _cell_market(n: int, seed: int, stream: str) -> Market:
+    """The market of the replication keyed by master seed ``seed``."""
+    return build_market(n, random.Random(derive_seed(seed, "market")), stream)
+
+
+def run_cell_full(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
+                  p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> CellRun:
+    """Run one replication and keep every intermediate object. The graph and
+    distance summary of an ncn network are shared between its cells; the
+    market's rank lists come from preference stream ``stream``. The cell's
+    utility is read at the pair entries deferred acceptance left on its matching."""
+    start = time.perf_counter()
+    return _run_on_market(_cell_market(n, seed, stream), model, k, dep, seed, p_rewire,
+                          stream, start)
+
+
 def run_cell(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
              p_rewire: float = 0.1, stream: str = DEFAULT_STREAM) -> ExperimentResult:
     """Run one replication: build market and graph from the seed, restrict by
@@ -205,15 +221,23 @@ def run_cell(model: str, n: int, k: int, dep: int = 3, seed: int = 0,
 
 
 def sweep(config: ExperimentConfig) -> list[ExperimentResult]:
-    """All cells of the grid in deterministic order (model, n, k, seed)."""
-    results = []
-    for model in config.models:
-        for n in config.n_values:
-            for k in config.k_values:
-                for seed in config.seeds:
-                    results.append(run_cell(model, n, k, config.dep, seed, config.p_rewire,
-                                            config.stream))
-    return results
+    """All cells of the grid in deterministic order (model, n, k, seed), each
+    equal to its ``run_cell`` but ``runtime_ms``. The grid runs market by
+    market: each (n, seed) market is drawn once, and every (model, k) cell
+    runs on it before the next is drawn. A cell's ``runtime_ms`` covers its
+    network and matching; the first cell run on a market also carries that
+    market's draw, so the runtimes still sum to the sweep's work."""
+    results = {}
+    for n, seed in itertools.product(config.n_values, config.seeds):
+        start = time.perf_counter()
+        market = _cell_market(n, seed, config.stream)
+        for model, k in itertools.product(config.models, config.k_values):
+            run = _run_on_market(market, model, k, config.dep, seed, config.p_rewire,
+                                 config.stream, start)
+            results[model, n, k, seed] = run.result
+            start = time.perf_counter()
+    return [results[cell] for cell in itertools.product(config.models, config.n_values,
+                                                        config.k_values, config.seeds)]
 
 
 _SUMMARY_METRICS = ("average_utility", "apl", "connectivity", "matched_pairs")

@@ -456,7 +456,8 @@ def _circle_bounds(market: Market, circle: Optional[SocialCircle]) -> np.ndarray
     women_bits = np.packbits(is_woman, bitorder="little").view(circle.bits.dtype)
     bounds = np.zeros(h + 1, dtype=np.intp)
     # running counts over the men's rows, read at each row's last word
-    bounds[1:] = np.bitwise_count(circle.bits[market.men] & women_bits).cumsum()[words - 1::words]
+    counts = np.bitwise_count(circle.bits.take(market.men, axis=0) & women_bits)
+    bounds[1:] = counts.cumsum()[words - 1::words]
     return bounds
 
 
@@ -483,7 +484,7 @@ def _candidates(market: Market, circle: Optional[SocialCircle]) -> tuple[np.ndar
         if circle is None:
             pos = np.arange(block.size)
         else:
-            known = _unpack(circle.bits[market.men[start:stop]], n)[:, market.women]
+            known = _unpack(circle.bits.take(market.men[start:stop], axis=0), n)[:, market.women]
             pos = np.flatnonzero(known.reshape(-1)[np.arange(0, known.size, h)[:, None] + block])
         row = pos // h
         entries = slice(bounds[start], bounds[stop])

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from circlematch.market import Market, Matching, is_stable
+from circlematch.market import Market, Matching
 from circlematch.topology import SocialCircle
 
-from refimpl import position
+from refimpl import position, rank_positions
 
 MAX_ORACLE_AGENTS = 12
 
@@ -24,34 +24,45 @@ class OracleViolation(RuntimeError):
 def enumerate_stable_matchings(market: Market, circle: SocialCircle) -> list[Matching]:
     """Every stable matching, found by checking all partial in-circle matchings.
 
+    The in-circle pairs and both sides' rank tables are read once per market;
+    each candidate is then checked for a blocking in-circle pair in plain
+    Python, so the oracle shares no code with the library's stability scan.
     Raises ValueError for markets above MAX_ORACLE_AGENTS agents: the search
     space grows factorially and larger inputs are a caller error.
     """
     if market.n > MAX_ORACLE_AGENTS:
         raise ValueError(
             f"exhaustive enumeration is capped at {MAX_ORACLE_AGENTS} agents, got {market.n}")
-    men = market.men.tolist()
-    women = market.women.tolist()
-    recognized = {i: [j for j in men if circle.contains(i, j)] for i in women}
+    men, women, h = market.men.tolist(), market.women.tolist(), market.half
+    # her_rank[i][j] is woman i's rank of man j and his_rank[j][i] man j's
+    # rank of woman i, side-local indices both
+    her_rank = market.women_pos.tolist()
+    his_rank = rank_positions(market.men_prefs).tolist()
+    recognized = [[j for j in range(h) if circle.contains(women[i], men[j])] for i in range(h)]
+    known = [(i, j) for i in range(h) for j in recognized[i]]
+    husband, wife = [-1] * h, [-1] * h  # each agent's partner, -1 while unmatched
     stable: list[Matching] = []
-    used: set[int] = set()
-    pairs: list[tuple[int, int]] = []
 
-    def extend(idx: int) -> None:
-        if idx == len(women):
-            candidate = Matching.from_pairs(pairs)
-            if is_stable(market, circle, candidate):
-                stable.append(candidate)
+    def blocked() -> bool:
+        for i, j in known:
+            mine, his = husband[i], wife[j]
+            if mine != j and (mine < 0 or her_rank[i][j] < her_rank[i][mine]) and (
+                    his < 0 or his_rank[j][i] < his_rank[j][his]):
+                return True
+        return False
+
+    def extend(i: int) -> None:
+        if i == h:
+            if not blocked():
+                stable.append(Matching.from_pairs(
+                    (women[w], men[m]) for w, m in enumerate(husband) if m >= 0))
             return
-        woman = women[idx]
-        extend(idx + 1)  # leave this woman unmatched
-        for man in recognized[woman]:
-            if man not in used:
-                used.add(man)
-                pairs.append((woman, man))
-                extend(idx + 1)
-                pairs.pop()
-                used.discard(man)
+        extend(i + 1)  # leave this woman unmatched
+        for j in recognized[i]:
+            if wife[j] < 0:
+                husband[i], wife[j] = j, i
+                extend(i + 1)
+                husband[i], wife[j] = -1, -1
 
     extend(0)
     return stable

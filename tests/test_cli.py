@@ -270,10 +270,11 @@ def test_sweep_rejects_unusable_grid(capsys):
 
 
 def test_sweep_checks_every_network_before_running_a_cell(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a cell ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran, a market was drawn or a network generated")
 
-    monkeypatch.setattr(harness, "run_cell", refuse)
+    for name in ("run_cell", "build_market", "cell_graph"):
+        monkeypatch.setattr(harness, name, refuse)
     code, out, err = run_cli(capsys, "sweep", "--n", "200", "4", "--k", "4",
                              "--model", "er", "--reps", "1")
     assert (code, out) == (2, "")

@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import circlematch
-from circlematch import harness, netgen
+from circlematch import harness, market, netgen
 from circlematch.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -320,6 +320,31 @@ def test_sweep_covers_the_cross_product_in_order():
     assert [r.model for r in rows[:6]] == ["ncn"] * 6
     assert [r.seed for r in rows[:3]] == [0, 1, 2]
     assert [r.n for r in rows[:6]] == [8, 8, 8, 12, 12, 12]
+
+
+@pytest.mark.parametrize("stream", ["v1", "v2"])
+def test_sweep_equals_its_cells_run_one_by_one(stream):
+    cfg = ExperimentConfig(circlematch.MODELS, (12, 20), (2, 4), (0, 1, 2), stream=stream)
+    strip = lambda r: dataclasses.replace(r, runtime_ms=0.0)
+    cells = [strip(run_cell(model, n, k, cfg.dep, seed, cfg.p_rewire, stream))
+             for model in cfg.models for n in cfg.n_values
+             for k in cfg.k_values for seed in cfg.seeds]
+    rows = sweep(cfg)
+    assert [strip(r) for r in rows] == cells
+    assert all(r.runtime_ms > 0.0 for r in rows)
+
+
+def test_sweep_draws_each_market_once(monkeypatch):
+    drawn = []
+
+    def build_market(n, rng, stream):
+        drawn.append((n, rng.getstate()))
+        return market.build_market(n, rng, stream)
+
+    monkeypatch.setattr(harness, "build_market", build_market)
+    sweep(ExperimentConfig(circlematch.MODELS, (12, 20), (2, 4), (0, 1, 2)))
+    assert drawn == [(n, random.Random(derive_seed(seed, "market")).getstate())
+                     for n in (12, 20) for seed in (0, 1, 2)]
 
 
 # ------------------------------------------------------------------ summaries
